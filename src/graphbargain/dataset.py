@@ -39,13 +39,17 @@ MANIFEST_HEADER = "id,seed,n_param,e_param,a,b,c,d,u_n,u_a,u_b,u_c,n_final,e_fin
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
+_WRITE_ROWS = 65536
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """One 'u v' pair per line, u < v, lexicographically sorted."""
+    pairs = g.edge_array()
     with open(path, "w", encoding="ascii") as fh:
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        # Fixed-size chunks keep the formatted text small at 1e6 edges.
+        for start in range(0, len(pairs), _WRITE_ROWS):
+            chunk = pairs[start : start + _WRITE_ROWS]
+            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_edge_list(path: str | Path) -> Graph:

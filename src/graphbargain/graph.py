@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +29,19 @@ class MetricPoint:
 
     clustering: float
     dlog: float
+
+
+# Largest n whose edge keys u * n + v (at most n * n - 1) fit in int64.
+MAX_KEYED_NODES = 3_037_000_499
+
+
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Sorted int64 keys u * n + v and v * n + u; ValueError first if they would overflow."""
+    if n > MAX_KEYED_NODES:
+        raise ValueError(f"{n} nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})")
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    return keys
 
 
 class Graph:
@@ -65,32 +78,24 @@ class Graph:
             raise ValueError("edges must be (u, v) pairs")
         if arr.min() < 0:
             raise ValueError("negative node id")
-        if np.any(arr[:, 0] == arr[:, 1]):
+        u, v = arr[:, 0], arr[:, 1]
+        if np.any(u == v):
             raise ValueError("self-loop in edge list")
-        lo = arr.min(axis=1)
-        hi = arr.max(axis=1)
-        keys = lo * (hi.max() + 1) + hi
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate edge in edge list")
-        n = int(hi.max()) + 1
+        n = int(arr.max()) + 1
         if node_count is not None:
             if node_count < n:
                 raise ValueError("node_count smaller than max node id + 1")
             n = node_count
-        return cls._from_half_edges(lo, hi, n)
+        keys = _edge_keys(u, v, n)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edge in edge list")
+        return cls._from_keys(keys, n)
 
     @classmethod
-    def _from_half_edges(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "Graph":
-        # lo < hi, already deduplicated; mirror and sort into CSR.
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, dst)
+    def _from_keys(cls, keys: np.ndarray, n: int) -> "Graph":
+        # keys: sorted, duplicate-free src * n + dst, both orientations of each edge.
+        src, dst = np.divmod(keys, n)
+        return cls(np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))), dst)
 
     @property
     def node_count(self) -> int:
@@ -107,13 +112,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor ids of ``u``."""
         return self._indices[self._indptr[u] : self._indptr[u + 1]]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Undirected edges as (u, v) pairs with u < v, in sorted order."""
-        for u in range(self.node_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, int(v))
 
     def edge_array(self) -> np.ndarray:
         """All (u, v) pairs with u < v as an (E, 2) array, lexicographically sorted."""
@@ -146,7 +144,8 @@ def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component, nodes relabeled to 0..k-1.
 
     Size ties are broken in favor of the component containing the smallest
-    original node id. Relabeling preserves the original id order.
+    original node id. Relabeling preserves the original id order, so the
+    kept CSR rows stay sorted as they are masked out.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
@@ -154,47 +153,42 @@ def largest_connected_component(g: Graph) -> Graph:
     if n_comp == 1:
         return g
     sizes = np.bincount(labels, minlength=n_comp)
-    best = sizes.max()
     # first node (= smallest id) whose component has maximal size
-    winner = labels[np.argmax(sizes[labels] == best)]
-    keep = np.flatnonzero(labels == winner)
-    relabel = np.full(g.node_count, -1, dtype=np.int64)
-    relabel[keep] = np.arange(len(keep), dtype=np.int64)
-    pairs = g.edge_array()
-    mask = (relabel[pairs[:, 0]] >= 0) & (relabel[pairs[:, 1]] >= 0)
-    pairs = relabel[pairs[mask]]
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    return Graph._from_half_edges(lo, hi, len(keep))
+    winner = labels[np.argmax(sizes[labels] == sizes.max())]
+    keep = labels == winner
+    relabel = np.cumsum(keep) - 1
+    deg = g.degrees
+    indptr = np.concatenate(([0], np.cumsum(deg[keep])))
+    return Graph(indptr, relabel[g._indices[np.repeat(keep, deg)]])
 
 
-def mean_local_clustering(g: Graph, block_work: int = 4_000_000) -> float:
+def mean_local_clustering(g: Graph) -> float:
     """Mean of local clustering coefficients.
 
     c_v = 2 T(v) / (deg(v) (deg(v)-1)) for deg(v) >= 2, else 0, where T(v)
-    counts triangles through v. Computed as row sums of (A @ A) * A, blocked
-    by rows so the intermediate product stays memory-bounded on large skewed
-    graphs.
+    counts triangles through v. Edges point up the (degree, id) rank to form
+    the DAG L; with P = (L @ L) * L and Q = (L.T @ L) * L, each triangle is
+    counted at its lowest vertex by P's row sums, at its highest by P's column
+    sums and at its middle one by Q's row sums. These oriented products cost
+    O(m sqrt(m)), not the sum of squared degrees of A @ A, and their counts
+    are exact integers, so the result is bit-identical to that of A @ A.
     """
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")
-    deg = g.degrees.astype(np.float64)
-    adj = g.to_csr()
-    # per-row product cost: sum of neighbor degrees
-    row_work = np.asarray(adj @ deg, dtype=np.float64)
-    common = np.zeros(n, dtype=np.float64)
-    start = 0
-    while start < n:
-        stop = start + 1
-        acc = row_work[start]
-        while stop < n and acc + row_work[stop] <= block_work:
-            acc += row_work[stop]
-            stop += 1
-        block = adj[start:stop]
-        prod = (block @ adj).multiply(block)
-        common[start:stop] = np.asarray(prod.sum(axis=1)).ravel()
-        start = stop
+    deg = g.degrees
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n), deg)
+    up = rank[src] < rank[g._indices]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
+    dag = sparse.csr_matrix(
+        (np.ones(int(indptr[-1]), dtype=np.int32), g._indices[up], indptr), shape=(n, n)
+    )
+    p = (dag @ dag).multiply(dag)
+    q = (dag.T @ dag).multiply(dag)
+    common = 2.0 * (p.sum(axis=1).A1 + p.sum(axis=0).A1 + q.sum(axis=1).A1)
+    deg = deg.astype(np.float64)
     coeff = np.zeros(n, dtype=np.float64)
     mask = deg >= 2
     coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))

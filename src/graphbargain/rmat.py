@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, MetricPoint, largest_connected_component, metric_projection
+from .graph import Graph, MetricPoint, _edge_keys, largest_connected_component, metric_projection
 
 __all__ = [
     "RmatParams",
@@ -89,22 +89,24 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     """Raw directed edges -> simple connected undirected graph.
 
     Drops self-loops and endpoints outside [0, n_param) (the padding part of
-    the power-of-two matrix), merges (u,v)/(v,u), deduplicates, then keeps
-    the largest connected component.
+    the power-of-two matrix), merges (u,v)/(v,u) and deduplicates by one sort
+    of int64 keys holding both orientations, then keeps the largest connected
+    component. Raises ValueError when the ids are too large for int64 keys.
     """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         raise ValueError("no edges to sanitize")
     arr = arr.reshape(-1, 2)
-    keep = (arr[:, 0] != arr[:, 1]) & (arr < n_param).all(axis=1)
-    arr = arr[keep]
-    if arr.size == 0:
+    u, v = arr[:, 0], arr[:, 1]
+    keep = (u != v) & (u < n_param) & (v < n_param)
+    u, v = u[keep], v[keep]
+    if u.size == 0:
         raise VanishedGraphError("vanished graph")
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
-    n = int(hi.max()) + 1
-    keys = np.unique(lo * n + hi)
-    g = Graph._from_half_edges(keys // n, keys % n, n)
+    n = int(max(u.max(), v.max())) + 1
+    keys = _edge_keys(u, v, n)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    g = Graph._from_keys(keys[first], n)
     return largest_connected_component(g)
 
 

@@ -217,7 +217,7 @@ def test_criterion_3_beta_cdf_against_quadrature(announce):
 
 def clustering_oracle(g: Graph) -> float:
     """Brute-force mean local clustering over all nodes."""
-    edge_set = {(u, v) for u, v in g.edges()}
+    edge_set = {(u, v) for u, v in g.edge_array().tolist()}
 
     def linked(x: int, y: int) -> bool:
         return (min(x, y), max(x, y)) in edge_set

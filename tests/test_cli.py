@@ -39,7 +39,7 @@ def write_matrix_market_copy(g: Graph, path) -> None:
         "%%MatrixMarket matrix coordinate pattern symmetric",
         f"{g.node_count} {g.node_count} {g.edge_count}",
     ]
-    for u, v in g.edges():
+    for u, v in g.edge_array().tolist():
         lines.append(f"{v + 1} {u + 1}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 

@@ -40,6 +40,16 @@ class TestEdgeLists:
         write_edge_list(small_graph(), path)
         assert path.read_text() == "0 1\n0 2\n1 2\n2 3\n"
 
+    def test_written_format_across_write_chunks(self, tmp_path):
+        # a ring lattice with 150003 edges spans several of the writer's row chunks
+        n = 50_001
+        u = np.repeat(np.arange(n), 3)
+        v = (u + np.tile([1, 2, 3], n)) % n
+        g = Graph.from_edge_list(np.column_stack([u, v]))
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        assert path.read_text() == "".join(f"{a} {b}\n" for a, b in g.edge_array().tolist())
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n\n  \n1 2\n")
@@ -105,7 +115,7 @@ class TestMatrixMarket:
         )
         g = read_matrix_market(self._write(tmp_path, body))
         assert g.node_count == 4
-        assert list(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
 
     def test_real_general_directed_collapses(self, tmp_path):
         body = (
@@ -117,7 +127,7 @@ class TestMatrixMarket:
             "1 1 9.0\n"
         )
         g = read_matrix_market(self._write(tmp_path, body))
-        assert list(g.edges()) == [(0, 1), (0, 2)]
+        assert g.edge_array().tolist() == [[0, 1], [0, 2]]
 
     def test_keeps_largest_component(self, tmp_path):
         body = (
@@ -156,6 +166,11 @@ class TestMatrixMarket:
     def test_no_off_diagonal_structure(self, tmp_path):
         body = "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 1\n2 2\n"
         with pytest.raises(DataError, match="no usable off-diagonal structure"):
+            read_matrix_market(self._write(tmp_path, body))
+
+    def test_ids_that_overflow_edge_keys_rejected(self, tmp_path):
+        body = "%%MatrixMarket matrix coordinate pattern general\n4000000002 4000000002 1\n4000000001 4000000002\n"
+        with pytest.raises(DataError, match="overflow"):
             read_matrix_market(self._write(tmp_path, body))
 
     def test_missing_file(self, tmp_path):

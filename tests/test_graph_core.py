@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from graphbargain.graph import (
+    MAX_KEYED_NODES,
     Graph,
     MetricPoint,
+    _edge_keys,
     largest_connected_component,
     mean_local_clustering,
     metric_projection,
@@ -37,6 +40,41 @@ def brute_force_mean_clustering(edges: list[tuple[int, int]], n: int) -> float:
     return total / n
 
 
+def unoriented_mean_clustering(g: Graph) -> float:
+    """Oracle: row sums of the unoriented (A @ A) * A, which count each triangle twice per node."""
+    adj = g.to_csr()
+    common = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel()
+    deg = g.degrees.astype(np.float64)
+    coeff = np.zeros(g.node_count, dtype=np.float64)
+    mask = deg >= 2
+    coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))
+    return float(coeff.mean())
+
+
+def resorted_lcc(g: Graph) -> Graph:
+    """Reference: keep the edges of the winning component and rebuild them with a fresh sort."""
+    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
+    sizes = np.bincount(labels)
+    winner = next(label for label in labels if sizes[label] == sizes.max())
+    kept = [u for u in range(g.node_count) if labels[u] == winner]
+    new_id = {u: i for i, u in enumerate(kept)}
+    pairs = [(new_id[u], new_id[v]) for u, v in g.edge_array().tolist() if u in new_id]
+    return Graph.from_edge_list(pairs[::-1], node_count=len(kept))
+
+
+def hub_and_tie_edges(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
+    """A ring lattice (many equal degrees) plus a few hubs and random chords."""
+    edges = {(min(u, (u + k) % n), max(u, (u + k) % n)) for u in range(n) for k in (1, 2)}
+    for hub in rng.choice(n, size=int(rng.integers(1, 5)), replace=False):
+        for v in rng.choice(n, size=int(rng.integers(n // 8, n // 2)), replace=False):
+            if v != hub:
+                edges.add((min(hub, v), max(hub, v)))
+    for _ in range(int(rng.integers(0, n))):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((min(u, v), max(u, v)))
+    return sorted((int(u), int(v)) for u, v in edges)
+
+
 def random_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
     edges = []
     for u in range(n):
@@ -51,7 +89,6 @@ class TestGraphConstruction:
         g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3)])
         assert g.node_count == 4
         assert g.edge_count == 4
-        assert list(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
         assert np.array_equal(g.edge_array(), [[0, 1], [0, 2], [1, 2], [2, 3]])
         assert list(g.degrees) == [2, 2, 3, 1]
         assert list(g.neighbors(2)) == [0, 1, 3]
@@ -103,6 +140,19 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="node_count"):
             Graph.from_edge_list([(0, 5)], node_count=3)
 
+    def test_rejects_ids_that_overflow_edge_keys(self):
+        with pytest.raises(ValueError, match="overflow"):
+            Graph.from_edge_list([(4_000_000_000, 4_000_000_001)])
+        with pytest.raises(ValueError, match="overflow"):
+            Graph.from_edge_list([(0, 1)], node_count=MAX_KEYED_NODES + 1)
+
+    def test_edge_keys_exact_at_the_largest_node_count(self):
+        n = MAX_KEYED_NODES
+        keys = _edge_keys(np.array([n - 2]), np.array([n - 1]), n)
+        assert keys.tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
+        with pytest.raises(ValueError, match="overflow"):
+            _edge_keys(np.array([0]), np.array([1]), n + 1)
+
     def test_equality_and_hash(self):
         a = Graph.from_edge_list([(0, 1), (1, 2)])
         b = Graph.from_edge_list([(1, 2), (0, 1)])
@@ -150,8 +200,6 @@ class TestLargestConnectedComponent:
             largest_connected_component(Graph.from_edge_list([]))
 
     def test_random_graphs_lcc_is_connected_and_maximal(self):
-        from scipy.sparse import csgraph
-
         rng = np.random.default_rng(13)
         for _ in range(25):
             n = int(rng.integers(2, 30))
@@ -165,6 +213,29 @@ class TestLargestConnectedComponent:
             assert lcc.node_count == best
             k, _ = csgraph.connected_components(lcc.to_csr(), directed=False)
             assert k == 1
+
+    def test_matches_resorted_reference_on_multi_component_graphs(self):
+        rng = np.random.default_rng(17)
+        ties = 0
+        for _ in range(40):
+            # components of a few drawn sizes (so equal sizes recur), shuffled ids, isolated nodes
+            sizes = rng.choice([2, 3, 5, 8], size=int(rng.integers(2, 7)))
+            n = int(sizes.sum()) + int(rng.integers(0, 4))
+            ids = rng.permutation(n)
+            edges = []
+            start = 0
+            for size in sizes:
+                members = ids[start : start + size]
+                edges += [(int(members[i - 1]), int(members[i])) for i in range(1, size)]
+                for i, j in rng.integers(0, size, size=(size, 2)):
+                    if i != j:
+                        edges.append((int(members[i]), int(members[j])))
+                start += size
+            edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+            g = Graph.from_edge_list(edges, node_count=n)
+            ties += int(np.sum(sizes == sizes.max()) > 1)
+            assert largest_connected_component(g) == resorted_lcc(g)
+        assert ties >= 10
 
 
 class TestMeanLocalClustering:
@@ -189,13 +260,16 @@ class TestMeanLocalClustering:
             expected = brute_force_mean_clustering(edges, n)
             assert mean_local_clustering(g) == pytest.approx(expected, abs=1e-12)
 
-    def test_blocked_computation_matches_single_block(self):
+    def test_forward_counting_equals_unoriented_product(self):
         rng = np.random.default_rng(3)
-        edges = random_edges(rng, 60, 0.2)
-        g = Graph.from_edge_list(edges, node_count=60)
-        full = mean_local_clustering(g)
-        tiny_blocks = mean_local_clustering(g, block_work=1)
-        assert tiny_blocks == pytest.approx(full, abs=1e-15)
+        for _ in range(30):
+            n = int(rng.integers(200, 400))
+            g = Graph.from_edge_list(hub_and_tie_edges(rng, n), node_count=n)
+            assert mean_local_clustering(g) == unoriented_mean_clustering(g)
+        complete = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        for edges, n in [(random_edges(rng, 60, 0.2), 60), (complete, 12)]:
+            g = Graph.from_edge_list(edges, node_count=n)
+            assert mean_local_clustering(g) == unoriented_mean_clustering(g)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -128,6 +128,11 @@ class TestSanitize:
         with pytest.raises(ValueError, match="no edges"):
             sanitize(np.zeros((0, 2), dtype=np.int64), n_param=4)
 
+    def test_ids_that_overflow_edge_keys_rejected(self):
+        edges = np.array([[4_000_000_001, 4_000_000_000]])
+        with pytest.raises(ValueError, match="overflow"):
+            sanitize(edges, n_param=4_000_000_002)
+
     def test_result_is_simple_and_connected(self):
         from scipy.sparse import csgraph
 
