@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -66,9 +66,12 @@ class Graph:
         """Build a graph from undirected edges, validating simplicity.
 
         Rejects self-loops and edges listed twice (in either orientation).
-        ``node_count`` defaults to max node id + 1.
+        ``node_count`` defaults to max node id + 1. Arrays and sequences are
+        converted directly; other iterables are listed first.
         """
-        arr = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, (np.ndarray, Sequence)):
+            edges = list(edges)
+        arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             if node_count is None:
                 node_count = 0

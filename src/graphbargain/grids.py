@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import DataError
 from .graph import MetricPoint
-from .params import QVector, UnitPoint, beta_cdf
+from .params import QVector, UnitPoint
 
 __all__ = [
     "MetricGrid",
@@ -175,6 +177,15 @@ class ConditionalModel:
             )
         )
 
+    @cached_property
+    def pair_share(self) -> np.ndarray:
+        """n_ij / n_i per pair: the conditional row weights, computed once per model.
+
+        Derived from the count arrays, so it takes no part in ``==`` or in
+        the model file; the arrays are not to be mutated after construction.
+        """
+        return self.pair_counts / self.cell_counts[self.pair_cell]
+
 
 def conditional_from_pairs(
     metric_grid: MetricGrid,
@@ -254,17 +265,22 @@ def build_conditional(
 
 def _dim_masses(q: QVector, bins: int) -> np.ndarray:
     """Per-axis Beta mass in each of the shared unit bins, shape (4, bins)."""
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    return np.vstack([np.diff(beta_cdf(edges, spec)) for spec in q.specs])
+    alpha = np.array([s.alpha for s in q.specs])
+    beta = np.array([s.beta for s in q.specs])
+    return np.diff(betainc(alpha[:, None], beta[:, None], np.linspace(0.0, 1.0, bins + 1)), axis=1)
 
 
 def predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
-    """Raw pushed metric mass (not normalized) and the coverage it sums to."""
+    """Raw pushed metric mass (not normalized) and the coverage it sums to.
+
+    One broadcast ``betainc`` gives the four per-axis CDFs at the bin edges;
+    the row weights n_ij / n_i come from the model's cached ``pair_share``.
+    """
     dim = _dim_masses(q, model.param_grid.bins)
     cb = model.cell_bins
     cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
     coverage = float(cellmass.sum())
-    weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
+    weights = model.pair_share * cellmass[model.pair_cell]
     raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
     return raw, coverage
 

@@ -71,18 +71,37 @@ def generate_raw_edges(p: RmatParams, seed: int) -> np.ndarray:
 
     Each edge is placed by ``scale`` independent quadrant draws from
     (a, b, c, d); the quadrant fixes one bit of each endpoint per level.
-    Returns an (e_param, 2) int array; deterministic for a given seed.
+    A level draws e uniforms x in one ``rng.random`` call and compares them
+    with the cuts a, a+b, a+b+c: the u bit is ``x >= a+b`` and the v bit is
+    the parity of the three comparisons (quadrants 1 and 3). Ids accumulate
+    in int32 while they fit (scale <= 31), in int64 above.
+    Returns an (e_param, 2) int64 array; deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
-    cuts = np.cumsum([p.a, p.b, p.c])
+    cut_a, cut_ab, cut_abc = np.cumsum([p.a, p.b, p.c])
     e = p.e_param
-    u = np.zeros(e, dtype=np.int64)
-    v = np.zeros(e, dtype=np.int64)
+    ids = np.int32 if p.scale <= 31 else np.int64
+    u = np.zeros(e, dtype=ids)
+    v = np.zeros(e, dtype=ids)
+    x = np.empty(e)
+    v_bit = np.empty(e, dtype=bool)
+    u_bit = np.empty(e, dtype=bool)
+    past_abc = np.empty(e, dtype=bool)
     for _ in range(p.scale):
-        quad = np.searchsorted(cuts, rng.random(e), side="right")
-        u = (u << 1) | (quad >> 1)
-        v = (v << 1) | (quad & 1)
-    return np.column_stack([u, v])
+        rng.random(out=x)
+        np.greater_equal(x, cut_a, out=v_bit)
+        np.greater_equal(x, cut_ab, out=u_bit)
+        np.greater_equal(x, cut_abc, out=past_abc)
+        v_bit ^= u_bit
+        v_bit ^= past_abc
+        u <<= 1
+        u |= u_bit
+        v <<= 1
+        v |= v_bit
+    out = np.empty((e, 2), dtype=np.int64)
+    out[:, 0] = u
+    out[:, 1] = v
+    return out
 
 
 def sanitize(edges: np.ndarray, n_param: int) -> Graph:

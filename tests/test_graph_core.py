@@ -140,6 +140,39 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="node_count"):
             Graph.from_edge_list([(0, 5)], node_count=3)
 
+    @staticmethod
+    def _forms(pairs):
+        """The same edges as a list of tuples, a generator and an (E, k) array."""
+        return [list(pairs), (pair for pair in pairs), np.array(pairs, dtype=np.int64)]
+
+    def test_generator_list_and_array_give_equal_graphs(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 9, 40):
+            pairs = random_edges(rng, n, 0.3) or [(0, 1)]
+            graphs = [Graph.from_edge_list(form) for form in self._forms(pairs)]
+            assert graphs[0] == graphs[1] == graphs[2]
+            padded = [Graph.from_edge_list(form, node_count=n + 3) for form in self._forms(pairs)]
+            assert padded[0] == padded[1] == padded[2]
+            assert padded[0].node_count == n + 3
+
+    def test_generator_list_and_array_give_equal_errors(self):
+        cases = [
+            ([(0, 1), (2, 2)], None),
+            ([(0, 1), (1, 0)], None),
+            ([(0, 1), (0, 1)], None),
+            ([(-1, 0)], None),
+            ([(0, 1, 2)], None),
+            ([(0, 5)], 3),
+            ([(4_000_000_000, 4_000_000_001)], None),
+        ]
+        for pairs, node_count in cases:
+            messages = []
+            for form in self._forms(pairs):
+                with pytest.raises(ValueError) as info:
+                    Graph.from_edge_list(form, node_count=node_count)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == messages[2]
+
     def test_rejects_ids_that_overflow_edge_keys(self):
         with pytest.raises(ValueError, match="overflow"):
             Graph.from_edge_list([(4_000_000_000, 4_000_000_001)])

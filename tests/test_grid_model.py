@@ -23,7 +23,7 @@ from graphbargain.grids import (
     predicted_mass,
     save_conditional,
 )
-from graphbargain.params import BetaSpec, QVector, UnitPoint, cell_probability
+from graphbargain.params import BetaSpec, QVector, UnitPoint, beta_cdf, cell_probability
 
 
 def random_records(rng: np.random.Generator, count: int) -> list[tuple[UnitPoint, MetricPoint]]:
@@ -41,6 +41,34 @@ def random_model(rng: np.random.Generator, count: int = 200, metric_bins: int = 
         MetricGrid(metric_bins, metric_bins),
         ParamGrid(param_bins),
     )
+
+
+def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
+    """predicted_mass as first written: one beta_cdf per spec, vstack, and the row shares per call."""
+    edges = np.linspace(0.0, 1.0, model.param_grid.bins + 1)
+    dim = np.vstack([np.diff(beta_cdf(edges, spec)) for spec in q.specs])
+    cb = model.cell_bins
+    cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
+    coverage = float(cellmass.sum())
+    weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
+    raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
+    return raw, coverage
+
+
+def bound_qs(rng: np.random.Generator, count: int) -> list[QVector]:
+    """Every alpha/beta alone at 1e-3 and at 100, both extremes everywhere, then log-uniform draws."""
+    qs = []
+    for value in (1e-3, 100.0):
+        qs.append(QVector.from_array(np.full(8, value)))
+        for k in range(8):
+            z = np.ones(8)
+            z[k] = value
+            qs.append(QVector.from_array(z))
+    qs.append(QVector.from_array([1e-3, 100.0] * 4))
+    qs.append(QVector.from_array([100.0, 1e-3] * 4))
+    while len(qs) < count:
+        qs.append(QVector.from_array(np.exp(rng.uniform(np.log(1e-3), np.log(100.0), 8))))
+    return qs
 
 
 class TestMetricGrid:
@@ -255,6 +283,27 @@ class TestPrediction:
 
     def test_min_coverage_constant(self):
         assert MIN_COVERAGE == 1e-6
+
+    def test_equals_per_spec_reference(self):
+        rng = np.random.default_rng(41)
+        model = random_model(rng, count=1500, param_bins=20)
+        for q in bound_qs(rng, 240):
+            raw, coverage = predicted_mass(model, q)
+            expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
+            assert np.all(raw == expected_raw)
+            assert coverage == expected_coverage
+
+    def test_cached_share_leaves_equality_and_file_unchanged(self, tmp_path):
+        model = random_model(np.random.default_rng(43), count=400)
+        twin = random_model(np.random.default_rng(43), count=400)
+        before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+        save_conditional(model, before)
+        predicted_mass(model, QVector.all_ones())
+        assert "pair_share" in vars(model) and "pair_share" not in vars(twin)
+        assert np.all(model.pair_share == model.pair_counts / model.cell_counts[model.pair_cell])
+        assert model == twin and twin == model
+        save_conditional(model, after)
+        assert after.read_bytes() == before.read_bytes()
 
 
 class TestModelFile:

@@ -20,6 +20,44 @@ from graphbargain.rmat import (
 UNIFORM = dict(a=0.25, b=0.25, c=0.25, d=0.25)
 
 
+def searchsorted_raw_edges(p: RmatParams, seed: int) -> np.ndarray:
+    """The sampler as first written: one searchsorted over the cuts per level, int64 throughout."""
+    rng = np.random.default_rng(seed)
+    cuts = np.cumsum([p.a, p.b, p.c])
+    e = p.e_param
+    u = np.zeros(e, dtype=np.int64)
+    v = np.zeros(e, dtype=np.int64)
+    for _ in range(p.scale):
+        quad = np.searchsorted(cuts, rng.random(e), side="right")
+        u = (u << 1) | (quad >> 1)
+        v = (v << 1) | (quad & 1)
+    return np.column_stack([u, v])
+
+
+def unchecked_params(n_param: int, e_param: int, a: float, b: float, c: float, d: float) -> RmatParams:
+    """RmatParams without validation, for a scale whose e_param >= n_param - 1 would not fit in memory."""
+    p = object.__new__(RmatParams)
+    for name, value in zip(("n_param", "e_param", "a", "b", "c", "d"), (n_param, e_param, a, b, c, d)):
+        object.__setattr__(p, name, value)
+    return p
+
+
+# Scale 1, the degenerate a=1, tied cuts (b=0, c=0, b=d=0, c=d=0), odd edge
+# counts, the skewed validate draw's vector and one 3e5-edge draw.
+STREAM_CASES = [
+    RmatParams(n_param=2, e_param=7, a=0.4, b=0.3, c=0.2, d=0.1),
+    RmatParams(n_param=2, e_param=1, **UNIFORM),
+    RmatParams(n_param=1024, e_param=1025, a=1.0, b=0.0, c=0.0, d=0.0),
+    RmatParams(n_param=300, e_param=1001, a=0.5, b=0.0, c=0.3, d=0.2),
+    RmatParams(n_param=300, e_param=1001, a=0.5, b=0.3, c=0.0, d=0.2),
+    RmatParams(n_param=300, e_param=999, a=0.6, b=0.0, c=0.4, d=0.0),
+    RmatParams(n_param=300, e_param=999, a=0.5, b=0.5, c=0.0, d=0.0),
+    RmatParams(n_param=4097, e_param=9999, **UNIFORM),
+    RmatParams(n_param=41601, e_param=100_001, a=0.625, b=0.125, c=0.125, d=0.125),
+    RmatParams(n_param=100_000, e_param=300_000, a=0.45, b=0.2, c=0.2, d=0.15),
+]
+
+
 class TestRmatParams:
     def test_scale_is_ceil_log2(self):
         for n, scale in [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (1024, 10), (1025, 11)]:
@@ -55,6 +93,25 @@ class TestRmatParams:
 
 
 class TestGenerateRawEdges:
+    @pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1])
+    @pytest.mark.parametrize("p", STREAM_CASES, ids=lambda p: f"n{p.n_param}-e{p.e_param}-{p.a}-{p.b}-{p.c}-{p.d}")
+    def test_equals_searchsorted_reference(self, p, seed):
+        edges = generate_raw_edges(p, seed)
+        expected = searchsorted_raw_edges(p, seed)
+        assert edges.dtype == expected.dtype == np.int64
+        assert edges.shape == expected.shape == (p.e_param, 2)
+        assert np.all(edges == expected)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_ids_beyond_int32_equal_reference(self, seed):
+        # scale 33 accumulates in int64; valid params would need 2^32 edges
+        p = unchecked_params(2**33, 101, 0.45, 0.2, 0.2, 0.15)
+        assert p.scale == 33
+        edges = generate_raw_edges(p, seed)
+        assert edges.max() >= 2**31
+        assert edges.dtype == np.int64
+        assert np.all(edges == searchsorted_raw_edges(p, seed))
+
     def test_shape_and_bounds(self):
         p = RmatParams(n_param=100, e_param=500, a=0.5, b=0.2, c=0.2, d=0.1)
         edges = generate_raw_edges(p, seed=1)
