@@ -44,20 +44,77 @@ _WRITE_ROWS = 65536
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """One 'u v' pair per line, u < v, lexicographically sorted."""
-    pairs = g.edge_array()
-    with open(path, "w", encoding="ascii") as fh:
-        # Fixed-size chunks keep the formatted text small at 1e6 edges.
-        for start in range(0, len(pairs), _WRITE_ROWS):
-            chunk = pairs[start : start + _WRITE_ROWS]
-            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    # n <= MAX_KEYED_NODES < 2**32, so every id fits in uint32.
+    ids = g.edge_array().astype(np.uint32).ravel()
+    width = len(str(max(g.node_count - 1, 0)))
+    powers = 10 ** np.arange(1, width, dtype=np.uint32)
+    cols = np.arange(width + 1)
+    keep = cols >= cols[:, None]  # keep[s]: the bytes of an id with s leading zeros
+    with open(path, "wb") as fh:
+        # Fixed-size chunks keep the digit matrix small at 1e6 edges.
+        for start in range(0, len(ids), 2 * _WRITE_ROWS):
+            chunk = ids[start : start + 2 * _WRITE_ROWS]
+            # One row per id: `width` zero-padded digits, then ' ' or '\n'.
+            text = np.empty((len(chunk), width + 1), dtype=np.uint8)
+            rest = chunk
+            for col in range(width - 1, -1, -1):
+                quotient = rest // 10
+                np.subtract(rest, quotient * 10, out=text[:, col], casting="unsafe")
+                rest = quotient
+            text += ord("0")
+            text[0::2, width] = ord(" ")
+            text[1::2, width] = ord("\n")
+            zeros = width - 1 - np.searchsorted(powers, chunk, side="right")
+            fh.write(text[np.take(keep, zeros, axis=0)].tobytes())
 
 
 def read_edge_list(path: str | Path) -> Graph:
+    """Read 'u v' lines; errors name the first bad line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="ascii")
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
+    pairs = _parse_pairs(data)
+    if pairs is None:
+        pairs = _parse_lines(path, data)
+    if len(pairs) == 0:
+        raise DataError(f"{path}: no edges")
+    try:
+        return Graph.from_edge_list(pairs)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse_pairs(data: bytes) -> np.ndarray | None:
+    """(E, 2) ids when every non-blank line is two non-negative integers, else None."""
+    tokens = data.split()
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if len(ids) == 0:
+        return ids.reshape(0, 2)
+    if len(ids) % 2 or ids.min() < 0:
+        return None
+    # The tokens parsed as integers, so every byte <= 32 is one of bytes.split()'s
+    # separators, and 10..13 (\n \v \f \r) are those str.splitlines() breaks at.
+    raw = np.frombuffer(data, dtype=np.uint8)
+    space = np.concatenate(([True], raw <= 32))
+    starts = np.flatnonzero(space[:-1] & ~space[1:])
+    # broken[i]: a line break lies between token i and token i + 1
+    broken = np.logical_or.reduceat((raw >= 10) & (raw <= 13), starts)[:-1]
+    if np.any(broken[0::2]) or not np.all(broken[1::2]):
+        return None
+    return ids.reshape(-1, 2)
+
+
+def _parse_lines(path: Path, data: bytes) -> np.ndarray:
+    """Line-by-line parse of a file _parse_pairs refused; raises at the first bad line."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc}") from exc
     us: list[int] = []
     vs: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -74,12 +131,7 @@ def read_edge_list(path: str | Path) -> Graph:
             raise DataError(f"{path}:{lineno}: negative node id")
         us.append(u)
         vs.append(v)
-    if not us:
-        raise DataError(f"{path}: no edges")
-    try:
-        return Graph.from_edge_list(np.column_stack([us, vs]))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
 
 
 def read_matrix_market(path: str | Path) -> Graph:

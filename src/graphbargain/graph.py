@@ -165,33 +165,78 @@ def largest_connected_component(g: Graph) -> Graph:
     return Graph(indptr, relabel[g._indices[np.repeat(keep, deg)]])
 
 
+# Multiply-adds of the closing product L @ T per row block of L. A block's
+# candidate entries, and so clustering's transient memory, stay below it
+# however large the hubs; only a single row may exceed it.
+_BLOCK_PRODUCTS = 1 << 22
+
+
+def _row_sums(m: sparse.csr_matrix) -> np.ndarray:
+    """Exact int64 row sums, read off the CSR arrays."""
+    total = np.concatenate(([0], np.cumsum(m.data, dtype=np.int64)))
+    return total[m.indptr[1:]] - total[m.indptr[:-1]]
+
+
+def _forward_products(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """L, the edges pointing up the (degree, id) rank, and Q = (L.T @ L) * L.
+
+    Both are int32 CSR; L.T is built as CSR from the edges pointing down.
+    The edge-length temporaries (keys, masks) die on return, so they do not
+    add to the memory of P's blocks.
+    """
+    n = g.node_count
+    deg = g.degrees
+    # (degree, id) order as one key: deg * n + id <= n * n - 1 fits in int64
+    key = deg * n + np.arange(n)
+    up = np.repeat(key, deg) < key[g._indices]
+
+    def half(mask: np.ndarray) -> sparse.csr_matrix:
+        indptr = np.concatenate(([0], np.cumsum(mask)))[g._indptr]
+        data = np.ones(int(indptr[-1]), dtype=np.int32)
+        return sparse.csr_matrix((data, g._indices[mask], indptr), shape=(n, n))
+
+    dag = half(up)
+    return dag, (half(~up) @ dag).multiply(dag)
+
+
 def mean_local_clustering(g: Graph) -> float:
     """Mean of local clustering coefficients.
 
     c_v = 2 T(v) / (deg(v) (deg(v)-1)) for deg(v) >= 2, else 0, where T(v)
     counts triangles through v. Edges point up the (degree, id) rank to form
-    the DAG L; with P = (L @ L) * L and Q = (L.T @ L) * L, each triangle is
-    counted at its lowest vertex by P's row sums, at its highest by P's column
-    sums and at its middle one by Q's row sums. These oriented products cost
-    O(m sqrt(m)), not the sum of squared degrees of A @ A, and their counts
-    are exact integers, so the result is bit-identical to that of A @ A.
+    the DAG L, so each triangle is a path low -> middle -> top closed by the
+    edge low -> top. Q = (L.T @ L) * L counts, at each edge middle -> top,
+    the low vertices closing it: its row sums count each triangle at its
+    middle vertex and its column sums at its top one. P = (L @ L) * L counts,
+    at each edge low -> top, the middle vertices between; its column sums
+    count each triangle at its top vertex too, so colsum(P) = colsum(Q), and
+    only rowsum(P), the count at the low vertex, needs P. The second step
+    middle -> top of every such path is an edge where Q is nonzero, so its
+    support T may replace the right factor: P = (L @ T) * L. Its rows are
+    taken in blocks of at most _BLOCK_PRODUCTS multiply-adds, each reduced
+    to row sums before the next, so the full L @ L is never built. The
+    products cost O(m sqrt(m)), not the sum of squared degrees of A @ A, and
+    their counts are exact integers, so the result is bit-identical to that
+    of A @ A.
     """
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")
-    deg = g.degrees
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    src = np.repeat(np.arange(n), deg)
-    up = rank[src] < rank[g._indices]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
-    dag = sparse.csr_matrix(
-        (np.ones(int(indptr[-1]), dtype=np.int32), g._indices[up], indptr), shape=(n, n)
-    )
-    p = (dag @ dag).multiply(dag)
-    q = (dag.T @ dag).multiply(dag)
-    common = 2.0 * (p.sum(axis=1).A1 + p.sum(axis=0).A1 + q.sum(axis=1).A1)
-    deg = deg.astype(np.float64)
+    dag, q = _forward_products(g)
+    middle = _row_sums(q)
+    top = np.bincount(q.indices, weights=q.data, minlength=n)
+    closing = sparse.csr_matrix((np.ones(q.nnz, dtype=np.int32), q.indices, q.indptr), shape=(n, n))
+    # done[x]: multiply-adds of dag @ closing in the rows before x
+    done = np.concatenate(([0], np.cumsum(dag @ np.diff(closing.indptr).astype(np.int64))))
+    low = np.empty(n, dtype=np.int64)
+    start = 0
+    while start < n:
+        stop = max(int(np.searchsorted(done, done[start] + _BLOCK_PRODUCTS, side="right")) - 1, start + 1)
+        block = dag[start:stop]
+        low[start:stop] = _row_sums((block @ closing).multiply(block))
+        start = stop
+    common = 2.0 * (low + top + middle)
+    deg = g.degrees.astype(np.float64)
     coeff = np.zeros(n, dtype=np.float64)
     mask = deg >= 2
     coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))

@@ -15,10 +15,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import graphbargain.cli
+import graphbargain.graph
 import graphbargain.optimizer
 import graphbargain.rmat
+from graphbargain.cli import RunConfig, cmd_generate
+from graphbargain.dataset import read_manifest, write_qvector
 from graphbargain.grids import MetricGrid, ParamGrid, conditional_from_pairs
 from graphbargain.optimizer import OptimizerConfig, optimize, split_model
+from graphbargain.params import QVector
 from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
 
@@ -38,6 +43,8 @@ def calls(monkeypatch):
     counting(graphbargain.optimizer, "predicted_mass")
     counting(graphbargain.optimizer, "bargaining_fitness")
     counting(graphbargain.rmat, "generate_raw_edges")
+    counting(graphbargain.graph, "mean_local_clustering")
+    counting(graphbargain.cli, "write_edge_list")
     return counts
 
 
@@ -70,4 +77,17 @@ def test_generate_graph_draws_raw_edges_through_its_module(calls):
     with pytest.raises(DegenerateParametersError):
         generate_graph(RmatParams(2, 1, 1.0, 0.0, 0.0, 0.0), seed=0)
     assert calls["generate_raw_edges"] == 1 + graphbargain.rmat.MAX_ATTEMPTS
+    assert calls["predicted_mass"] == calls["bargaining_fitness"] == 0
+
+
+def test_generate_measures_and_writes_each_graph_through_its_module(calls, tmp_path):
+    q_path = tmp_path / "q.txt"
+    write_qvector(QVector.all_ones(), q_path)
+    config = RunConfig(n=12, e_min=30, e_max=90, seed=5, out=str(tmp_path / "run"))
+    rows = read_manifest(cmd_generate(config, q_path))
+    assert len(rows) == 12
+    # every slot's graph is measured once (metric_projection) and written once
+    assert calls["mean_local_clustering"] == 12
+    assert calls["write_edge_list"] == 12
+    assert calls["generate_raw_edges"] == 12
     assert calls["predicted_mass"] == calls["bargaining_fitness"] == 0

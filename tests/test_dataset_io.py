@@ -8,6 +8,8 @@ import pytest
 from graphbargain.dataset import (
     MANIFEST_HEADER,
     ManifestRow,
+    _parse_lines,
+    _parse_pairs,
     compute_stats,
     emit_scatter_csv,
     read_edge_list,
@@ -50,6 +52,27 @@ class TestEdgeLists:
         write_edge_list(g, path)
         assert path.read_text() == "".join(f"{a} {b}\n" for a, b in g.edge_array().tolist())
 
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_written_format_across_digit_widths(self, tmp_path, width):
+        # node counts 10**w and 10**w + 1: the largest id has w or w + 1 digits,
+        # and edges join every pair of ids 10**k - 1, 10**k below it
+        rng = np.random.default_rng(width)
+        for n in (10**width, 10**width + 1):
+            bounds = [10**k for k in range(1, width + 1) if 10**k < n]
+            edges = {(b - 1, b) for b in bounds} | {(0, n - 1), (n - 2, n - 1)}
+            u, v = rng.integers(0, n, size=(2, 200))
+            edges |= {(int(a), int(b)) for a, b in zip(np.minimum(u, v), np.maximum(u, v)) if a != b}
+            g = Graph.from_edge_list(sorted(edges), node_count=n)
+            path = tmp_path / f"g{n}.txt"
+            write_edge_list(g, path)
+            assert path.read_bytes() == b"".join(b"%d %d\n" % (a, b) for a, b in g.edge_array().tolist())
+
+    @pytest.mark.parametrize("edges,n,text", [([(0, 1)], 2, b"0 1\n"), ([(7, 123456)], None, b"7 123456\n"), ([], 3, b"")])
+    def test_written_format_of_one_edge_and_none(self, tmp_path, edges, n, text):
+        path = tmp_path / "g.txt"
+        write_edge_list(Graph.from_edge_list(edges, node_count=n), path)
+        assert path.read_bytes() == text
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n\n  \n1 2\n")
@@ -73,6 +96,47 @@ class TestEdgeLists:
         path.write_text("0 1\n-1 2\n")
         with pytest.raises(DataError, match="negative node id"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "body,where",
+        [
+            ("1 2 3\n4\n", r":1: expected 'u v'"),
+            ("1\n2 3 4\n", r":1: expected 'u v'"),
+            ("1 2\n3 4 5 6\n", r":2: expected 'u v'"),
+            ("1 2\n3", r":2: expected 'u v'"),
+            ("1\r2\n", r":1: expected 'u v'"),
+            ("0 1\n1 x\n", r":2: invalid literal"),
+            ("0 1\n2 -1\n", r":2: negative node id"),
+        ],
+    )
+    def test_error_positions_when_the_token_total_is_even_or_odd(self, tmp_path, body, where):
+        path = tmp_path / "g.txt"
+        path.write_bytes(body.encode("ascii"))
+        with pytest.raises(DataError, match=r"g\.txt" + where):
+            read_edge_list(path)
+
+    def test_non_ascii_bytes_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        with pytest.raises(DataError, match="not ASCII"):
+            read_edge_list(path)
+
+    def test_whole_file_parse_agrees_with_the_line_parser(self, tmp_path):
+        # random files of integer-like tokens and separators, including the
+        # line breaks \r, \v, \f and \x1c that str.splitlines() also splits at
+        rng = np.random.default_rng(8)
+        tokens = ["0", "1", "2", "12", "+3", "1_0", "-2", "x", "007"]
+        seps = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\n\n", " \n"]
+        path = tmp_path / "g.txt"
+        accepted = 0
+        for _ in range(400):
+            words = rng.choice(tokens, size=int(rng.integers(0, 7)), p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.04, 0.03, 0.03])
+            body = "".join(w + str(rng.choice(seps)) for w in words).encode("ascii")
+            pairs = _parse_pairs(body)
+            if pairs is not None:
+                accepted += 1
+                assert pairs.tolist() == _parse_lines(path, body).tolist(), body
+        assert accepted > 40
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.txt"

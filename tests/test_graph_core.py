@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import csgraph
 
+import graphbargain.graph
 from graphbargain.graph import (
     MAX_KEYED_NODES,
     Graph,
@@ -49,6 +52,73 @@ def unoriented_mean_clustering(g: Graph) -> float:
     mask = deg >= 2
     coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))
     return float(coeff.mean())
+
+
+def forward_dag(g: Graph) -> sparse.csr_matrix:
+    """L: each edge pointing up the (degree, id) rank, as int32 ones."""
+    n = g.node_count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n), g.degrees)
+    up = rank[src] < rank[g._indices]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
+    return sparse.csr_matrix(
+        (np.ones(int(indptr[-1]), dtype=np.int32), g._indices[up], indptr), shape=(n, n)
+    )
+
+
+def full_product_mean_clustering(g: Graph) -> float:
+    """Oracle: the unblocked forward count, with P = (L @ L) * L and Q = (L.T @ L) * L in full."""
+    dag = forward_dag(g)
+    p = (dag @ dag).multiply(dag)
+    q = (dag.T @ dag).multiply(dag)
+    common = 2.0 * (p.sum(axis=1).A1 + p.sum(axis=0).A1 + q.sum(axis=1).A1)
+    deg = g.degrees.astype(np.float64)
+    coeff = np.zeros(g.node_count, dtype=np.float64)
+    mask = deg >= 2
+    coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))
+    return float(coeff.mean())
+
+
+def closing_products(g: Graph) -> np.ndarray:
+    """Multiply-adds per row of L @ T, T the middle -> top edges of triangles, by set lookups."""
+    dag = forward_dag(g)
+    out = [set(dag.indices[dag.indptr[x] : dag.indptr[x + 1]].tolist()) for x in range(g.node_count)]
+    closing = {(y, z) for x in range(g.node_count) for y in out[x] for z in out[y] if z in out[x]}
+    t_out = np.bincount([y for y, _ in closing], minlength=g.node_count)
+    return np.array([sum(t_out[y] for y in out[x]) for x in range(g.node_count)])
+
+
+def planted_hub_graph(shortcut_every: int) -> Graph:
+    """60000 leaves -> 4000 mids -> 200 hubs: many two-paths, few triangles.
+
+    Each leaf joins 3 random mids and each mid 50 of the hubs, so L @ L holds
+    6.9M entries; every `shortcut_every`-th leaf also joins 2 random hubs,
+    which closes triangles leaf -> mid -> hub.
+    """
+    rng = np.random.default_rng(7)
+    hubs, mids, leaves = 200, 4000, 60000
+    mid = hubs + np.arange(mids)
+    leaf = hubs + mids + np.arange(leaves)
+    shortcut = np.repeat(leaf[::shortcut_every], 2)
+    u = np.concatenate([np.repeat(mid, 50), np.repeat(leaf, 3), shortcut])
+    v = np.concatenate([
+        np.argsort(rng.random((mids, hubs)), axis=1)[:, :50].ravel(),
+        hubs + rng.integers(0, mids, size=3 * leaves),
+        rng.integers(0, hubs, size=len(shortcut)),
+    ])
+    n = hubs + mids + leaves
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return Graph.from_edge_list(np.column_stack(np.divmod(keys, n)), node_count=n)
+
+
+def clustering_peak_mib(g: Graph) -> float:
+    tracemalloc.start()
+    try:
+        mean_local_clustering(g)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def resorted_lcc(g: Graph) -> Graph:
@@ -307,6 +377,38 @@ class TestMeanLocalClustering:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mean_local_clustering(Graph.from_edge_list([]))
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 9])
+    def test_row_blocks_equal_full_products(self, monkeypatch, budget):
+        monkeypatch.setattr(graphbargain.graph, "_BLOCK_PRODUCTS", budget)
+        rng = np.random.default_rng(budget)
+        over = empty = shared = last = 0
+        for _ in range(8):
+            n = int(rng.integers(60, 160))
+            # shuffled ids, three of them isolated: empty rows of L anywhere
+            perm = rng.permutation(n + 3)
+            edges = [(int(perm[u]), int(perm[v])) for u, v in hub_and_tie_edges(rng, n)]
+            g = Graph.from_edge_list(edges, node_count=n + 3)
+            assert mean_local_clustering(g) == full_product_mean_clustering(g)
+            work = closing_products(g)
+            over += int(np.sum(work > budget))
+            empty += int(np.sum(work == 0))
+            shared += int(np.sum((work[1:] > 0) & (work[:-1] > 0) & (work[1:] + work[:-1] <= budget)))
+            last += int(work[-1] > 0)
+        assert over > 0 and empty > 0 and last > 0
+        # a block of several non-empty rows, unless the budget is a single product
+        assert shared > 0 or budget == 1
+
+    def test_peak_memory_without_the_full_two_path_product(self):
+        # L @ L holds 6.9M entries here: 17 MiB, where full_product_mean_clustering peaks at 112 MiB
+        g = planted_hub_graph(shortcut_every=20)
+        assert clustering_peak_mib(g) < 48
+
+    def test_row_blocks_bound_the_closing_product(self, monkeypatch):
+        # L @ T holds 3.0M entries here: 26 MiB, where one block takes 62 MiB and the oracle 115 MiB
+        g = planted_hub_graph(shortcut_every=1)
+        monkeypatch.setattr(graphbargain.graph, "_BLOCK_PRODUCTS", 1 << 18)
+        assert clustering_peak_mib(g) < 48
 
 
 class TestMetricProjection:
