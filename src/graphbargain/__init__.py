@@ -5,127 +5,6 @@ and a normalized parameter grid, fit Beta distributions over the parameters
 with a bargaining objective, then sample the result dataset from the fit.
 """
 
-from .dataset import (
-    MANIFEST_HEADER,
-    ManifestRow,
-    SummaryStats,
-    compute_stats,
-    emit_scatter_csv,
-    read_edge_list,
-    read_manifest,
-    read_matrix_market,
-    read_qvector,
-    write_edge_list,
-    write_manifest,
-    write_qvector,
-)
-from .errors import ConfigError, CoverageCollapseError, DataError
-from .graph import Graph, MetricPoint, largest_connected_component, mean_local_clustering, metric_projection
-from .grids import (
-    ConditionalModel,
-    MetricGrid,
-    ParamCell,
-    ParamGrid,
-    Prediction,
-    build_conditional,
-    conditional_from_pairs,
-    empirical_metric_distribution,
-    load_conditional,
-    metric_histogram,
-    predict_metric_distribution,
-    predicted_mass,
-    save_conditional,
-)
-from .objective import Fitness, bargaining_fitness, fitness_bounds
-from .optimizer import (
-    GenerationStats,
-    OptimizationResult,
-    OptimizerConfig,
-    optimize,
-    split_baseline,
-    split_model,
-)
-from .params import (
-    BetaSpec,
-    ParamBounds,
-    QVector,
-    UnitPoint,
-    beta_cdf,
-    cell_probability,
-    params_from_unit,
-    sample_baseline,
-    sample_from_q,
-    unit_point,
-)
-from .rmat import (
-    DegenerateParametersError,
-    RmatParams,
-    VanishedGraphError,
-    generate_graph,
-    generate_raw_edges,
-    sanitize,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BetaSpec",
-    "ConditionalModel",
-    "ConfigError",
-    "CoverageCollapseError",
-    "DataError",
-    "DegenerateParametersError",
-    "Fitness",
-    "GenerationStats",
-    "Graph",
-    "MANIFEST_HEADER",
-    "ManifestRow",
-    "MetricGrid",
-    "MetricPoint",
-    "OptimizationResult",
-    "OptimizerConfig",
-    "ParamBounds",
-    "ParamCell",
-    "ParamGrid",
-    "Prediction",
-    "QVector",
-    "RmatParams",
-    "SummaryStats",
-    "UnitPoint",
-    "VanishedGraphError",
-    "bargaining_fitness",
-    "beta_cdf",
-    "build_conditional",
-    "cell_probability",
-    "compute_stats",
-    "conditional_from_pairs",
-    "emit_scatter_csv",
-    "empirical_metric_distribution",
-    "fitness_bounds",
-    "generate_graph",
-    "generate_raw_edges",
-    "largest_connected_component",
-    "load_conditional",
-    "mean_local_clustering",
-    "metric_histogram",
-    "metric_projection",
-    "optimize",
-    "params_from_unit",
-    "predict_metric_distribution",
-    "predicted_mass",
-    "read_edge_list",
-    "read_manifest",
-    "read_matrix_market",
-    "read_qvector",
-    "sample_baseline",
-    "sample_from_q",
-    "sanitize",
-    "save_conditional",
-    "split_baseline",
-    "split_model",
-    "unit_point",
-    "write_edge_list",
-    "write_manifest",
-    "write_qvector",
-]
+__all__ = ["__version__"]

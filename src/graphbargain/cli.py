@@ -342,7 +342,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
         raise DataError(f"result manifest {ws.result_manifest} not found; run generate first")
     rows = read_manifest(ws.result_manifest)
     grid = config.metric_grid
-    occupied = {grid.locate(r.metric) for r in rows}
+    occupied = grid.locate([r.clustering for r in rows], [r.dlog for r in rows])
 
     measured: list[tuple[str, int, int, MetricPoint]] = []
     for name in files:
@@ -371,7 +371,8 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     if not measured:
         print("coverage: n/a (no validation graphs)")
         return None
-    hits = sum(1 for _, _, _, metric in measured if grid.locate(metric) in occupied)
+    cells = grid.locate([m.clustering for *_, m in measured], [m.dlog for *_, m in measured])
+    hits = int(np.isin(cells, occupied).sum())
     coverage = hits / len(measured)
     print(f"coverage: {hits}/{len(measured)} = {coverage:.3f}")
     return coverage
@@ -393,10 +394,8 @@ def cmd_report(config: RunConfig) -> Path:
         rows = read_manifest(manifest_path)
         points = [r.metric for r in rows]
         stats = compute_stats(points)
-        hist = np.zeros(grid.cell_count)
-        for p in points:
-            hist[grid.locate(p)] += 1.0
-        hist /= len(points)
+        cells = grid.locate([p.clustering for p in points], [p.dlog for p in points])
+        hist = np.bincount(cells, minlength=grid.cell_count) / len(points)
         fitness = bargaining_fitness(hist)
         occupied = int(np.count_nonzero(hist))
         corr = "n/a" if stats.correlation is None else f"{stats.correlation:.4f}"

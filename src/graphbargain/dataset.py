@@ -6,6 +6,7 @@ byte-identical across runs and round-trip without precision loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -40,6 +41,7 @@ MANIFEST_HEADER = "id,seed,n_param,e_param,a,b,c,d,u_n,u_a,u_b,u_c,n_final,e_fin
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 _WRITE_ROWS = 65536
+_MAX_ID = int(np.iinfo(np.int64).max)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
@@ -129,6 +131,8 @@ def _parse_lines(path: Path, data: bytes) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if u < 0 or v < 0:
             raise DataError(f"{path}:{lineno}: negative node id")
+        if u > _MAX_ID or v > _MAX_ID:
+            raise DataError(f"{path}:{lineno}: node id beyond int64")
         us.append(u)
         vs.append(v)
     return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
@@ -267,6 +271,11 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
                 values[name] = int(token) if kind == "int" else float(token)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for name, kind in _ROW_FIELDS:
+            if kind != "int" and not math.isfinite(values[name]):
+                raise DataError(f"{path}:{lineno}: {name} is {values[name]!r}, not a finite number")
+        if not 0.0 <= values["clustering"] <= 1.0:
+            raise DataError(f"{path}:{lineno}: clustering {values['clustering']!r} outside [0, 1]")
         rows.append(ManifestRow(**values))
     if not rows:
         raise DataError(f"{path}: manifest has no rows")

@@ -112,10 +112,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of ``u``."""
-        return self._indices[self._indptr[u] : self._indptr[u + 1]]
-
     def edge_array(self) -> np.ndarray:
         """All (u, v) pairs with u < v as an (E, 2) array, lexicographically sorted."""
         src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
@@ -135,9 +131,6 @@ class Graph:
         return np.array_equal(self._indptr, other._indptr) and np.array_equal(
             self._indices, other._indices
         )
-
-    def __hash__(self) -> int:
-        return hash((self._indptr.tobytes(), self._indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, e={self.edge_count})"

@@ -15,7 +15,7 @@ coverage) is less than 1; predictions renormalize and report it separately.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -30,15 +30,10 @@ from .params import QVector, UnitPoint
 __all__ = [
     "MetricGrid",
     "ParamGrid",
-    "ParamCell",
     "ConditionalModel",
-    "Prediction",
     "build_conditional",
     "conditional_from_pairs",
     "predicted_mass",
-    "predict_metric_distribution",
-    "empirical_metric_distribution",
-    "metric_histogram",
     "save_conditional",
     "load_conditional",
 ]
@@ -47,9 +42,6 @@ logger = logging.getLogger(__name__)
 
 _MODEL_MAGIC = "graphbargain-model"
 _MODEL_VERSION = "v1"
-
-# Predictions with less pushed mass than this are meaningless noise.
-MIN_COVERAGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,32 +63,26 @@ class MetricGrid:
     def cell_count(self) -> int:
         return self.clustering_bins * self.dlog_bins
 
-    def locate(self, point: MetricPoint) -> int:
-        """Flat cell index for a metric point.
+    def locate(self, clustering: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+        """Flat int64 cell ids for arrays of metric coordinates.
 
         Upper edges fold into the last bin; dlog below the grid minimum is
-        clamped into the first dlog bin with a warning.
+        clamped into the first dlog bin, with one warning that counts them.
         """
-        c = point.clustering
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"clustering {c} outside [0, 1]")
-        c_bin = min(int(c * self.clustering_bins), self.clustering_bins - 1)
-        d = point.dlog
-        if d < self.dlog_min:
-            logger.warning("dlog %.6g below grid minimum %g; clamped into first bin", d, self.dlog_min)
-            d = self.dlog_min
+        c = np.asarray(clustering, dtype=np.float64)
+        d = np.asarray(dlog, dtype=np.float64)
+        inside = (c >= 0.0) & (c <= 1.0)
+        if not inside.all():
+            raise ValueError(f"clustering {c[~inside][0]} outside [0, 1]")
+        if np.any(np.isnan(d)):
+            raise ValueError("dlog is nan")
+        low = int(np.count_nonzero(d < self.dlog_min))
+        if low:
+            logger.warning("%d dlog values below grid minimum %g; clamped into first bin", low, self.dlog_min)
+        c_bin = np.minimum((c * self.clustering_bins).astype(np.int64), self.clustering_bins - 1)
         width = (self.dlog_max - self.dlog_min) / self.dlog_bins
-        d_bin = min(int((d - self.dlog_min) / width), self.dlog_bins - 1)
-        d_bin = max(d_bin, 0)
+        d_bin = np.clip((d - self.dlog_min) / width, 0, self.dlog_bins - 1).astype(np.int64)
         return c_bin * self.dlog_bins + d_bin
-
-
-@dataclass(frozen=True)
-class ParamCell:
-    """Axis-aligned box in unit parameter space, coordinates ordered (N, a, b, c)."""
-
-    lower: tuple[float, float, float, float]
-    upper: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -113,35 +99,19 @@ class ParamGrid:
     def cell_count(self) -> int:
         return self.bins**4
 
-    def locate(self, u: UnitPoint) -> tuple[int, int, int, int]:
-        coords = (u.u_n, u.u_a, u.u_b, u.u_c)
-        out = []
-        for x in coords:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"unit coordinate {x} outside [0, 1]")
-            out.append(min(int(x * self.bins), self.bins - 1))
-        return tuple(out)
+    def locate(self, units: np.ndarray) -> np.ndarray:
+        """Flat int64 cell ids for an (K, 4) array of (N, a, b, c) unit coordinates.
 
-    def flatten(self, bins4: tuple[int, int, int, int]) -> int:
-        bn, ba, bb, bc = bins4
-        for b in (bn, ba, bb, bc):
-            if not 0 <= b < self.bins:
-                raise ValueError(f"bin index {b} outside [0, {self.bins})")
-        return ((bn * self.bins + ba) * self.bins + bb) * self.bins + bc
-
-    def unflatten(self, index: int) -> tuple[int, int, int, int]:
-        if not 0 <= index < self.cell_count:
-            raise ValueError(f"cell index {index} outside [0, {self.cell_count})")
-        rest, bc = divmod(index, self.bins)
-        rest, bb = divmod(rest, self.bins)
-        bn, ba = divmod(rest, self.bins)
-        return (bn, ba, bb, bc)
-
-    def cell(self, bins4: tuple[int, int, int, int]) -> ParamCell:
-        self.flatten(bins4)  # range check
-        lower = tuple(b / self.bins for b in bins4)
-        upper = tuple((b + 1) / self.bins for b in bins4)
-        return ParamCell(lower=lower, upper=upper)
+        Upper edges fold into the last bin; the last coordinate varies fastest.
+        """
+        u = np.asarray(units, dtype=np.float64)
+        if u.ndim != 2 or u.shape[1] != 4:
+            raise ValueError("unit coordinates must be an (K, 4) array")
+        inside = (u >= 0.0) & (u <= 1.0)
+        if not inside.all():
+            raise ValueError(f"unit coordinate {u[~inside][0]} outside [0, 1]")
+        bins4 = np.minimum((u * self.bins).astype(np.int64), self.bins - 1)
+        return bins4 @ self.bins ** np.arange(3, -1, -1, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -251,16 +221,12 @@ def build_conditional(
     """Count (parameter cell, metric cell) co-occurrences over baseline records."""
     metric_grid = metric_grid or MetricGrid()
     param_grid = param_grid or ParamGrid()
-    counts: dict[tuple[int, int], int] = {}
-    for u, point in records:
-        i = param_grid.flatten(param_grid.locate(u))
-        j = metric_grid.locate(point)
-        counts[i, j] = counts.get((i, j), 0) + 1
-    if not counts:
-        raise ValueError("model has no records")
-    keys = np.array(sorted(counts), dtype=np.int64)
-    vals = np.array([counts[i, j] for i, j in keys], dtype=np.int64)
-    return conditional_from_pairs(metric_grid, param_grid, keys[:, 0], keys[:, 1], vals)
+    records = list(records)
+    units = np.array([(u.u_n, u.u_a, u.u_b, u.u_c) for u, _ in records], dtype=np.float64).reshape(-1, 4)
+    points = np.array([(p.clustering, p.dlog) for _, p in records], dtype=np.float64).reshape(-1, 2)
+    flat = param_grid.locate(units)
+    metric = metric_grid.locate(points[:, 0], points[:, 1])
+    return conditional_from_pairs(metric_grid, param_grid, flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
 def _dim_masses(q: QVector, bins: int) -> np.ndarray:
@@ -283,38 +249,6 @@ def predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, flo
     weights = model.pair_share * cellmass[model.pair_cell]
     raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
     return raw, coverage
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Renormalized metric distribution plus the coverage before renormalization."""
-
-    probabilities: np.ndarray = field(repr=False)
-    coverage: float
-
-
-def predict_metric_distribution(model: ConditionalModel, q: QVector) -> Prediction:
-    raw, coverage = predicted_mass(model, q)
-    if coverage < MIN_COVERAGE:
-        raise ValueError(f"q mass outside observed region (coverage {coverage:.3g})")
-    return Prediction(probabilities=raw / raw.sum(), coverage=coverage)
-
-
-def empirical_metric_distribution(model: ConditionalModel) -> np.ndarray:
-    """Prediction pipeline with cell masses replaced by observed frequencies.
-
-    Must reproduce the plain metric histogram; kept as a separate code path
-    on purpose so the identity stays checkable.
-    """
-    cellmass = model.cell_counts / model.total
-    weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
-    return np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
-
-
-def metric_histogram(model: ConditionalModel) -> np.ndarray:
-    """Observed metric distribution n_j / n."""
-    raw = np.bincount(model.pair_metric, weights=model.pair_counts, minlength=model.metric_grid.cell_count)
-    return raw / model.total
 
 
 def save_conditional(model: ConditionalModel, path: str | Path) -> None:

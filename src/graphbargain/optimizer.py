@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, CoverageCollapseError
-from .graph import MetricPoint
-from .grids import ConditionalModel, MetricGrid, ParamGrid, build_conditional, conditional_from_pairs, predicted_mass
+from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
 from .objective import Fitness, bargaining_fitness, fitness_bounds
-from .params import QVector, UnitPoint
+from .params import QVector
 
 __all__ = [
     "OptimizerConfig",
     "GenerationStats",
     "OptimizationResult",
-    "split_baseline",
     "split_model",
     "optimize",
 ]
@@ -103,36 +101,6 @@ class OptimizationResult:
     trace: tuple[GenerationStats, ...] = field(repr=False)
 
 
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("holdout fraction must lie in (0, 1)")
-
-
-def split_baseline(
-    records: Iterable[tuple[UnitPoint, MetricPoint]],
-    holdout_fraction: float,
-    seed: int,
-    metric_grid: MetricGrid | None = None,
-    param_grid: ParamGrid | None = None,
-) -> tuple[ConditionalModel, ConditionalModel]:
-    """Random record-level split of a baseline sample into two models."""
-    _check_fraction(holdout_fraction)
-    records = list(records)
-    if len(records) < 10:
-        raise ValueError("need at least 10 records to split")
-    n_hold = int(round(len(records) * holdout_fraction))
-    if not 0 < n_hold < len(records):
-        raise ValueError("degenerate split: one side would be empty")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
-    hold = [records[i] for i in order[:n_hold]]
-    train = [records[i] for i in order[n_hold:]]
-    return (
-        build_conditional(train, metric_grid, param_grid),
-        build_conditional(hold, metric_grid, param_grid),
-    )
-
-
 def split_model(
     model: ConditionalModel,
     holdout_fraction: float,
@@ -144,7 +112,8 @@ def split_model(
     multivariate hypergeometric over the (cell, metric) pair counts), which
     matches a record-level split in distribution at the grid's resolution.
     """
-    _check_fraction(holdout_fraction)
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError("holdout fraction must lie in (0, 1)")
     if model.total < 10:
         raise ValueError("need at least 10 records to split")
     n_hold = int(round(model.total * holdout_fraction))

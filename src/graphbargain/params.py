@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .rmat import RmatParams
 
@@ -28,8 +27,6 @@ __all__ = [
     "sample_from_q",
     "unit_point",
     "params_from_unit",
-    "beta_cdf",
-    "cell_probability",
 ]
 
 A_MIN = 0.25
@@ -65,10 +62,6 @@ class ParamBounds:
         return cls(e_param=e_param, n_min=n_min, n_max=n_max)
 
     @staticmethod
-    def a_range() -> tuple[float, float]:
-        return (A_MIN, A_MAX)
-
-    @staticmethod
     def b_range(a: float) -> tuple[float, float]:
         hi = min(a, 1.0 - a)
         # Exact arithmetic guarantees lo <= hi on the feasible a interval;
@@ -89,9 +82,6 @@ class UnitPoint:
     u_a: float
     u_b: float
     u_c: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_n, self.u_a, self.u_b, self.u_c])
 
 
 @dataclass(frozen=True)
@@ -208,31 +198,3 @@ def sample_from_q(
     coords = [float(rng.beta(s.alpha, s.beta)) for s in q.specs]
     return params_from_unit(e, UnitPoint(*coords))
 
-
-def beta_cdf(x, spec: BetaSpec):
-    """Regularized incomplete beta function I_x(alpha, beta) on [0, 1].
-
-    Accepts a scalar or an array; scalars come back as float.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("x outside [0, 1] domain")
-    out = betainc(spec.alpha, spec.beta, arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def cell_probability(q: QVector, cell) -> float:
-    """Probability that a draw from q lands in an axis-aligned unit-cube box.
-
-    ``cell`` provides ``lower`` and ``upper`` arrays over the (N, a, b, c)
-    dimensions; independence of the unit coordinates makes the probability a
-    product of per-dimension CDF differences.
-    """
-    lower = np.asarray(cell.lower, dtype=np.float64)
-    upper = np.asarray(cell.upper, dtype=np.float64)
-    prob = 1.0
-    for k, spec in enumerate(q.specs):
-        prob *= beta_cdf(upper[k], spec) - beta_cdf(lower[k], spec)
-    return max(prob, 0.0)

@@ -57,10 +57,6 @@ class RmatParams:
             raise ValueError("a must dominate b, c and d")
 
     @property
-    def r(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
-    @property
     def scale(self) -> int:
         """Recursion depth: ceil(log2(n_param))."""
         return (self.n_param - 1).bit_length()

@@ -33,17 +33,17 @@ from graphbargain.cli import RunConfig, Workspace, cmd_baseline, cmd_generate, c
 from graphbargain.dataset import compute_stats, read_manifest, read_matrix_market
 from graphbargain.graph import Graph, MetricPoint, mean_local_clustering, metric_projection
 from graphbargain.grids import (
+    ConditionalModel,
     MetricGrid,
     ParamGrid,
+    _dim_masses,
     build_conditional,
-    empirical_metric_distribution,
     load_conditional,
-    metric_histogram,
-    predict_metric_distribution,
+    predicted_mass,
 )
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import split_model
-from graphbargain.params import BetaSpec, ParamBounds, QVector, UnitPoint, beta_cdf
+from graphbargain.params import A_MAX, A_MIN, BetaSpec, ParamBounds, QVector, UnitPoint
 from graphbargain.rmat import RmatParams, generate_raw_edges
 
 SEED = 1
@@ -145,6 +145,13 @@ def test_criterion_1_fitness_values_and_bounds(announce):
     assert ok, detail
 
 
+def empirical_push(model: ConditionalModel) -> np.ndarray:
+    """predicted_mass's push with the observed cell frequencies n_i / n as the cell masses."""
+    cellmass = model.cell_counts / model.total
+    weights = model.pair_share * cellmass[model.pair_cell]
+    return np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
+
+
 def test_criterion_2_empirical_identity(announce):
     """Prediction pipeline with observed masses reproduces the histogram."""
     rng = np.random.default_rng(29)
@@ -158,7 +165,9 @@ def test_criterion_2_empirical_identity(announce):
             for _ in range(k)
         ]
         model = build_conditional(records, metric_grid, param_grid)
-        diff = np.abs(empirical_metric_distribution(model) - metric_histogram(model)).max()
+        cells = metric_grid.locate([p.clustering for _, p in records], [p.dlog for _, p in records])
+        histogram = np.bincount(cells, minlength=metric_grid.cell_count) / k
+        diff = np.abs(empirical_push(model) - histogram).max()
         worst = max(worst, diff)
     ok = worst <= 1e-12
     detail = f"100 random models, max |empirical - histogram| = {worst:.2e}"
@@ -198,19 +207,20 @@ def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:
     return value
 
 
-def test_criterion_3_beta_cdf_against_quadrature(announce):
-    """Library Beta CDF matches an independent quadrature oracle."""
+def test_criterion_3_beta_bin_masses_against_quadrature(announce):
+    """The optimizer's per-bin Beta masses match differences of an independent quadrature CDF."""
     levels = [0.01, 0.1, 1.0, 10.0, 100.0]
-    xs = np.linspace(0.025, 0.975, 20)
+    bins = ParamGrid().bins
+    edges = np.linspace(0.0, 1.0, bins + 1)
     worst = 0.0
     for alpha in levels:
         for beta in levels:
             spec = BetaSpec(alpha, beta)
-            for x in xs:
-                err = abs(float(beta_cdf(float(x), spec)) - beta_cdf_quadrature(float(x), alpha, beta))
-                worst = max(worst, err)
+            masses = _dim_masses(QVector(spec, spec, spec, spec), bins)
+            cdf = np.array([beta_cdf_quadrature(float(x), alpha, beta) for x in edges])
+            worst = max(worst, float(np.abs(masses - np.diff(cdf)).max()))
     ok = worst <= 1e-8
-    detail = f"25 shape pairs x 20 points, max |cdf - quadrature| = {worst:.2e}"
+    detail = f"25 shape pairs x {bins} bins, max |bin mass - quadrature| = {worst:.2e}"
     announce(3, "PASS" if ok else "FAIL", detail)
     assert ok, detail
 
@@ -222,9 +232,13 @@ def clustering_oracle(g: Graph) -> float:
     def linked(x: int, y: int) -> bool:
         return (min(x, y), max(x, y)) in edge_set
 
+    adjacency: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in edge_set:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
     total = 0.0
-    for u in range(g.node_count):
-        nbrs = [int(w) for w in g.neighbors(u)]
+    for nbrs in adjacency:
         k = len(nbrs)
         if k < 2:
             continue
@@ -270,7 +284,7 @@ def test_criterion_5_edge_sampler_quadrant_frequencies(announce):
     p_values = []
     drawn = 0
     while drawn < 5:
-        a = rng.uniform(*bounds.a_range())
+        a = rng.uniform(A_MIN, A_MAX)
         b = rng.uniform(*bounds.b_range(a))
         c = rng.uniform(*bounds.c_range(a, b))
         d = round(1.0 - a - b - c, 10)
@@ -309,8 +323,8 @@ def test_criterion_6_optimizer_beats_uniform(announce, pipeline):
     model = load_conditional(run.ws.baseline_model)
     split_seed = int(np.random.default_rng([SEED, _TAG_SPLIT]).integers(2**63))
     _, holdout = split_model(model, run.config.holdout, split_seed)
-    ones = predict_metric_distribution(holdout, QVector.all_ones())
-    ones_fitness = bargaining_fitness(ones.probabilities)
+    raw, _ = predicted_mass(holdout, QVector.all_ones())
+    ones_fitness = bargaining_fitness(raw / raw.sum())
     best_fitness = float(_best_q_meta(run.ws)["holdout_fitness"])
     improvement = ones_fitness - best_fitness
     slowest = max(r.elapsed for r in pipeline)
@@ -385,8 +399,8 @@ def test_criterion_7_spread_of_generated_metrics(announce, pipeline):
     result_rows = read_manifest(run.ws.result_manifest)
     base_corr = compute_stats([r.metric for r in base_rows]).correlation
     result_corr = compute_stats([r.metric for r in result_rows]).correlation
-    base_cells = Counter(grid.locate(r.metric) for r in base_rows)
-    result_cells = Counter(grid.locate(r.metric) for r in result_rows)
+    base_cells = Counter(grid.locate([r.clustering for r in base_rows], [r.dlog for r in base_rows]).tolist())
+    result_cells = Counter(grid.locate([r.clustering for r in result_rows], [r.dlog for r in result_rows]).tolist())
     base_effective, result_effective = _effective_cells(base_cells), _effective_cells(result_cells)
     corr_ok = abs(result_corr) < abs(base_corr)
     cells_ok = _cell_clause(base_cells, result_cells)

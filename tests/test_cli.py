@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from types import SimpleNamespace
 
@@ -19,10 +20,11 @@ from graphbargain.cli import (
     _make_parser,
     _read_config_file,
 )
-from graphbargain.dataset import read_edge_list, read_manifest, read_qvector
+from graphbargain.dataset import ManifestRow, read_edge_list, read_manifest, read_qvector, write_manifest
 from graphbargain.errors import ConfigError
-from graphbargain.graph import Graph, metric_projection
+from graphbargain.graph import Graph, MetricPoint, metric_projection
 from graphbargain.grids import load_conditional
+from graphbargain.rmat import RmatParams
 
 TINY_FLAGS = [
     "--n", "10", "--e-min", "30", "--e-max", "90",
@@ -193,6 +195,27 @@ class TestMainExitCodes:
         assert "run generate first" in capsys.readouterr().err
         assert main(["report", "--out", out]) == 3
         assert "no manifests" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("clustering", float("nan")),
+        ("clustering", float("inf")),
+        ("clustering", 1.5),
+        ("dlog", float("nan")),
+        ("dlog", float("inf")),
+        ("dlog", float("-inf")),
+    ],
+)
+def test_malformed_manifest_is_3(tmp_path, capsys, command, field, value):
+    ws = Workspace(tmp_path)
+    ws.result_dir.mkdir()
+    good = ManifestRow.build(0, 1000, RmatParams(140, 150, 0.5, 0.25, 0.15, 0.1), 138, 140, MetricPoint(0.1, -2.0))
+    write_manifest([good, dataclasses.replace(good, id=1, **{field: value})], ws.result_manifest)
+    assert main([command, "--out", str(tmp_path)]) == 3
+    assert f"manifest.csv:3: {field}" in capsys.readouterr().err
 
 
 class TestPipeline:

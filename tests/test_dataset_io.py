@@ -107,6 +107,8 @@ class TestEdgeLists:
             ("1\r2\n", r":1: expected 'u v'"),
             ("0 1\n1 x\n", r":2: invalid literal"),
             ("0 1\n2 -1\n", r":2: negative node id"),
+            ("99999999999999999999 1\n", r":1: node id beyond int64"),
+            ("0 1\n1 9223372036854775808\n", r":2: node id beyond int64"),
         ],
     )
     def test_error_positions_when_the_token_total_is_even_or_odd(self, tmp_path, body, where):

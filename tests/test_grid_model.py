@@ -3,27 +3,26 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from graphbargain.errors import DataError
 from graphbargain.graph import MetricPoint
 from graphbargain.grids import (
-    MIN_COVERAGE,
     ConditionalModel,
     MetricGrid,
     ParamGrid,
+    _dim_masses,
     build_conditional,
     conditional_from_pairs,
-    empirical_metric_distribution,
     load_conditional,
-    metric_histogram,
-    predict_metric_distribution,
     predicted_mass,
     save_conditional,
 )
-from graphbargain.params import BetaSpec, QVector, UnitPoint, beta_cdf, cell_probability
+from graphbargain.params import BetaSpec, QVector, UnitPoint
 
 
 def random_records(rng: np.random.Generator, count: int) -> list[tuple[UnitPoint, MetricPoint]]:
@@ -43,10 +42,27 @@ def random_model(rng: np.random.Generator, count: int = 200, metric_bins: int = 
     )
 
 
+def scalar_metric_cell(grid: MetricGrid, clustering: float, dlog: float) -> int:
+    """Per-point metric cell, as the grid once located each point; the array locate's reference."""
+    c_bin = min(int(clustering * grid.clustering_bins), grid.clustering_bins - 1)
+    d = max(dlog, grid.dlog_min)
+    width = (grid.dlog_max - grid.dlog_min) / grid.dlog_bins
+    d_bin = max(min(int((d - grid.dlog_min) / width), grid.dlog_bins - 1), 0)
+    return c_bin * grid.dlog_bins + d_bin
+
+
+def scalar_param_cell(grid: ParamGrid, u: UnitPoint) -> int:
+    """Per-point parameter cell id, row-major over (N, a, b, c); the array locate's reference."""
+    flat = 0
+    for x in (u.u_n, u.u_a, u.u_b, u.u_c):
+        flat = flat * grid.bins + min(int(x * grid.bins), grid.bins - 1)
+    return flat
+
+
 def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
-    """predicted_mass as first written: one beta_cdf per spec, vstack, and the row shares per call."""
+    """predicted_mass as first written: one betainc per spec, vstack, and the row shares per call."""
     edges = np.linspace(0.0, 1.0, model.param_grid.bins + 1)
-    dim = np.vstack([np.diff(beta_cdf(edges, spec)) for spec in q.specs])
+    dim = np.vstack([np.diff(betainc(spec.alpha, spec.beta, edges)) for spec in q.specs])
     cb = model.cell_bins
     cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
     coverage = float(cellmass.sum())
@@ -75,29 +91,34 @@ class TestMetricGrid:
     def test_known_cells(self):
         grid = MetricGrid(10, 10)
         assert grid.cell_count == 100
-        assert grid.locate(MetricPoint(0.25, -3.0)) == 25
-        assert grid.locate(MetricPoint(0.0, -6.0)) == 0
-        assert grid.locate(MetricPoint(0.05, -5.95)) == 0
-        assert grid.locate(MetricPoint(0.999, -0.001)) == 99
+        cells = grid.locate([0.25, 0.0, 0.05, 0.999], [-3.0, -6.0, -5.95, -0.001])
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [25, 0, 0, 99]
 
     def test_upper_edges_fold_into_last_bins(self):
         grid = MetricGrid(10, 10)
-        assert grid.locate(MetricPoint(1.0, -3.0)) == 95
-        assert grid.locate(MetricPoint(0.25, 0.0)) == 29
-        assert grid.locate(MetricPoint(1.0, 0.0)) == 99
+        assert grid.locate([1.0, 0.25, 1.0], [-3.0, 0.0, 0.0]).tolist() == [95, 29, 99]
 
-    def test_low_dlog_is_clamped_with_warning(self, caplog):
+    def test_low_dlog_is_clamped_with_one_counting_warning(self, caplog):
         grid = MetricGrid(10, 10)
         with caplog.at_level(logging.WARNING, logger="graphbargain.grids"):
-            assert grid.locate(MetricPoint(0.5, -7.5)) == 50
-        assert any("clamped into first bin" in r.message for r in caplog.records)
+            assert grid.locate([0.5, 0.5, 0.5], [-7.5, -3.0, -1e9]).tolist() == [50, 55, 50]
+        clamped = [r.getMessage() for r in caplog.records if "clamped into first bin" in r.getMessage()]
+        assert len(clamped) == 1 and clamped[0].startswith("2 dlog values")
 
-    def test_clustering_out_of_range_raises(self):
+    def test_out_of_range_raises(self):
         grid = MetricGrid(10, 10)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate(MetricPoint(-0.01, -3.0))
+            grid.locate([0.5, -0.01], [-3.0, -3.0])
         with pytest.raises(ValueError, match="outside"):
-            grid.locate(MetricPoint(1.01, -3.0))
+            grid.locate([1.01], [-3.0])
+        with pytest.raises(ValueError, match="outside"):
+            grid.locate([math.nan], [-3.0])
+        with pytest.raises(ValueError, match="nan"):
+            grid.locate([0.5], [math.nan])
+
+    def test_empty_input(self):
+        assert MetricGrid(10, 10).locate([], []).tolist() == []
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="at least one bin"):
@@ -108,52 +129,52 @@ class TestMetricGrid:
     def test_bins_partition_the_plane(self):
         grid = MetricGrid(7, 9)
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            point = MetricPoint(float(rng.random()), float(rng.uniform(-6.0, 0.0)))
-            idx = grid.locate(point)
-            assert 0 <= idx < grid.cell_count
+        cells = grid.locate(rng.random(500), rng.uniform(-6.0, 0.0, 500))
+        assert cells.min() >= 0 and cells.max() < grid.cell_count
+
+
+def with_bin_edges(rng: np.random.Generator, edges: np.ndarray, lo: float, hi: float, count: int) -> np.ndarray:
+    """``count`` values: every bin edge plus uniform draws on [lo, hi], shuffled."""
+    return rng.permutation(np.concatenate([edges, rng.uniform(lo, hi, count - edges.size)]))
+
+
+def test_array_locates_match_the_scalar_reference():
+    # bin edges, upper edges and dlog below (and above) the grid included
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        mgrid = MetricGrid(
+            int(rng.integers(1, 13)), int(rng.integers(1, 13)),
+            dlog_min=float(rng.uniform(-8.0, -3.0)), dlog_max=float(rng.uniform(-2.0, 0.0)),
+        )
+        width = (mgrid.dlog_max - mgrid.dlog_min) / mgrid.dlog_bins
+        c = with_bin_edges(rng, np.arange(mgrid.clustering_bins + 1) / mgrid.clustering_bins, 0.0, 1.0, 500)
+        d_edges = mgrid.dlog_min + np.arange(mgrid.dlog_bins + 1) * width
+        d = with_bin_edges(rng, d_edges, mgrid.dlog_min - 2.0, mgrid.dlog_max + 0.5, 500)
+        expected = [scalar_metric_cell(mgrid, float(x), float(y)) for x, y in zip(c, d)]
+        assert mgrid.locate(c, d).tolist() == expected
+
+        pgrid = ParamGrid(int(rng.integers(1, 25)))
+        edges = np.arange(pgrid.bins + 1) / pgrid.bins
+        units = np.column_stack([with_bin_edges(rng, edges, 0.0, 1.0, 500) for _ in range(4)])
+        expected = [scalar_param_cell(pgrid, UnitPoint(*map(float, row))) for row in units]
+        assert pgrid.locate(units).tolist() == expected
 
 
 class TestParamGrid:
-    def test_flatten_unflatten_round_trip(self):
-        grid = ParamGrid(20)
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            bins4 = tuple(int(b) for b in rng.integers(0, 20, size=4))
-            assert grid.unflatten(grid.flatten(bins4)) == bins4
-        small = ParamGrid(3)
-        seen = {small.flatten(small.unflatten(i)) for i in range(small.cell_count)}
-        assert seen == set(range(81))
-
     def test_locate_and_upper_edge_folding(self):
         grid = ParamGrid(20)
-        assert grid.locate(UnitPoint(0.0, 0.0, 0.0, 0.0)) == (0, 0, 0, 0)
-        assert grid.locate(UnitPoint(1.0, 1.0, 1.0, 1.0)) == (19, 19, 19, 19)
-        assert grid.locate(UnitPoint(0.05, 0.049999, 0.5, 0.951)) == (1, 0, 10, 19)
+        cells = grid.locate([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.05, 0.049999, 0.5, 0.951]])
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [0, grid.cell_count - 1, ((1 * 20 + 0) * 20 + 10) * 20 + 19]
 
     def test_locate_out_of_range(self):
         grid = ParamGrid(20)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate(UnitPoint(0.5, -0.01, 0.5, 0.5))
+            grid.locate([[0.5, -0.01, 0.5, 0.5]])
         with pytest.raises(ValueError, match="outside"):
-            grid.locate(UnitPoint(0.5, 0.5, 1.01, 0.5))
-
-    def test_cell_boxes(self):
-        grid = ParamGrid(20)
-        cell = grid.cell((0, 1, 2, 19))
-        assert cell.lower == (0.0, 0.05, 0.1, 0.95)
-        assert cell.upper == (0.05, 0.1, 0.15, 1.0)
-
-    def test_range_errors(self):
-        grid = ParamGrid(20)
-        with pytest.raises(ValueError, match="bin index"):
-            grid.flatten((0, 0, 0, 20))
-        with pytest.raises(ValueError, match="bin index"):
-            grid.flatten((-1, 0, 0, 0))
-        with pytest.raises(ValueError, match="cell index"):
-            grid.unflatten(-1)
-        with pytest.raises(ValueError, match="cell index"):
-            grid.unflatten(grid.cell_count)
+            grid.locate([[0.5, 0.5, 1.01, 0.5]])
+        with pytest.raises(ValueError, match=r"\(K, 4\)"):
+            grid.locate([0.5, 0.5, 0.5, 0.5])
 
     def test_cell_count(self):
         assert ParamGrid(20).cell_count == 160000
@@ -170,7 +191,7 @@ class TestConditionalConstruction:
 
         counts: dict[tuple[int, int], int] = {}
         for u, point in records:
-            key = (param_grid.flatten(param_grid.locate(u)), metric_grid.locate(point))
+            key = (scalar_param_cell(param_grid, u), scalar_metric_cell(metric_grid, point.clustering, point.dlog))
             counts[key] = counts.get(key, 0) + 1
         keys = sorted(counts)
         manual = conditional_from_pairs(
@@ -249,40 +270,44 @@ class TestPrediction:
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
         assert np.all(raw >= 0.0)
 
-    def test_single_cell_mass_matches_cell_probability(self):
+    def test_single_cell_mass_is_the_box_probability(self):
         u = UnitPoint(0.31, 0.62, 0.11, 0.87)
-        record = [(u, MetricPoint(0.5, -2.0))]
-        param_grid = ParamGrid(5)
-        model = build_conditional(record, MetricGrid(10, 10), param_grid)
+        model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), ParamGrid(5))
         q = QVector(BetaSpec(2.0, 0.7), BetaSpec(0.4, 1.3), BetaSpec(5.0, 2.0), BetaSpec(1.0, 3.0))
         _, coverage = predicted_mass(model, q)
-        box = param_grid.cell(param_grid.locate(u))
-        assert coverage == pytest.approx(cell_probability(q, box), abs=1e-12)
+        # the box [0.2, 0.4) x [0.6, 0.8) x [0.0, 0.2) x [0.8, 1.0]
+        lower = np.array([0.2, 0.6, 0.0, 0.8])
+        expected = math.prod(
+            betainc(s.alpha, s.beta, hi) - betainc(s.alpha, s.beta, lo)
+            for s, lo, hi in zip(q.specs, lower, lower + 0.2)
+        )
+        assert coverage == pytest.approx(expected, abs=1e-12)
 
-    def test_empirical_distribution_reproduces_histogram(self):
-        for seed in range(15, 25):
-            model = random_model(np.random.default_rng(seed), count=300)
-            emp = empirical_metric_distribution(model)
-            hist = metric_histogram(model)
-            assert np.allclose(emp, hist, atol=1e-12)
-            assert hist.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_single_cell_mass_matches_monte_carlo(self):
+        rng = np.random.default_rng(41)
+        q = QVector(BetaSpec(2.0, 0.7), BetaSpec(0.4, 1.3), BetaSpec(5.0, 2.0), BetaSpec(1.0, 3.0))
+        u = UnitPoint(0.5, 0.1, 0.7, 0.3)
+        param_grid = ParamGrid(4)
+        model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), param_grid)
+        _, coverage = predicted_mass(model, q)
+        n = 200_000
+        draws = np.column_stack([rng.beta(s.alpha, s.beta, n) for s in q.specs])
+        estimate = float(np.mean(param_grid.locate(draws) == model.cell_flat[0]))
+        sigma = math.sqrt(estimate * (1 - estimate) / n)
+        assert coverage == pytest.approx(estimate, abs=5 * sigma)
 
-    def test_predict_normalizes(self):
-        model = random_model(np.random.default_rng(27), count=400, param_bins=4)
-        q = QVector(BetaSpec(1.5, 2.5), BetaSpec(2.0, 2.0), BetaSpec(0.8, 0.8), BetaSpec(1.0, 1.0))
-        pred = predict_metric_distribution(model, q)
-        assert pred.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 < pred.coverage <= 1.0 + 1e-12
-
-    def test_predict_rejects_vanishing_coverage(self):
-        origin = UnitPoint(0.01, 0.01, 0.01, 0.01)
-        model = build_conditional([(origin, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), ParamGrid(20))
-        spec = BetaSpec(100.0, 100.0)
-        with pytest.raises(ValueError, match="outside observed region"):
-            predict_metric_distribution(model, QVector(spec, spec, spec, spec))
-
-    def test_min_coverage_constant(self):
-        assert MIN_COVERAGE == 1e-6
+    def test_dim_masses_are_bin_probabilities(self):
+        uniform = _dim_masses(QVector.all_ones(), 8)
+        assert uniform.shape == (4, 8)
+        assert np.allclose(uniform, 1.0 / 8, atol=1e-15)
+        rng = np.random.default_rng(45)
+        for q in bound_qs(rng, 40):
+            dim = _dim_masses(q, 20)
+            assert np.all(dim >= 0.0)
+            assert np.allclose(dim.sum(axis=1), 1.0, atol=1e-12)
+        for shape in (0.3, 1.0, 7.0, 50.0):
+            dim = _dim_masses(QVector(*(BetaSpec(shape, shape) for _ in range(4))), 10)
+            assert np.allclose(dim, dim[:, ::-1], atol=1e-12)
 
     def test_equals_per_spec_reference(self):
         rng = np.random.default_rng(41)

@@ -7,9 +7,9 @@ import pytest
 
 from graphbargain.errors import ConfigError
 from graphbargain.graph import MetricPoint
-from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predict_metric_distribution
+from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
 from graphbargain.objective import bargaining_fitness, fitness_bounds
-from graphbargain.optimizer import OptimizerConfig, optimize, split_baseline, split_model
+from graphbargain.optimizer import OptimizerConfig, optimize, split_model
 from graphbargain.params import QVector, UnitPoint
 
 
@@ -41,7 +41,7 @@ def skewed_records(rng: np.random.Generator) -> list[tuple[UnitPoint, MetricPoin
 @pytest.fixture(scope="module")
 def skewed_split():
     records = skewed_records(np.random.default_rng(23))
-    return split_baseline(records, 0.2, 3, MetricGrid(2, 1), ParamGrid(8))
+    return split_model(build_conditional(records, MetricGrid(2, 1), ParamGrid(8)), 0.2, 3)
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
@@ -85,43 +85,6 @@ class TestOptimizerConfig:
             OptimizerConfig(**kwargs)
 
 
-class TestSplitBaseline:
-    def test_partition_sizes_and_conservation(self):
-        rng = np.random.default_rng(3)
-        records = random_records(rng, 50)
-        full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
-        train, hold = split_baseline(records, 0.2, 7, MetricGrid(10, 10), ParamGrid(5))
-        assert hold.total == 10
-        assert train.total == 40
-        combined: dict[tuple[int, int], int] = {}
-        for side in (train, hold):
-            for key, count in pair_dict(side).items():
-                combined[key] = combined.get(key, 0) + count
-        assert combined == pair_dict(full)
-
-    def test_too_few_records(self):
-        records = random_records(np.random.default_rng(5), 9)
-        with pytest.raises(ValueError, match="at least 10 records"):
-            split_baseline(records, 0.2, 0)
-
-    def test_degenerate_split(self):
-        records = random_records(np.random.default_rng(5), 10)
-        with pytest.raises(ValueError, match="degenerate split"):
-            split_baseline(records, 0.04, 0)
-
-    def test_fraction_validation(self):
-        records = random_records(np.random.default_rng(5), 20)
-        for fraction in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError, match="holdout fraction"):
-                split_baseline(records, fraction, 0)
-
-    def test_split_is_deterministic(self):
-        records = random_records(np.random.default_rng(7), 40)
-        a = split_baseline(records, 0.25, 11)
-        b = split_baseline(records, 0.25, 11)
-        assert a[0] == b[0] and a[1] == b[1]
-
-
 class TestSplitModel:
     def test_partition_totals_and_conservation(self):
         records = random_records(np.random.default_rng(9), 60)
@@ -161,7 +124,8 @@ class TestOptimize:
         train, hold = skewed_split
         config = OptimizerConfig(population_size=16, max_generations=30, seed=3)
         result = optimize(train, hold, config)
-        ones = bargaining_fitness(predict_metric_distribution(hold, QVector.all_ones()).probabilities)
+        raw, _ = predicted_mass(hold, QVector.all_ones())
+        ones = bargaining_fitness(raw / raw.sum())
         assert result.best_holdout_fitness <= ones
         assert result.best_holdout_fitness < ones - 0.025
         f_min, f_max = fitness_bounds(train.metric_grid.cell_count)
