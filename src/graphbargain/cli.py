@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,7 +44,7 @@ from .graph import Graph, MetricPoint, metric_projection
 from .grids import MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import OptimizerConfig, optimize, split_model
-from .params import sample_baseline, sample_from_q
+from .params import E_MIN, sample_baseline, sample_from_q
 from .rmat import DegenerateParametersError, RmatParams, generate_graph
 
 __all__ = [
@@ -95,8 +95,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        if self.e_min < 19:
-            raise ConfigError("e_min must be at least 19; smaller edge targets leave no feasible node count")
+        if self.e_min < E_MIN:
+            raise ConfigError(f"e_min must be at least {E_MIN}; smaller edge targets leave no feasible node count")
         if self.e_max <= self.e_min:
             raise ConfigError("e_max must exceed e_min")
         if self.metric_bins < 1:
@@ -107,7 +107,9 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        self.optimizer_config()  # validates pop, max_gen, tol, holdout
+        self.optimizer_config()  # validates pop, max_gen, tol
+        if not 0.0 < self.holdout < 1.0:
+            raise ConfigError("holdout_fraction must lie in (0, 1)")
 
     @property
     def metric_grid(self) -> MetricGrid:
@@ -122,7 +124,6 @@ class RunConfig:
             population_size=self.pop,
             max_generations=self.max_gen,
             tolerance=self.tol,
-            holdout_fraction=self.holdout,
             seed=self.seed,
         )
 
@@ -413,20 +414,8 @@ def cmd_report(config: RunConfig) -> Path:
     return ws.report_txt
 
 
-_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "n": int,
-    "e_min": int,
-    "e_max": int,
-    "metric_bins": int,
-    "param_bins": int,
-    "pop": int,
-    "max_gen": int,
-    "tol": float,
-    "holdout": float,
-    "seed": int,
-    "jobs": int,
-    "out": str,
-}
+# Config-file keys and their parsers: RunConfig's fields, typed by their defaults.
+_CONFIG_KEYS: dict[str, Callable[[str], object]] = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict[str, object]:

@@ -9,14 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 import scipy.io
 
 from .errors import DataError
 from .graph import Graph, MetricPoint
-from .params import BetaSpec, QVector, UnitPoint, unit_point
+from .params import QVector, UnitPoint, unit_point
 from .rmat import RmatParams, VanishedGraphError, sanitize
 
 __all__ = [
@@ -34,9 +34,8 @@ __all__ = [
     "emit_scatter_csv",
 ]
 
+# q vector file keys, in QVector.as_array() order
 _Q_KEYS = ("alpha_n", "beta_n", "alpha_a", "beta_a", "alpha_b", "beta_b", "alpha_c", "beta_c")
-
-MANIFEST_HEADER = "id,seed,n_param,e_param,a,b,c,d,u_n,u_a,u_b,u_c,n_final,e_final,clustering,dlog"
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
@@ -79,7 +78,7 @@ def read_edge_list(path: str | Path) -> Graph:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
     pairs = _parse_pairs(data)
     if pairs is None:
-        pairs = _parse_lines(path, data)
+        _parse_lines(path, data)
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
     try:
@@ -111,14 +110,12 @@ def _parse_pairs(data: bytes) -> np.ndarray | None:
     return ids.reshape(-1, 2)
 
 
-def _parse_lines(path: Path, data: bytes) -> np.ndarray:
-    """Line-by-line parse of a file _parse_pairs refused; raises at the first bad line."""
+def _parse_lines(path: Path, data: bytes) -> NoReturn:
+    """Raise a DataError naming the first bad line of a file _parse_pairs refused."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not ASCII text: {exc}") from exc
-    us: list[int] = []
-    vs: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -133,9 +130,9 @@ def _parse_lines(path: Path, data: bytes) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: negative node id")
         if u > _MAX_ID or v > _MAX_ID:
             raise DataError(f"{path}:{lineno}: node id beyond int64")
-        us.append(u)
-        vs.append(v)
-    return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
+    # Every line holds two ids, so only separators that str.split() knows
+    # and bytes.split() does not (the control bytes \x1c-\x1f) are left.
+    raise DataError(f"{path}: expected 'u v' lines separated by ASCII whitespace")
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -233,6 +230,8 @@ class ManifestRow:
 
 _ROW_FIELDS = [(f.name, f.type) for f in fields(ManifestRow)]
 
+MANIFEST_HEADER = ",".join(name for name, _ in _ROW_FIELDS)
+
 
 def _format_value(value: object) -> str:
     if isinstance(value, (int, np.integer)):
@@ -315,12 +314,7 @@ def read_qvector(path: str | Path) -> QVector:
     if missing:
         raise DataError(f"{path}: missing keys: {', '.join(missing)}")
     try:
-        return QVector(
-            q_n=BetaSpec(values["alpha_n"], values["beta_n"]),
-            q_a=BetaSpec(values["alpha_a"], values["beta_a"]),
-            q_b=BetaSpec(values["alpha_b"], values["beta_b"]),
-            q_c=BetaSpec(values["alpha_c"], values["beta_c"]),
-        )
+        return QVector.from_array([values[key] for key in _Q_KEYS])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

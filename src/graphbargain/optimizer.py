@@ -38,27 +38,35 @@ logger = logging.getLogger(__name__)
 _JITTER_LOW = float(np.log(0.25))
 _JITTER_HIGH = float(np.log(4.0))
 
+# Bounds on every Beta shape parameter, in linear space.
+_BOUND_LOW = 1e-3
+_BOUND_HIGH = 100.0
+_Z_LOW = float(np.log(_BOUND_LOW))
+_Z_HIGH = float(np.log(_BOUND_HIGH))
+
+# A candidate keeping less than this share of the uniform candidate's
+# coverage gets the worst fitness.
+_COVERAGE_FLOOR_RATIO = 0.5
+
+# rand/1/bin mutation factor and crossover rate, the textbook settings of
+# Storn & Price (1997).
+_MUTATION_FACTOR = 0.7
+_CROSSOVER_RATE = 0.9
+
+# The run stops once this many consecutive generations each improve the best
+# holdout fitness by less than the tolerance.  A single stagnant generation is
+# common long before the search is done, so the window keeps one quiet
+# generation from ending the run.
+_PATIENCE = 15
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings.
-
-    The run stops early once `patience` consecutive generations each improve
-    the best holdout fitness by less than `tolerance`.  A single stagnant
-    generation is common long before the search is done, so the patience
-    window keeps one quiet generation from ending the run.
-    """
+    """Search settings."""
 
     population_size: int = 32
     max_generations: int = 50
     tolerance: float = 1e-3
-    patience: int = 15
-    holdout_fraction: float = 0.2
-    bound_low: float = 1e-3
-    bound_high: float = 100.0
-    coverage_floor_ratio: float = 0.5
-    mutation_factor: float = 0.7
-    crossover_rate: float = 0.9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -68,18 +76,6 @@ class OptimizerConfig:
             raise ConfigError("max_generations must be at least 1")
         if not self.tolerance > 0.0:
             raise ConfigError("tolerance must be positive")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError("holdout_fraction must lie in (0, 1)")
-        if not 0.0 < self.bound_low < self.bound_high <= 100.0:
-            raise ConfigError("need 0 < bound_low < bound_high <= 100")
-        if not 0.0 <= self.coverage_floor_ratio <= 1.0:
-            raise ConfigError("coverage_floor_ratio must lie in [0, 1]")
-        if not 0.0 < self.mutation_factor <= 2.0:
-            raise ConfigError("mutation_factor must lie in (0, 2]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigError("crossover_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -128,22 +124,19 @@ def split_model(
     return train, hold
 
 
-def _q_from_log(z: np.ndarray, config: OptimizerConfig) -> QVector:
+def _q_from_log(z: np.ndarray) -> QVector:
     # exp(log(bound)) can overshoot by an ulp; clip in linear space
-    return QVector.from_array(np.clip(np.exp(z), config.bound_low, config.bound_high))
+    return QVector.from_array(np.clip(np.exp(z), _BOUND_LOW, _BOUND_HIGH))
 
 
-def _make_evaluator(
-    model: ConditionalModel,
-    config: OptimizerConfig,
-) -> tuple[Callable[[np.ndarray], tuple[Fitness, float]], float]:
+def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[Fitness, float]], float]:
     """Fitness of a log-space vector on one model, with its coverage floor."""
     _, f_max = fitness_bounds(model.metric_grid.cell_count)
     _, uniform_cov = predicted_mass(model, QVector.all_ones())
-    floor = config.coverage_floor_ratio * uniform_cov
+    floor = _COVERAGE_FLOOR_RATIO * uniform_cov
 
     def evaluate(z: np.ndarray) -> tuple[Fitness, float]:
-        raw, cov = predicted_mass(model, _q_from_log(z, config))
+        raw, cov = predicted_mass(model, _q_from_log(z))
         if not np.isfinite(cov) or cov < floor or cov <= 0.0:
             return f_max, cov
         return bargaining_fitness(raw / raw.sum()), cov
@@ -161,17 +154,15 @@ def optimize(
         raise ValueError("train and holdout models use different grids")
 
     pop = config.population_size
-    z_lo = float(np.log(config.bound_low))
-    z_hi = float(np.log(config.bound_high))
-    eval_train, _ = _make_evaluator(train, config)
-    eval_hold, floor_hold = _make_evaluator(holdout, config)
+    eval_train, _ = _make_evaluator(train)
+    eval_hold, floor_hold = _make_evaluator(holdout)
 
     # Candidate 0 is the uniform vector; the rest jitter around it.
     z = np.zeros((pop, 8))
     for i in range(1, pop):
         rng = np.random.default_rng([config.seed, 0, i])
         z[i] = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8)
-    np.clip(z, z_lo, z_hi, out=z)
+    np.clip(z, _Z_LOW, _Z_HIGH, out=z)
 
     f_train = np.empty(pop)
     f_hold = np.empty(pop)
@@ -199,11 +190,11 @@ def optimize(
             picks = rng.choice(pop - 1, size=3, replace=False)
             # skip over i so the three partners are distinct from the target
             r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
-            mutant = z[r1] + config.mutation_factor * (z[r2] - z[r3])
-            mask = rng.random(8) < config.crossover_rate
+            mutant = z[r1] + _MUTATION_FACTOR * (z[r2] - z[r3])
+            mask = rng.random(8) < _CROSSOVER_RATE
             mask[rng.integers(8)] = True
             trial = np.where(mask, mutant, z[i])
-            np.clip(trial, z_lo, z_hi, out=trial)
+            np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
             ft, _ = eval_train(trial)
             if ft <= f_train[i]:
                 new_z[i] = trial
@@ -227,7 +218,7 @@ def optimize(
         )
         if prev_best - best_fitness < config.tolerance:
             stagnant += 1
-            if stagnant >= config.patience:
+            if stagnant >= _PATIENCE:
                 break
         else:
             stagnant = 0
@@ -237,7 +228,7 @@ def optimize(
             f"best candidate keeps only {best_coverage:.3g} mass on the holdout model (floor {floor_hold:.3g})"
         )
     return OptimizationResult(
-        best_q=_q_from_log(best_z, config),
+        best_q=_q_from_log(best_z),
         best_holdout_fitness=best_fitness,
         best_coverage=best_coverage,
         generations_run=generations_run,

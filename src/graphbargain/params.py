@@ -32,6 +32,9 @@ __all__ = [
 A_MIN = 0.25
 A_MAX = 1.0
 
+# The smallest edge count with a feasible node count (see ParamBounds).
+E_MIN = 19
+
 
 @dataclass(frozen=True)
 class ParamBounds:
@@ -39,7 +42,7 @@ class ParamBounds:
 
     n_min is the exact smallest N with density 2E/(N(N-1)) <= 1/10; n_max is
     the largest N that can still be connected (E+1 nodes). The two bounds
-    cross for E <= 18, so such edge counts are rejected.
+    cross for E < E_MIN, so such edge counts are rejected.
     """
 
     e_param: int
@@ -57,7 +60,7 @@ class ParamBounds:
         if n_min > n_max:
             raise ValueError(
                 f"no feasible node count for E={e_param}: density bound needs "
-                f"N >= {n_min} but connectivity needs N <= {n_max} (E >= 19 required)"
+                f"N >= {n_min} but connectivity needs N <= {n_max} (E >= {E_MIN} required)"
             )
         return cls(e_param=e_param, n_min=n_min, n_max=n_max)
 
@@ -168,8 +171,8 @@ def params_from_unit(e_param: int, u: UnitPoint) -> RmatParams:
 
 
 def _check_edge_interval(e_min: int, e_max: int) -> None:
-    if e_min < 10:
-        raise ValueError("e_min must be at least 10")
+    if e_min < E_MIN:
+        raise ValueError(f"e_min must be at least {E_MIN}")
     if e_max <= e_min:
         raise ValueError("e_max must exceed e_min")
 

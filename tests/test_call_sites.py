@@ -60,7 +60,7 @@ def pinned_model():
 
 def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):
     train, hold = split_model(pinned_model(), 0.25, seed=4)
-    config = OptimizerConfig(population_size=6, max_generations=5, patience=5, seed=9)
+    config = OptimizerConfig(population_size=6, max_generations=5, seed=9)
     result = optimize(train, hold, config)
     assert result.generations_run == 5
     # 2 uniform coverage probes, 12 initial evaluations, 30 trials and 12

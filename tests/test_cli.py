@@ -89,6 +89,7 @@ class TestRunConfig:
             ({"pop": 3}, "population_size"),
             ({"max_gen": 0}, "max_generations"),
             ({"tol": 0.0}, "tolerance"),
+            ({"holdout": 0.0}, "holdout_fraction"),
             ({"holdout": 1.0}, "holdout_fraction"),
         ],
     )
@@ -173,6 +174,32 @@ class TestBuildConfig:
         monkeypatch.setenv(ENV_SEED, "soon")
         with pytest.raises(ConfigError, match="must be an integer"):
             build_config(self._args(["report"]))
+
+    def test_every_field_has_a_flag_and_a_typed_config_key(self, tmp_path, monkeypatch):
+        # a valid value unlike the default for every field, so a field that
+        # build_config drops shows up as a default
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        values = {
+            "n": 7, "e_min": 40, "e_max": 80, "metric_bins": 3, "param_bins": 5, "pop": 9,
+            "max_gen": 6, "tol": 0.25, "holdout": 0.3, "seed": 11, "jobs": 2, "out": "elsewhere",
+        }
+        defaults = RunConfig()
+        assert list(values) == [f.name for f in dataclasses.fields(RunConfig)]
+        assert all(values[name] != getattr(defaults, name) for name in values)
+        expected = RunConfig(**values)
+
+        argv = ["report"]
+        for name, value in values.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        assert build_config(self._args(argv)) == expected
+
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+        parsed = _read_config_file(str(path))
+        assert parsed == values
+        for f in dataclasses.fields(RunConfig):
+            assert type(parsed[f.name]) is type(f.default)
+        assert build_config(self._args(["report", "--config", str(path)])) == expected
 
 
 class TestMainExitCodes:

@@ -8,7 +8,6 @@ import pytest
 from graphbargain.dataset import (
     MANIFEST_HEADER,
     ManifestRow,
-    _parse_lines,
     _parse_pairs,
     compute_stats,
     emit_scatter_csv,
@@ -24,6 +23,33 @@ from graphbargain.errors import DataError
 from graphbargain.graph import Graph, MetricPoint
 from graphbargain.params import BetaSpec, QVector
 from graphbargain.rmat import RmatParams
+
+
+def reference_line_parse(path, data: bytes) -> np.ndarray:
+    """The line-by-line edge-list parser the whole-file parse replaced."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not ASCII text: {exc}") from exc
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if u < 0 or v < 0:
+            raise DataError(f"{path}:{lineno}: negative node id")
+        if u > np.iinfo(np.int64).max or v > np.iinfo(np.int64).max:
+            raise DataError(f"{path}:{lineno}: node id beyond int64")
+        us.append(u)
+        vs.append(v)
+    return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
 
 
 def small_graph() -> Graph:
@@ -130,15 +156,46 @@ class TestEdgeLists:
         tokens = ["0", "1", "2", "12", "+3", "1_0", "-2", "x", "007"]
         seps = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\n\n", " \n"]
         path = tmp_path / "g.txt"
-        accepted = 0
+        accepted = read = 0
         for _ in range(400):
             words = rng.choice(tokens, size=int(rng.integers(0, 7)), p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.04, 0.03, 0.03])
             body = "".join(w + str(rng.choice(seps)) for w in words).encode("ascii")
+            path.write_bytes(body)
+            try:
+                expected = reference_line_parse(path, body)
+            except DataError as exc:
+                # a bad line: the same message, line number included
+                with pytest.raises(DataError) as caught:
+                    read_edge_list(path)
+                assert str(caught.value) == str(exc), body
+                continue
             pairs = _parse_pairs(body)
-            if pairs is not None:
-                accepted += 1
-                assert pairs.tolist() == _parse_lines(path, body).tolist(), body
+            if b"\x1c" in body:
+                assert pairs is None, body
+                with pytest.raises(DataError):
+                    read_edge_list(path)
+                continue
+            accepted += 1
+            assert pairs.tolist() == expected.tolist(), body
+            try:
+                g = read_edge_list(path)
+            except DataError:
+                continue  # no edges, a self-loop or a duplicate edge
+            read += 1
+            assert g == Graph.from_edge_list(expected), body
         assert accepted > 40
+        assert read > 5
+
+    def test_control_byte_separators_rejected_without_a_line(self, tmp_path):
+        # str.splitlines() breaks at \x1c-\x1e and str.split() separates at
+        # \x1c-\x1f, but bytes.split() does neither; the line loop finds every
+        # line good, so the error names the file alone
+        path = tmp_path / "g.txt"
+        for body in (b"0 1\x1c1 2\n", b"0 1\x1d1 2\n", b"0 1\x1e1 2\n", b"0 1\n1\x1f2\n", b"0\x1f1\x1c1 2"):
+            path.write_bytes(body)
+            assert len(reference_line_parse(path, body)) == 2
+            with pytest.raises(DataError, match=r"g\.txt: expected 'u v' lines separated by ASCII whitespace$"):
+                read_edge_list(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -280,8 +337,7 @@ class TestManifest:
         write_manifest(sample_rows(), path)
         first = path.read_text().splitlines()[0]
         assert first == MANIFEST_HEADER
-        assert first.split(",")[0] == "id"
-        assert len(first.split(",")) == 16
+        assert first == "id,seed,n_param,e_param,a,b,c,d,u_n,u_a,u_b,u_c,n_final,e_final,clustering,dlog"
 
     def test_error_cases(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -367,7 +423,10 @@ class TestQVectorFile:
             "alpha_b = 5.0", "beta_b = 6.0", "alpha_c = 7.0", "beta_c = 8.0",
         ]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="must lie in"):
+        with pytest.raises(DataError, match=r"q\.txt: alpha must lie in \(0, 100\], got 0\.0$"):
+            read_qvector(path)
+        path.write_text("\n".join(lines[1:] + ["alpha_n = 1.0", "beta_c = 101.5"]) + "\n")
+        with pytest.raises(DataError, match=r"q\.txt: beta must lie in \(0, 100\], got 101\.5$"):
             read_qvector(path)
 
     def test_missing_file(self, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import graphbargain.optimizer
 from graphbargain.errors import ConfigError
 from graphbargain.graph import MetricPoint
 from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
@@ -57,7 +58,8 @@ class TestOptimizerConfig:
         config = OptimizerConfig()
         assert config.population_size == 32
         assert config.max_generations == 50
-        assert config.patience == 15
+        assert config.tolerance == 1e-3
+        assert config.seed == 0
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -66,18 +68,6 @@ class TestOptimizerConfig:
             ({"max_generations": 0}, "max_generations"),
             ({"tolerance": 0.0}, "tolerance"),
             ({"tolerance": -1.0}, "tolerance"),
-            ({"patience": 0}, "patience"),
-            ({"holdout_fraction": 0.0}, "holdout_fraction"),
-            ({"holdout_fraction": 1.0}, "holdout_fraction"),
-            ({"bound_low": 0.0}, "bound_low"),
-            ({"bound_low": 2.0, "bound_high": 1.0}, "bound_low"),
-            ({"bound_high": 101.0}, "bound_high"),
-            ({"coverage_floor_ratio": -0.1}, "coverage_floor_ratio"),
-            ({"coverage_floor_ratio": 1.1}, "coverage_floor_ratio"),
-            ({"mutation_factor": 0.0}, "mutation_factor"),
-            ({"mutation_factor": 2.1}, "mutation_factor"),
-            ({"crossover_rate": -0.1}, "crossover_rate"),
-            ({"crossover_rate": 1.1}, "crossover_rate"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
@@ -140,9 +130,10 @@ class TestOptimize:
         assert len(result.trace) == result.generations_run + 1
         best = [t.best_holdout for t in result.trace]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
+        low, high = graphbargain.optimizer._BOUND_LOW, graphbargain.optimizer._BOUND_HIGH
         for spec in result.best_q.specs:
-            assert config.bound_low <= spec.alpha <= config.bound_high
-            assert config.bound_low <= spec.beta <= config.bound_high
+            assert low <= spec.alpha <= high
+            assert low <= spec.beta <= high
         assert 0.0 < result.best_coverage <= 1.0 + 1e-12
 
     def test_deterministic(self, skewed_split):
@@ -154,24 +145,16 @@ class TestOptimize:
         assert a.best_holdout_fitness == b.best_holdout_fitness
         assert a.trace == b.trace
 
-    def test_patience_stops_stagnant_run(self, skewed_split):
+    def test_patience_stops_stagnant_run(self, skewed_split, monkeypatch):
         train, hold = skewed_split
-        config = OptimizerConfig(
-            population_size=8, max_generations=40, tolerance=10.0, patience=1, seed=0
-        )
-        result = optimize(train, hold, config)
-        assert result.generations_run == 1
-        config = OptimizerConfig(
-            population_size=8, max_generations=40, tolerance=10.0, patience=3, seed=0
-        )
-        result = optimize(train, hold, config)
-        assert result.generations_run == 3
+        config = OptimizerConfig(population_size=8, max_generations=40, tolerance=10.0, seed=0)
+        for patience in (1, 3):
+            monkeypatch.setattr(graphbargain.optimizer, "_PATIENCE", patience)
+            assert optimize(train, hold, config).generations_run == patience
 
     def test_max_generations_cap(self, skewed_split):
         train, hold = skewed_split
-        config = OptimizerConfig(
-            population_size=8, max_generations=4, tolerance=1e-12, patience=50, seed=2
-        )
+        config = OptimizerConfig(population_size=8, max_generations=4, tolerance=1e-12, seed=2)
         result = optimize(train, hold, config)
         assert result.generations_run == 4
 

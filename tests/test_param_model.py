@@ -9,6 +9,7 @@ from scipy import stats
 from graphbargain.params import (
     A_MAX,
     A_MIN,
+    E_MIN,
     BetaSpec,
     ParamBounds,
     QVector,
@@ -35,9 +36,12 @@ class TestParamBounds:
             assert bounds.n_max == e + 1
 
     def test_smallest_feasible_edge_count(self):
-        bounds = ParamBounds.for_edges(19)
+        assert E_MIN == 19
+        bounds = ParamBounds.for_edges(E_MIN)
         assert bounds.n_min == 20
         assert bounds.n_max == 20
+        with pytest.raises(ValueError, match=f"no feasible node count for E={E_MIN - 1}"):
+            ParamBounds.for_edges(E_MIN - 1)
 
     def test_infeasible_edge_counts_rejected(self):
         for e in (1, 5, 18):
@@ -143,6 +147,16 @@ class TestSampling:
             sample_baseline(5, 100, rng)
         with pytest.raises(ValueError, match="e_max"):
             sample_baseline(100, 100, rng)
+
+    def test_edge_floor_is_checked_before_drawing(self):
+        # e_min = 18 fails here, not later on a draw of E = 18 with no feasible node count
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="e_min must be at least 19"):
+            sample_baseline(18, 100, rng)
+        with pytest.raises(ValueError, match="e_min must be at least 19"):
+            sample_from_q(QVector.all_ones(), 18, 100, rng)
+        assert sample_baseline(E_MIN, E_MIN + 1, rng).e_param >= E_MIN
+        assert sample_from_q(QVector.all_ones(), E_MIN, E_MIN + 1, rng).e_param >= E_MIN
 
     def test_baseline_respects_bounds(self):
         rng = np.random.default_rng(37)

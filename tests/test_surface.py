@@ -1,8 +1,8 @@
-"""Every import in the package is used, and every ``__all__`` entry exists.
+"""Every import and private name in the package is used, and every ``__all__`` entry exists.
 
-A stand-in for a linter's unused-import and undefined-export checks: a
-deletion that orphans an import, or leaves a name in ``__all__`` behind,
-fails here.
+A stand-in for a linter's unused-import, unused-private-name and
+undefined-export checks: a deletion that orphans an import, a private
+constant or helper, or leaves a name in ``__all__`` behind, fails here.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in imported_names(tree).items() if name not in used]
     assert not unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = {name for name in top_level_names(tree) if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
