@@ -40,7 +40,7 @@ from .dataset import (
     write_qvector,
 )
 from .errors import ConfigError, CoverageCollapseError, DataError
-from .graph import Graph, MetricPoint, metric_projection
+from .graph import Graph, MetricPoint, largest_connected_component, metric_projection
 from .grids import MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import OptimizerConfig, optimize, split_model
@@ -73,6 +73,9 @@ _TAG_GENERATE_GRAPHS = 5
 _SEED_SPAN = 2**63 - 16
 
 _MAX_ROUNDS = 50
+
+# OptimizerConfig fields set from RunConfig, with the RunConfig key of each.
+_OPTIMIZER_KEYS = {"population_size": "pop", "max_generations": "max_gen", "tolerance": "tol"}
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,14 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        self.optimizer_config()  # validates pop, max_gen, tol
+        try:
+            self.optimizer_config()
+        except ConfigError as exc:
+            # OptimizerConfig names its own field first; name the user's key instead.
+            field, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_OPTIMIZER_KEYS[field]} {rest}") from None
         if not 0.0 < self.holdout < 1.0:
-            raise ConfigError("holdout_fraction must lie in (0, 1)")
+            raise ConfigError("holdout must lie in (0, 1)")
 
     @property
     def metric_grid(self) -> MetricGrid:
@@ -121,10 +129,7 @@ class RunConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(
-            population_size=self.pop,
-            max_generations=self.max_gen,
-            tolerance=self.tol,
-            seed=self.seed,
+            **{field: getattr(self, key) for field, key in _OPTIMIZER_KEYS.items()}, seed=self.seed
         )
 
 
@@ -331,9 +336,10 @@ def cmd_generate(config: RunConfig, q_path: str | Path | None = None, count: int
 
 
 def _read_validation_graph(path: Path) -> Graph:
+    """The graph's largest component, as metric_projection assumes, whatever the file format."""
     if path.suffix.lower() == ".mtx":
         return read_matrix_market(path)
-    return read_edge_list(path)
+    return largest_connected_component(read_edge_list(path))
 
 
 def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:

@@ -216,10 +216,6 @@ class ManifestRow:
         )
 
     @property
-    def params(self) -> RmatParams:
-        return RmatParams(self.n_param, self.e_param, self.a, self.b, self.c, self.d)
-
-    @property
     def unit(self) -> UnitPoint:
         return UnitPoint(self.u_n, self.u_a, self.u_b, self.u_c)
 

@@ -31,33 +31,34 @@ class MetricPoint:
     dlog: float
 
 
-# Largest n whose edge keys u * n + v (at most n * n - 1) fit in int64.
+# Largest n for which n * n - 1, above every edge key u * n + v, fits in int64.
 MAX_KEYED_NODES = 3_037_000_499
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Sorted int64 keys u * n + v and v * n + u; ValueError first if they would overflow."""
+    """Sorted int64 keys min * n + max, one per listed edge; ValueError first if they would overflow."""
     if n > MAX_KEYED_NODES:
         raise ValueError(f"{n} nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})")
-    keys = np.concatenate([u * n + v, v * n + u])
+    keys = np.minimum(u, v) * n
+    keys += np.maximum(u, v)
     keys.sort()
     return keys
 
 
 class Graph:
-    """Immutable simple undirected graph stored as sorted adjacency lists.
+    """Immutable simple undirected graph holding each edge once.
 
-    Internally CSR-shaped: ``indptr`` (length n+1) and ``indices`` (sorted
-    neighbor ids per node, each undirected edge appearing twice). Invariants
-    (symmetry, no self-loops, no duplicates) are established by the
-    constructors; instances are never mutated.
+    ``pairs`` is an (E, 2) int64 array of (u, v) with u < v < n, sorted
+    lexicographically with no repeats, and read-only. The constructors
+    establish these invariants; instances are never mutated.
     """
 
-    __slots__ = ("_indptr", "_indices")
+    __slots__ = ("_n", "_pairs")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        self._indptr = indptr
-        self._indices = indices
+    def __init__(self, n: int, pairs: np.ndarray):
+        pairs.flags.writeable = False
+        self._n = n
+        self._pairs = pairs
 
     @classmethod
     def from_edge_list(
@@ -73,10 +74,7 @@ class Graph:
             edges = list(edges)
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
-            if node_count is None:
-                node_count = 0
-            empty = np.zeros(0, dtype=np.int64)
-            return cls(np.zeros(node_count + 1, dtype=np.int64), empty)
+            return cls(node_count or 0, np.zeros((0, 2), dtype=np.int64))
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if arr.min() < 0:
@@ -96,44 +94,43 @@ class Graph:
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, n: int) -> "Graph":
-        # keys: sorted, duplicate-free src * n + dst, both orientations of each edge.
-        src, dst = np.divmod(keys, n)
-        return cls(np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))), dst)
+        # keys: sorted, duplicate-free u * n + v with u < v, one per edge.
+        return cls(n, np.column_stack(np.divmod(keys, n)))
 
     @property
     def node_count(self) -> int:
-        return len(self._indptr) - 1
+        return self._n
 
     @property
     def edge_count(self) -> int:
-        return len(self._indices) // 2
+        return len(self._pairs)
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
+        return np.bincount(self._pairs.ravel(), minlength=self._n)
 
     def edge_array(self) -> np.ndarray:
-        """All (u, v) pairs with u < v as an (E, 2) array, lexicographically sorted."""
-        src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-        mask = src < self._indices
-        return np.column_stack([src[mask], self._indices[mask]])
-
-    def to_csr(self) -> sparse.csr_matrix:
-        data = np.ones(len(self._indices), dtype=np.float64)
-        n = self.node_count
-        return sparse.csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()), shape=(n, n)
-        )
+        """The stored (u, v) pairs with u < v as a read-only (E, 2) array, lexicographically sorted."""
+        return self._pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return np.array_equal(self._indptr, other._indptr) and np.array_equal(
-            self._indices, other._indices
-        )
+        return self._n == other._n and np.array_equal(self._pairs, other._pairs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, e={self.edge_count})"
+
+
+def _upper_adjacency(g: Graph) -> sparse.csr_matrix:
+    """Each edge once, in the CSR row of its smaller id; an undirected search follows both orientations.
+
+    Built apart, so the matrix dies when the search returns, before the relabeling.
+    """
+    pairs = g.edge_array()
+    n = g.node_count
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))))
+    return sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -141,11 +138,11 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Size ties are broken in favor of the component containing the smallest
     original node id. Relabeling preserves the original id order, so the
-    kept CSR rows stay sorted as they are masked out.
+    kept pairs stay sorted.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    n_comp, labels = csgraph.connected_components(g.to_csr(), directed=False)
+    n_comp, labels = csgraph.connected_components(_upper_adjacency(g), directed=False)
     if n_comp == 1:
         return g
     sizes = np.bincount(labels, minlength=n_comp)
@@ -153,9 +150,8 @@ def largest_connected_component(g: Graph) -> Graph:
     winner = labels[np.argmax(sizes[labels] == sizes.max())]
     keep = labels == winner
     relabel = np.cumsum(keep) - 1
-    deg = g.degrees
-    indptr = np.concatenate(([0], np.cumsum(deg[keep])))
-    return Graph(indptr, relabel[g._indices[np.repeat(keep, deg)]])
+    pairs = g.edge_array()
+    return Graph(int(np.count_nonzero(keep)), relabel[pairs[keep[pairs[:, 0]]]])
 
 
 # Multiply-adds of the closing product L @ T per row block of L. A block's
@@ -170,26 +166,21 @@ def _row_sums(m: sparse.csr_matrix) -> np.ndarray:
     return total[m.indptr[1:]] - total[m.indptr[:-1]]
 
 
-def _forward_products(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """L, the edges pointing up the (degree, id) rank, and Q = (L.T @ L) * L.
+def _forward_dag(g: Graph, deg: np.ndarray) -> sparse.csr_matrix:
+    """L: each edge pointing up the (degree, id) rank, as int32 CSR with sorted rows.
 
-    Both are int32 CSR; L.T is built as CSR from the edges pointing down.
-    The edge-length temporaries (keys, masks) die on return, so they do not
-    add to the memory of P's blocks.
+    Built apart from the products, so its edge-length temporaries (keys,
+    masks, endpoints) die before L.T @ L is formed.
     """
     n = g.node_count
-    deg = g.degrees
+    u, v = g.edge_array().T
     # (degree, id) order as one key: deg * n + id <= n * n - 1 fits in int64
     key = deg * n + np.arange(n)
-    up = np.repeat(key, deg) < key[g._indices]
-
-    def half(mask: np.ndarray) -> sparse.csr_matrix:
-        indptr = np.concatenate(([0], np.cumsum(mask)))[g._indptr]
-        data = np.ones(int(indptr[-1]), dtype=np.int32)
-        return sparse.csr_matrix((data, g._indices[mask], indptr), shape=(n, n))
-
-    dag = half(up)
-    return dag, (half(~up) @ dag).multiply(dag)
+    up = key[u] < key[v]
+    # The conversion from (row, col) form is a stable sort by row, and the pairs
+    # are sorted, so row x lists its lower ids, then its higher ones, each ascending.
+    data = np.ones(len(up), dtype=np.int32)
+    return sparse.csr_matrix((data, (np.where(up, u, v), np.where(up, v, u))), shape=(n, n))
 
 
 def mean_local_clustering(g: Graph) -> float:
@@ -215,7 +206,9 @@ def mean_local_clustering(g: Graph) -> float:
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")
-    dag, q = _forward_products(g)
+    deg = g.degrees
+    dag = _forward_dag(g, deg)
+    q = (dag.T.tocsr() @ dag).multiply(dag)
     middle = _row_sums(q)
     top = np.bincount(q.indices, weights=q.data, minlength=n)
     closing = sparse.csr_matrix((np.ones(q.nnz, dtype=np.int32), q.indices, q.indptr), shape=(n, n))
@@ -229,7 +222,7 @@ def mean_local_clustering(g: Graph) -> float:
         low[start:stop] = _row_sums((block @ closing).multiply(block))
         start = stop
     common = 2.0 * (low + top + middle)
-    deg = g.degrees.astype(np.float64)
+    deg = deg.astype(np.float64)
     coeff = np.zeros(n, dtype=np.float64)
     mask = deg >= 2
     coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))

@@ -105,8 +105,8 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
 
     Drops self-loops and endpoints outside [0, n_param) (the padding part of
     the power-of-two matrix), merges (u,v)/(v,u) and deduplicates by one sort
-    of int64 keys holding both orientations, then keeps the largest connected
-    component. Raises ValueError when the ids are too large for int64 keys.
+    of int64 keys, one per edge, then keeps the largest connected component.
+    Raises ValueError when the ids are too large for int64 keys.
     """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:

@@ -86,11 +86,11 @@ class TestRunConfig:
             ({"param_bins": 0}, "param_bins"),
             ({"seed": -1}, "seed"),
             ({"jobs": 0}, "jobs"),
-            ({"pop": 3}, "population_size"),
-            ({"max_gen": 0}, "max_generations"),
-            ({"tol": 0.0}, "tolerance"),
-            ({"holdout": 0.0}, "holdout_fraction"),
-            ({"holdout": 1.0}, "holdout_fraction"),
+            ({"pop": 3}, "^pop must be at least 4$"),
+            ({"max_gen": 0}, "^max_gen must be at least 1$"),
+            ({"tol": 0.0}, "^tol must be positive$"),
+            ({"holdout": 0.0}, r"^holdout must lie in \(0, 1\)$"),
+            ({"holdout": 1.0}, r"^holdout must lie in \(0, 1\)$"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
@@ -306,6 +306,19 @@ class TestPipeline:
         assert scatter_lines[0] == "source,clustering,dlog"
         assert sum(1 for s in scatter_lines if s.startswith("result,")) == 10
         assert sum(1 for s in scatter_lines if s.startswith("validation,")) == 2
+
+    def test_validate_measures_edge_lists_and_matrix_market_alike(self, pipeline, tmp_path, capsys):
+        # components {0, 5, 9} and {2, 3}, and unused ids: the same cleaning for both formats
+        txt = tmp_path / "two.txt"
+        txt.write_text("0 5\n5 9\n2 3\n")
+        mtx = tmp_path / "two.mtx"
+        write_matrix_market_copy(read_edge_list(txt), mtx)
+        cmd_validate(pipeline.config, [str(txt), str(mtx)])
+        capsys.readouterr()
+        rows = [line.split(",") for line in pipeline.ws.validation_csv.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["two.txt", "two.mtx"]
+        assert rows[0][1:] == rows[1][1:]
+        assert rows[0][1:3] == ["3", "2"]
 
     def test_validate_without_files(self, pipeline, capsys):
         assert cmd_validate(pipeline.config, []) is None

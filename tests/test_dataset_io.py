@@ -373,7 +373,6 @@ class TestManifest:
 
     def test_row_accessors(self):
         row = sample_rows()[0]
-        assert row.params == RmatParams(140, 150, 0.5, 0.25, 0.15, 0.1)
         assert row.metric == MetricPoint(0.1, -2.0)
         u = row.unit
         assert 0.0 <= min(u.u_n, u.u_a, u.u_b, u.u_c)

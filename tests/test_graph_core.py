@@ -43,9 +43,18 @@ def brute_force_mean_clustering(edges: list[tuple[int, int]], n: int) -> float:
     return total / n
 
 
+def symmetric_adjacency(g: Graph) -> sparse.csr_matrix:
+    """A: the graph's adjacency matrix, each edge in both orientations, as float ones."""
+    pairs = g.edge_array()
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    n = g.node_count
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
 def unoriented_mean_clustering(g: Graph) -> float:
     """Oracle: row sums of the unoriented (A @ A) * A, which count each triangle twice per node."""
-    adj = g.to_csr()
+    adj = symmetric_adjacency(g)
     common = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel()
     deg = g.degrees.astype(np.float64)
     coeff = np.zeros(g.node_count, dtype=np.float64)
@@ -59,11 +68,10 @@ def forward_dag(g: Graph) -> sparse.csr_matrix:
     n = g.node_count
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
-    src = np.repeat(np.arange(n), g.degrees)
-    up = rank[src] < rank[g._indices]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
+    u, v = g.edge_array().T
+    up = rank[u] < rank[v]
     return sparse.csr_matrix(
-        (np.ones(int(indptr[-1]), dtype=np.int32), g._indices[up], indptr), shape=(n, n)
+        (np.ones(len(u), dtype=np.int32), (np.where(up, u, v), np.where(up, v, u))), shape=(n, n)
     )
 
 
@@ -123,7 +131,7 @@ def clustering_peak_mib(g: Graph) -> float:
 
 def resorted_lcc(g: Graph) -> Graph:
     """Reference: keep the edges of the winning component and rebuild them with a fresh sort."""
-    _, labels = csgraph.connected_components(g.to_csr(), directed=False)
+    _, labels = csgraph.connected_components(symmetric_adjacency(g), directed=False)
     sizes = np.bincount(labels)
     winner = next(label for label in labels if sizes[label] == sizes.max())
     kept = [u for u in range(g.node_count) if labels[u] == winner]
@@ -154,12 +162,6 @@ def random_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, 
     return edges
 
 
-def neighbors(g: Graph, u: int) -> np.ndarray:
-    """Row u of the graph's CSR adjacency: its neighbor ids, as stored."""
-    m = g.to_csr()
-    return m.indices[m.indptr[u] : m.indptr[u + 1]]
-
-
 class TestGraphConstruction:
     def test_edge_list_round_trip_and_shape(self):
         g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -167,7 +169,6 @@ class TestGraphConstruction:
         assert g.edge_count == 4
         assert np.array_equal(g.edge_array(), [[0, 1], [0, 2], [1, 2], [2, 3]])
         assert list(g.degrees) == [2, 2, 3, 1]
-        assert list(neighbors(g, 2)) == [0, 1, 3]
 
     def test_node_count_override_adds_isolated_nodes(self):
         g = Graph.from_edge_list([(0, 1)], node_count=4)
@@ -179,22 +180,27 @@ class TestGraphConstruction:
         assert g.node_count == 3
         assert g.edge_count == 0
 
-    def test_adjacency_is_sorted_and_symmetric(self):
+    def test_pairs_are_sorted_whatever_the_input_order(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(2, 12))
             edges = random_edges(rng, n, 0.4)
             if not edges:
                 continue
-            g = Graph.from_edge_list(edges, node_count=n)
-            seen = set()
-            for u in range(n):
-                neigh = neighbors(g, u)
-                assert list(neigh) == sorted(neigh)
-                for v in neigh:
-                    assert u in neighbors(g, int(v))
-                    seen.add((min(u, int(v)), max(u, int(v))))
-            assert seen == set(edges)
+            # shuffled, each edge in a random orientation
+            listed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            listed = [listed[i] for i in rng.permutation(len(listed))]
+            pairs = Graph.from_edge_list(listed, node_count=n).edge_array()
+            assert pairs.dtype == np.int64
+            assert pairs.tolist() == [list(edge) for edge in edges]
+
+    def test_edge_array_is_read_only(self):
+        g = Graph.from_edge_list([(2, 0), (1, 2), (3, 4)])
+        graphs = [g, largest_connected_component(g), Graph.from_edge_list([], node_count=2)]
+        for pairs in (h.edge_array() for h in graphs):
+            assert not pairs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                pairs[..., 0] = 1
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -257,8 +263,10 @@ class TestGraphConstruction:
 
     def test_edge_keys_exact_at_the_largest_node_count(self):
         n = MAX_KEYED_NODES
-        keys = _edge_keys(np.array([n - 2]), np.array([n - 1]), n)
-        assert keys.tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
+        # one key per edge, whatever its orientation, decoded back exactly
+        keys = _edge_keys(np.array([n - 1, 0, n - 1]), np.array([n - 2, n - 1, n - 3]), n)
+        assert keys.tolist() == [n - 1, (n - 3) * n + n - 1, (n - 2) * n + n - 1]
+        assert Graph._from_keys(keys, n).edge_array().tolist() == [[0, n - 1], [n - 3, n - 1], [n - 2, n - 1]]
         with pytest.raises(ValueError, match="overflow"):
             _edge_keys(np.array([0]), np.array([1]), n + 1)
 
@@ -269,11 +277,8 @@ class TestGraphConstruction:
         assert a == b
         assert a != c
 
-    def test_to_csr_matches_edges(self):
-        g = Graph.from_edge_list([(0, 1), (1, 2)])
-        m = g.to_csr().toarray()
-        expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-        assert np.array_equal(m, expected)
+    def test_equality_needs_equal_node_counts(self):
+        assert Graph.from_edge_list([(0, 1)]) != Graph.from_edge_list([(0, 1)], node_count=3)
 
 
 class TestLargestConnectedComponent:
@@ -316,10 +321,10 @@ class TestLargestConnectedComponent:
                 continue
             g = Graph.from_edge_list(edges, node_count=n)
             lcc = largest_connected_component(g)
-            n_comp, labels = csgraph.connected_components(g.to_csr(), directed=False)
+            n_comp, labels = csgraph.connected_components(symmetric_adjacency(g), directed=False)
             best = np.bincount(labels).max()
             assert lcc.node_count == best
-            k, _ = csgraph.connected_components(lcc.to_csr(), directed=False)
+            k, _ = csgraph.connected_components(symmetric_adjacency(lcc), directed=False)
             assert k == 1
 
     def test_matches_resorted_reference_on_multi_component_graphs(self):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
+from scipy.sparse import csgraph
 
 from graphbargain.graph import Graph, metric_projection
 from graphbargain.rmat import (
@@ -18,6 +19,36 @@ from graphbargain.rmat import (
 )
 
 UNIFORM = dict(a=0.25, b=0.25, c=0.25, d=0.25)
+
+
+def reference_sanitize(edges: np.ndarray, n_param: int) -> tuple[list[list[int]], list[int]]:
+    """Pure-Python sanitize: normalize, dedup, keep the largest component, relabel in id order.
+
+    Returns the kept edges and the sizes of all components with an edge.
+    """
+    pairs = {(min(u, v), max(u, v)) for u, v in edges.tolist() if u != v and max(u, v) < n_param}
+    adj: dict[int, set[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    sizes = []
+    best: set[int] = set()
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            for w in adj[frontier.pop()] - comp:
+                comp.add(w)
+                frontier.append(w)
+        seen |= comp
+        sizes.append(len(comp))
+        if len(comp) > len(best):  # ties go to the component holding the smallest id
+            best = comp
+    new_id = {u: i for i, u in enumerate(sorted(best))}
+    kept = sorted([new_id[u], new_id[v]] for u, v in pairs if u in new_id)
+    return kept, sizes
 
 
 def searchsorted_raw_edges(p: RmatParams, seed: int) -> np.ndarray:
@@ -187,8 +218,6 @@ class TestSanitize:
             sanitize(edges, n_param=4_000_000_002)
 
     def test_result_is_simple_and_connected(self):
-        from scipy.sparse import csgraph
-
         rng = np.random.default_rng(29)
         for _ in range(20):
             p = RmatParams(n_param=50, e_param=120, a=0.45, b=0.2, c=0.25, d=0.1)
@@ -198,8 +227,36 @@ class TestSanitize:
             assert g.edge_count <= p.e_param
             pairs = g.edge_array()
             assert np.all(pairs[:, 0] < pairs[:, 1])
-            k, _ = csgraph.connected_components(g.to_csr(), directed=False)
+            adj = sparse.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(g.node_count, g.node_count))
+            k, _ = csgraph.connected_components(adj, directed=False)
             assert k == 1
+
+    def test_matches_pure_python_reference(self):
+        rng = np.random.default_rng(37)
+        vanished = cut = ties = 0
+        for _ in range(300):
+            n_param = int(rng.integers(2, 40))
+            e = int(rng.integers(1, 50))
+            # ids up to a quarter past n_param, one edge in eight a self-loop
+            edges = rng.integers(0, n_param + n_param // 4 + 1, size=(e, 2))
+            loops = rng.random(e) < 0.125
+            edges[loops, 1] = edges[loops, 0]
+            # repeats in the listed and in the other orientation, all shuffled
+            again = rng.integers(0, e, size=e // 2)
+            edges = np.concatenate([edges, edges[again[::2]], edges[again[1::2], ::-1]])
+            edges = edges[rng.permutation(len(edges))]
+            expected, sizes = reference_sanitize(edges, n_param)
+            if not expected:
+                with pytest.raises(VanishedGraphError):
+                    sanitize(edges, n_param)
+                vanished += 1
+                continue
+            g = sanitize(edges, n_param)
+            assert g.edge_array().tolist() == expected
+            assert g.node_count == max(max(pair) for pair in expected) + 1
+            cut += int(len(sizes) > 1)
+            ties += int(sizes.count(max(sizes)) > 1)
+        assert vanished > 0 and cut > 100 and ties > 10
 
 
 class TestGenerateGraph:
@@ -224,4 +281,5 @@ class TestGenerateGraph:
         for _ in range(10):
             p = RmatParams(n_param=64, e_param=256, a=0.6, b=0.15, c=0.15, d=0.1)
             g, _ = generate_graph(p, int(rng.integers(2**32)))
-            assert not g.to_csr().diagonal().any()
+            pairs = g.edge_array()
+            assert np.all(pairs[:, 0] != pairs[:, 1])

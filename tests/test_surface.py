@@ -1,8 +1,9 @@
-"""Every import and private name in the package is used, and every ``__all__`` entry exists.
+"""Every import, private name and method in the package is used, and every ``__all__`` entry exists.
 
 A stand-in for a linter's unused-import, unused-private-name and
 undefined-export checks: a deletion that orphans an import, a private
 constant or helper, or leaves a name in ``__all__`` behind, fails here.
+So does a method that only the tests call.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 import graphbargain
 
 MODULES = sorted(Path(graphbargain.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -82,6 +84,22 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = sorted(set(exported_names(tree)) - top_level_names(tree))
     assert not missing
+
+
+def test_every_method_is_called_outside_the_tests():
+    """Each non-dunder method or property of a package class is read as ``.name`` in the package or the benchmark."""
+    assert BENCHMARK
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*MODULES, *BENCHMARK]}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{path.name}: {cls.name}.{item.name}"
+        for path in MODULES
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") and item.name not in read
+    ]
+    assert unread == []
 
 
 def test_package_root_exports_only_the_version():
