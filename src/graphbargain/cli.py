@@ -21,9 +21,9 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .dataset import (
     ManifestRow,
     compute_stats,
     emit_scatter_csv,
+    key_value_lines,
     read_edge_list,
     read_manifest,
     read_matrix_market,
@@ -43,7 +44,7 @@ from .errors import ConfigError, CoverageCollapseError, DataError
 from .graph import Graph, MetricPoint, largest_connected_component, metric_projection
 from .grids import MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
-from .optimizer import OptimizerConfig, optimize, split_model
+from .optimizer import optimize, split_model
 from .params import E_MIN, sample_baseline, sample_from_q
 from .rmat import DegenerateParametersError, RmatParams, generate_graph
 
@@ -74,26 +75,28 @@ _SEED_SPAN = 2**63 - 16
 
 _MAX_ROUNDS = 50
 
-# OptimizerConfig fields set from RunConfig, with the RunConfig key of each.
-_OPTIMIZER_KEYS = {"population_size": "pop", "max_generations": "max_gen", "tolerance": "tol"}
+
+def _setting(default: object, description: str) -> Any:
+    """A RunConfig field: its default, and the phrase its --flag's help begins with."""
+    return field(default=default, metadata={"help": description})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Shared run settings; defaults match the full-scale experiment."""
 
-    n: int = 10000
-    e_min: int = 100_000
-    e_max: int = 1_000_000
-    metric_bins: int = 10
-    param_bins: int = 20
-    pop: int = 32
-    max_gen: int = 50
-    tol: float = 1e-3
-    holdout: float = 0.2
-    seed: int = 0
-    jobs: int = 1
-    out: str = "out"
+    n: int = _setting(10000, "dataset size")
+    e_min: int = _setting(100_000, "minimum edge target")
+    e_max: int = _setting(1_000_000, "maximum edge target")
+    metric_bins: int = _setting(10, "bins per metric axis")
+    param_bins: int = _setting(20, "bins per parameter axis")
+    pop: int = _setting(32, "optimizer population size")
+    max_gen: int = _setting(50, "optimizer generation cap")
+    tol: float = _setting(1e-3, "optimizer early-stop tolerance")
+    holdout: float = _setting(0.2, "holdout fraction")
+    seed: int = _setting(0, f"random seed, or ${ENV_SEED} if no flag or file sets it")
+    jobs: int = _setting(1, "worker processes for graph generation")
+    out: str = _setting("out", "output directory")
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -110,12 +113,12 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        try:
-            self.optimizer_config()
-        except ConfigError as exc:
-            # OptimizerConfig names its own field first; name the user's key instead.
-            field, _, rest = str(exc).partition(" ")
-            raise ConfigError(f"{_OPTIMIZER_KEYS[field]} {rest}") from None
+        if self.pop < 4:
+            raise ConfigError("pop must be at least 4")
+        if self.max_gen < 1:
+            raise ConfigError("max_gen must be at least 1")
+        if not self.tol > 0.0:
+            raise ConfigError("tol must be positive")
         if not 0.0 < self.holdout < 1.0:
             raise ConfigError("holdout must lie in (0, 1)")
 
@@ -126,11 +129,6 @@ class RunConfig:
     @property
     def param_grid(self) -> ParamGrid:
         return ParamGrid(self.param_bins)
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            **{field: getattr(self, key) for field, key in _OPTIMIZER_KEYS.items()}, seed=self.seed
-        )
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
     model = load_conditional(path)
     split_seed = int(np.random.default_rng([config.seed, _TAG_SPLIT]).integers(2**63))
     train, hold = split_model(model, config.holdout, split_seed)
-    result = optimize(train, hold, config.optimizer_config())
+    result = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
     ws.optimize_dir.mkdir(parents=True, exist_ok=True)
     write_qvector(
         result.best_q,
@@ -312,24 +310,21 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
     return ws.best_q
 
 
-def cmd_generate(config: RunConfig, q_path: str | Path | None = None, count: int | None = None) -> Path:
+def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
     """Sample the result dataset from the optimized parameter distributions."""
     ws = _workspace(config)
     path = Path(q_path) if q_path is not None else ws.best_q
     if not path.exists():
         raise DataError(f"q vector file {path} not found; run optimize first")
     q = read_qvector(path)
-    count = config.n if count is None else count
-    if count < 1:
-        raise ConfigError("count must be at least 1")
     rng_params = np.random.default_rng([config.seed, _TAG_GENERATE_PARAMS])
     rng_seeds = np.random.default_rng([config.seed, _TAG_GENERATE_GRAPHS])
 
     def draw() -> RmatParams:
         return sample_from_q(q, config.e_min, config.e_max, rng_params)
 
-    logger.info("generate: sampling %d graphs from %s", count, path)
-    rows = _generate_dataset(count, draw, rng_seeds, ws.result_graphs, config.jobs, "result")
+    logger.info("generate: sampling %d graphs from %s", config.n, path)
+    rows = _generate_dataset(config.n, draw, rng_seeds, ws.result_graphs, config.jobs, "result")
     write_manifest(rows, ws.result_manifest)
     logger.info("generate: wrote %s", ws.result_manifest)
     return ws.result_manifest
@@ -425,25 +420,14 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {f.name: type(f.default) for 
 
 
 def _read_config_file(path: str) -> dict[str, object]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
+    for where, key, value in key_value_lines(Path(path), "config file", ConfigError):
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{where}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     return values
 
 
@@ -471,18 +455,13 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("run configuration")
     g.add_argument("--config", metavar="FILE", help="flat key=value config file; flags override it")
-    g.add_argument("--n", type=int, help="dataset size (default 10000)")
-    g.add_argument("--e-min", type=int, dest="e_min", help="minimum edge target (default 100000)")
-    g.add_argument("--e-max", type=int, dest="e_max", help="maximum edge target (default 1000000)")
-    g.add_argument("--metric-bins", type=int, dest="metric_bins", help="bins per metric axis (default 10)")
-    g.add_argument("--param-bins", type=int, dest="param_bins", help="bins per parameter axis (default 20)")
-    g.add_argument("--pop", type=int, help="optimizer population size (default 32)")
-    g.add_argument("--max-gen", type=int, dest="max_gen", help="optimizer generation cap (default 50)")
-    g.add_argument("--tol", type=float, help="optimizer early-stop tolerance (default 1e-3)")
-    g.add_argument("--holdout", type=float, help="holdout fraction (default 0.2)")
-    g.add_argument("--seed", type=int, help=f"random seed (default ${ENV_SEED} or 0)")
-    g.add_argument("--jobs", type=int, help="worker processes for graph generation (default 1)")
-    g.add_argument("--out", help="output directory (default ./out)")
+    for f in fields(RunConfig):
+        g.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            dest=f.name,
+            type=_CONFIG_KEYS[f.name],
+            help=f"{f.metadata['help']} (default {f.default})",
+        )
 
     parser = argparse.ArgumentParser(
         prog="graphbargain",
@@ -498,30 +477,27 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand's handler, given the run config and the parsed arguments.
+_COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], object]] = {
+    "baseline": lambda config, args: cmd_baseline(config),
+    "optimize": lambda config, args: cmd_optimize(config),
+    "generate": lambda config, args: cmd_generate(config),
+    "validate": lambda config, args: cmd_validate(config, args.files),
+    "report": lambda config, args: cmd_report(config),
+}
+
+# The documented exit code of each error a run reports without a traceback.
+_EXIT_CODES: dict[type[Exception], int] = {ConfigError: 2, DataError: 3, CoverageCollapseError: 4}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        config = build_config(args)
-        if args.command == "baseline":
-            cmd_baseline(config)
-        elif args.command == "optimize":
-            cmd_optimize(config)
-        elif args.command == "generate":
-            cmd_generate(config)
-        elif args.command == "validate":
-            cmd_validate(config, args.files)
-        else:
-            cmd_report(config)
-    except ConfigError as exc:
+        _COMMANDS[args.command](build_config(args), args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CoverageCollapseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 import scipy.io
@@ -41,6 +41,32 @@ _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 _WRITE_ROWS = 65536
 _MAX_ID = int(np.iinfo(np.int64).max)
+
+
+def read_ascii(path: Path, what: str, error: type[ValueError]) -> str:
+    """The text of an ASCII file; an unreadable or non-ASCII file raises ``error`` naming the path."""
+    try:
+        return path.read_text(encoding="ascii")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not ASCII text: {exc}") from exc
+
+
+def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[tuple[str, str, str]]:
+    """("path:line", key, value) per line of a flat ``key = value`` file.
+
+    Blank lines and ``#`` comments are skipped; each line splits at its first
+    ``=``, and a line without one raises ``error``.
+    """
+    for lineno, line in enumerate(read_ascii(path, what, error).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        yield f"{path}:{lineno}", key.strip(), value.strip()
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
@@ -244,11 +270,7 @@ def write_manifest(rows: Iterable[ManifestRow], path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> list[ManifestRow]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_ascii(path, "manifest", DataError).splitlines()
     if not lines:
         raise DataError(f"{path}: empty manifest")
     if lines[0] != MANIFEST_HEADER:
@@ -288,24 +310,13 @@ def write_qvector(q: QVector, path: str | Path, extra: dict[str, object] | None 
 def read_qvector(path: str | Path) -> QVector:
     """Read a q vector back; unknown keys are ignored as metadata."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DataError(f"cannot read q vector {path}: {exc}") from exc
     values: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
+    for where, key, value in key_value_lines(path, "q vector", DataError):
         if key in _Q_KEYS:
             try:
-                values[key] = float(value.strip())
+                values[key] = float(value)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+                raise DataError(f"{where}: {exc}") from exc
     missing = [key for key in _Q_KEYS if key not in values]
     if missing:
         raise DataError(f"{path}: missing keys: {', '.join(missing)}")

@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import betainc
 
+from .dataset import read_ascii
 from .errors import DataError
 from .graph import MetricPoint
 from .params import QVector, UnitPoint
@@ -48,8 +49,8 @@ _MODEL_VERSION = "v1"
 class MetricGrid:
     """Regular grid over (clustering, dlog) space, row-major in clustering."""
 
-    clustering_bins: int = 10
-    dlog_bins: int = 10
+    clustering_bins: int
+    dlog_bins: int
     dlog_min: float = -6.0
     dlog_max: float = 0.0
 
@@ -89,7 +90,7 @@ class MetricGrid:
 class ParamGrid:
     """Regular grid over the unit hypercube of normalized parameters."""
 
-    bins: int = 20
+    bins: int
 
     def __post_init__(self) -> None:
         if self.bins < 1:
@@ -121,7 +122,7 @@ class ConditionalModel:
     Arrays are parallel: ``cell_*`` index the K observed parameter cells
     (sorted by flat id), ``pair_*`` the P observed (cell, metric) pairs
     (sorted by flat id, then metric id).  ``pair_cell`` holds row indices
-    into the cell arrays, not flat ids.
+    into the cell arrays, not flat ids.  Models compare by identity.
     """
 
     metric_grid: MetricGrid
@@ -134,25 +135,12 @@ class ConditionalModel:
     pair_metric: np.ndarray
     pair_counts: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConditionalModel):
-            return NotImplemented
-        return (
-            self.metric_grid == other.metric_grid
-            and self.param_grid == other.param_grid
-            and self.total == other.total
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("cell_flat", "cell_bins", "cell_counts", "pair_cell", "pair_metric", "pair_counts")
-            )
-        )
-
     @cached_property
     def pair_share(self) -> np.ndarray:
         """n_ij / n_i per pair: the conditional row weights, computed once per model.
 
-        Derived from the count arrays, so it takes no part in ``==`` or in
-        the model file; the arrays are not to be mutated after construction.
+        Derived from the count arrays, so the model file does not hold it;
+        the arrays are not to be mutated after construction.
         """
         return self.pair_counts / self.cell_counts[self.pair_cell]
 
@@ -215,12 +203,10 @@ def conditional_from_pairs(
 
 def build_conditional(
     records: Iterable[tuple[UnitPoint, MetricPoint]],
-    metric_grid: MetricGrid | None = None,
-    param_grid: ParamGrid | None = None,
+    metric_grid: MetricGrid,
+    param_grid: ParamGrid,
 ) -> ConditionalModel:
     """Count (parameter cell, metric cell) co-occurrences over baseline records."""
-    metric_grid = metric_grid or MetricGrid()
-    param_grid = param_grid or ParamGrid()
     records = list(records)
     units = np.array([(u.u_n, u.u_a, u.u_b, u.u_c) for u, _ in records], dtype=np.float64).reshape(-1, 4)
     points = np.array([(p.clustering, p.dlog) for _, p in records], dtype=np.float64).reshape(-1, 2)
@@ -275,11 +261,7 @@ def _header_fields(line: str, lineno: int, name: str, count: int, path: Path) ->
 
 def load_conditional(path: str | Path) -> ConditionalModel:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_ascii(path, "model file", DataError).splitlines()
     if len(lines) < 5:
         raise DataError(f"{path}: truncated model file")
     if lines[0].split() != [_MODEL_MAGIC, _MODEL_VERSION]:

@@ -19,13 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, CoverageCollapseError
+from .errors import CoverageCollapseError
 from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
 from .objective import Fitness, bargaining_fitness, fitness_bounds
 from .params import QVector
 
 __all__ = [
-    "OptimizerConfig",
     "GenerationStats",
     "OptimizationResult",
     "split_model",
@@ -61,24 +60,6 @@ _PATIENCE = 15
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Search settings."""
-
-    population_size: int = 32
-    max_generations: int = 50
-    tolerance: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ConfigError("population_size must be at least 4")
-        if self.max_generations < 1:
-            raise ConfigError("max_generations must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ConfigError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class GenerationStats:
     """Progress snapshot after a generation; best_holdout is best seen so far."""
 
@@ -107,9 +88,9 @@ def split_model(
     Draws the holdout side uniformly over the model's record tokens (a
     multivariate hypergeometric over the (cell, metric) pair counts), which
     matches a record-level split in distribution at the grid's resolution.
+    A fraction outside (0, 1), or one that rounds a side to no records,
+    raises ValueError.
     """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout fraction must lie in (0, 1)")
     if model.total < 10:
         raise ValueError("need at least 10 records to split")
     n_hold = int(round(model.total * holdout_fraction))
@@ -147,20 +128,27 @@ def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tup
 def optimize(
     train: ConditionalModel,
     holdout: ConditionalModel,
-    config: OptimizerConfig | None = None,
+    *,
+    pop: int,
+    max_gen: int,
+    tol: float,
+    seed: int,
 ) -> OptimizationResult:
-    config = config or OptimizerConfig()
+    """Evolve ``pop`` candidates for at most ``max_gen`` generations.
+
+    The run stops early once the best holdout fitness gains less than ``tol``
+    for ``_PATIENCE`` generations in a row; RunConfig checks the settings.
+    """
     if train.metric_grid != holdout.metric_grid or train.param_grid != holdout.param_grid:
         raise ValueError("train and holdout models use different grids")
 
-    pop = config.population_size
     eval_train, _ = _make_evaluator(train)
     eval_hold, floor_hold = _make_evaluator(holdout)
 
     # Candidate 0 is the uniform vector; the rest jitter around it.
     z = np.zeros((pop, 8))
     for i in range(1, pop):
-        rng = np.random.default_rng([config.seed, 0, i])
+        rng = np.random.default_rng([seed, 0, i])
         z[i] = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8)
     np.clip(z, _Z_LOW, _Z_HIGH, out=z)
 
@@ -181,12 +169,12 @@ def optimize(
 
     generations_run = 0
     stagnant = 0
-    for gen in range(1, config.max_generations + 1):
+    for gen in range(1, max_gen + 1):
         new_z = z.copy()
         new_f = f_train.copy()
         accepted = []
         for i in range(pop):
-            rng = np.random.default_rng([config.seed, gen, i])
+            rng = np.random.default_rng([seed, gen, i])
             picks = rng.choice(pop - 1, size=3, replace=False)
             # skip over i so the three partners are distinct from the target
             r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
@@ -216,7 +204,7 @@ def optimize(
             "generation %d: train %.6f holdout %.6f coverage %.4g",
             gen, trace[-1].best_train, best_fitness, best_coverage,
         )
-        if prev_best - best_fitness < config.tolerance:
+        if prev_best - best_fitness < tol:
             stagnant += 1
             if stagnant >= _PATIENCE:
                 break

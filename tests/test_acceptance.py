@@ -210,7 +210,7 @@ def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:
 def test_criterion_3_beta_bin_masses_against_quadrature(announce):
     """The optimizer's per-bin Beta masses match differences of an independent quadrature CDF."""
     levels = [0.01, 0.1, 1.0, 10.0, 100.0]
-    bins = ParamGrid().bins
+    bins = RunConfig().param_bins
     edges = np.linspace(0.0, 1.0, bins + 1)
     worst = 0.0
     for alpha in levels:

@@ -22,7 +22,7 @@ import graphbargain.rmat
 from graphbargain.cli import RunConfig, cmd_generate
 from graphbargain.dataset import read_manifest, write_qvector
 from graphbargain.grids import MetricGrid, ParamGrid, conditional_from_pairs
-from graphbargain.optimizer import OptimizerConfig, optimize, split_model
+from graphbargain.optimizer import optimize, split_model
 from graphbargain.params import QVector
 from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
@@ -60,8 +60,7 @@ def pinned_model():
 
 def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):
     train, hold = split_model(pinned_model(), 0.25, seed=4)
-    config = OptimizerConfig(population_size=6, max_generations=5, seed=9)
-    result = optimize(train, hold, config)
+    result = optimize(train, hold, pop=6, max_gen=5, tol=1e-3, seed=9)
     assert result.generations_run == 5
     # 2 uniform coverage probes, 12 initial evaluations, 30 trials and 12
     # accepted trials re-scored on the holdout; no candidate fell below the

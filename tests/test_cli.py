@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import graphbargain.cli
 from graphbargain.cli import (
     ENV_SEED,
     RunConfig,
@@ -21,7 +22,7 @@ from graphbargain.cli import (
     _read_config_file,
 )
 from graphbargain.dataset import ManifestRow, read_edge_list, read_manifest, read_qvector, write_manifest
-from graphbargain.errors import ConfigError
+from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, MetricPoint, metric_projection
 from graphbargain.grids import load_conditional
 from graphbargain.rmat import RmatParams
@@ -74,6 +75,8 @@ class TestRunConfig:
         assert config.e_max == 1_000_000
         assert config.param_bins == 20
         assert config.metric_bins == 10
+        assert (config.pop, config.max_gen, config.tol, config.holdout) == (32, 50, 1e-3, 0.2)
+        assert (config.seed, config.jobs) == (0, 1)
         assert config.out == "out"
 
     @pytest.mark.parametrize(
@@ -89,21 +92,21 @@ class TestRunConfig:
             ({"pop": 3}, "^pop must be at least 4$"),
             ({"max_gen": 0}, "^max_gen must be at least 1$"),
             ({"tol": 0.0}, "^tol must be positive$"),
+            ({"tol": -1.0}, "^tol must be positive$"),
             ({"holdout": 0.0}, r"^holdout must lie in \(0, 1\)$"),
             ({"holdout": 1.0}, r"^holdout must lie in \(0, 1\)$"),
+            ({"holdout": float("inf")}, r"^holdout must lie in \(0, 1\)$"),
+            ({"holdout": float("nan")}, r"^holdout must lie in \(0, 1\)$"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
 
-    def test_grids_and_optimizer_config(self):
-        config = RunConfig(metric_bins=8, param_bins=6, pop=12, seed=3)
+    def test_grids(self):
+        config = RunConfig(metric_bins=8, param_bins=6)
         assert config.metric_grid.cell_count == 64
         assert config.param_grid.cell_count == 6**4
-        oc = config.optimizer_config()
-        assert oc.population_size == 12
-        assert oc.seed == 3
 
 
 class TestConfigFile:
@@ -201,6 +204,14 @@ class TestBuildConfig:
             assert type(parsed[f.name]) is type(f.default)
         assert build_config(self._args(["report", "--config", str(path)])) == expected
 
+    def test_help_shows_each_field_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split("run configuration:")[1]
+        described = {part.split()[0]: part for part in options.split(" --")[1:]}
+        for f in dataclasses.fields(RunConfig):
+            assert described[f.name.replace("_", "-")].endswith(f"(default {f.default})")
+
 
 class TestMainExitCodes:
     def test_bad_config_is_2(self, tmp_path, capsys):
@@ -222,6 +233,24 @@ class TestMainExitCodes:
         assert "run generate first" in capsys.readouterr().err
         assert main(["report", "--out", out]) == 3
         assert "no manifests" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "name", "code"),
+    [
+        ("report", "config", 2),
+        ("generate", "best_q", 3),
+        ("optimize", "baseline_model", 3),
+        ("report", "result_manifest", 3),
+    ],
+)
+def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, code):
+    path = tmp_path / "run.cfg" if name == "config" else getattr(Workspace(tmp_path), name)
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(b"n = 5\xff\n")
+    argv = [command, "--out", str(tmp_path), *(["--config", str(path)] if name == "config" else [])]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {path}: not ASCII text: ")
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -279,15 +308,23 @@ class TestPipeline:
     def test_generate_count_and_q_path(self, pipeline, tmp_path):
         out2 = tmp_path / "other"
         config2 = tiny_config(out2)
-        manifest = cmd_generate(config2, q_path=pipeline.ws.best_q, count=3)
+        manifest = cmd_generate(dataclasses.replace(config2, n=3), q_path=pipeline.ws.best_q)
         rows = read_manifest(manifest)
         assert len(rows) == 3
         ws2 = Workspace(out2)
         assert sorted(p.name for p in ws2.result_graphs.iterdir()) == [f"g{k:06d}.txt" for k in range(3)]
 
-    def test_generate_rejects_bad_count(self, pipeline):
-        with pytest.raises(ConfigError, match="count must be at least 1"):
-            cmd_generate(pipeline.config, count=0)
+    def test_coverage_collapse_is_4(self, pipeline, monkeypatch, capsys):
+        settings = {}
+
+        def collapse(train, hold, **kwargs):
+            settings.update(kwargs)
+            raise CoverageCollapseError("best candidate keeps no mass")
+
+        monkeypatch.setattr(graphbargain.cli, "optimize", collapse)
+        assert main(["optimize", *TINY_FLAGS, "--out", str(pipeline.out)]) == 4
+        assert capsys.readouterr().err.startswith("error: best candidate keeps no mass")
+        assert settings == {"pop": 6, "max_gen": 4, "tol": 1e-3, "seed": 5}
 
     def test_validate_with_matching_graphs(self, pipeline, tmp_path, capsys):
         ws = pipeline.ws

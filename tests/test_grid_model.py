@@ -42,6 +42,19 @@ def random_model(rng: np.random.Generator, count: int = 200, metric_bins: int = 
     )
 
 
+def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
+    """Equal grids, totals and count arrays; models themselves compare by identity."""
+    return (
+        a.metric_grid == b.metric_grid
+        and a.param_grid == b.param_grid
+        and a.total == b.total
+        and all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in ("cell_flat", "cell_bins", "cell_counts", "pair_cell", "pair_metric", "pair_counts")
+        )
+    )
+
+
 def scalar_metric_cell(grid: MetricGrid, clustering: float, dlog: float) -> int:
     """Per-point metric cell, as the grid once located each point; the array locate's reference."""
     c_bin = min(int(clustering * grid.clustering_bins), grid.clustering_bins - 1)
@@ -201,7 +214,7 @@ class TestConditionalConstruction:
             np.array([k[1] for k in keys]),
             np.array([counts[k] for k in keys]),
         )
-        assert built == manual
+        assert same_model(built, manual)
         assert built.total == 400
 
     def test_duplicate_pairs_merge(self):
@@ -247,9 +260,9 @@ class TestConditionalConstruction:
         a = random_model(np.random.default_rng(9))
         b = random_model(np.random.default_rng(9))
         c = random_model(np.random.default_rng(10))
-        assert a == b
-        assert a != c
-        assert a != "not a model"
+        assert same_model(a, b) and same_model(b, a)
+        assert not same_model(a, c)
+        assert a != b
 
 
 class TestPrediction:
@@ -326,7 +339,7 @@ class TestPrediction:
         predicted_mass(model, QVector.all_ones())
         assert "pair_share" in vars(model) and "pair_share" not in vars(twin)
         assert np.all(model.pair_share == model.pair_counts / model.cell_counts[model.pair_cell])
-        assert model == twin and twin == model
+        assert same_model(model, twin) and same_model(twin, model)
         save_conditional(model, after)
         assert after.read_bytes() == before.read_bytes()
 
@@ -336,7 +349,7 @@ class TestModelFile:
         model = random_model(np.random.default_rng(31), count=350)
         path = tmp_path / "model.txt"
         save_conditional(model, path)
-        assert load_conditional(path) == model
+        assert same_model(load_conditional(path), model)
 
     def test_saves_are_byte_identical(self, tmp_path):
         model = random_model(np.random.default_rng(33))

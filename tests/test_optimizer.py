@@ -1,4 +1,4 @@
-"""Differential evolution search, model splitting, and configuration checks."""
+"""Differential evolution search and model splitting."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
-from graphbargain.errors import ConfigError
 from graphbargain.graph import MetricPoint
 from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
 from graphbargain.objective import bargaining_fitness, fitness_bounds
-from graphbargain.optimizer import OptimizerConfig, optimize, split_model
+from graphbargain.optimizer import optimize, split_model
 from graphbargain.params import QVector, UnitPoint
 
 
@@ -53,28 +52,6 @@ def pair_dict(model) -> dict[tuple[int, int], int]:
     }
 
 
-class TestOptimizerConfig:
-    def test_defaults_are_valid(self):
-        config = OptimizerConfig()
-        assert config.population_size == 32
-        assert config.max_generations == 50
-        assert config.tolerance == 1e-3
-        assert config.seed == 0
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            ({"population_size": 3}, "population_size"),
-            ({"max_generations": 0}, "max_generations"),
-            ({"tolerance": 0.0}, "tolerance"),
-            ({"tolerance": -1.0}, "tolerance"),
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs, message):
-        with pytest.raises(ConfigError, match=message):
-            OptimizerConfig(**kwargs)
-
-
 class TestSplitModel:
     def test_partition_totals_and_conservation(self):
         records = random_records(np.random.default_rng(9), 60)
@@ -95,15 +72,19 @@ class TestSplitModel:
         full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
         a = split_model(full, 0.2, 21)
         b = split_model(full, 0.2, 21)
-        assert a[0] == b[0] and a[1] == b[1]
+        assert pair_dict(a[0]) == pair_dict(b[0]) and pair_dict(a[1]) == pair_dict(b[1])
         c = split_model(full, 0.2, 22)
-        assert a[0] != c[0] or a[1] != c[1]
+        assert pair_dict(a[0]) != pair_dict(c[0]) or pair_dict(a[1]) != pair_dict(c[1])
 
     def test_too_few_records(self):
         records = random_records(np.random.default_rng(17), 12)
         full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
-        with pytest.raises(ValueError, match="holdout fraction"):
-            split_model(full, 1.5, 0)
+        # one range check on the rounded holdout size refuses every bad fraction
+        for fraction in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="degenerate split"):
+                split_model(full, fraction, 0)
+        with pytest.raises(ValueError):
+            split_model(full, float("nan"), 0)
         small = build_conditional(random_records(np.random.default_rng(18), 9), MetricGrid(10, 10), ParamGrid(5))
         with pytest.raises(ValueError, match="at least 10 records"):
             split_model(small, 0.2, 0)
@@ -112,8 +93,7 @@ class TestSplitModel:
 class TestOptimize:
     def test_improves_over_uniform_q(self, skewed_split):
         train, hold = skewed_split
-        config = OptimizerConfig(population_size=16, max_generations=30, seed=3)
-        result = optimize(train, hold, config)
+        result = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
         raw, _ = predicted_mass(hold, QVector.all_ones())
         ones = bargaining_fitness(raw / raw.sum())
         assert result.best_holdout_fitness <= ones
@@ -123,8 +103,7 @@ class TestOptimize:
 
     def test_result_shape_and_bounds(self, skewed_split):
         train, hold = skewed_split
-        config = OptimizerConfig(population_size=8, max_generations=5, seed=1)
-        result = optimize(train, hold, config)
+        result = optimize(train, hold, pop=8, max_gen=5, tol=1e-3, seed=1)
         assert result.trace[0].generation == 0
         assert result.trace[-1].generation == result.generations_run
         assert len(result.trace) == result.generations_run + 1
@@ -138,24 +117,22 @@ class TestOptimize:
 
     def test_deterministic(self, skewed_split):
         train, hold = skewed_split
-        config = OptimizerConfig(population_size=8, max_generations=6, seed=5)
-        a = optimize(train, hold, config)
-        b = optimize(train, hold, config)
+        settings = {"pop": 8, "max_gen": 6, "tol": 1e-3, "seed": 5}
+        a = optimize(train, hold, **settings)
+        b = optimize(train, hold, **settings)
         assert a.best_q == b.best_q
         assert a.best_holdout_fitness == b.best_holdout_fitness
         assert a.trace == b.trace
 
     def test_patience_stops_stagnant_run(self, skewed_split, monkeypatch):
         train, hold = skewed_split
-        config = OptimizerConfig(population_size=8, max_generations=40, tolerance=10.0, seed=0)
         for patience in (1, 3):
             monkeypatch.setattr(graphbargain.optimizer, "_PATIENCE", patience)
-            assert optimize(train, hold, config).generations_run == patience
+            assert optimize(train, hold, pop=8, max_gen=40, tol=10.0, seed=0).generations_run == patience
 
     def test_max_generations_cap(self, skewed_split):
         train, hold = skewed_split
-        config = OptimizerConfig(population_size=8, max_generations=4, tolerance=1e-12, seed=2)
-        result = optimize(train, hold, config)
+        result = optimize(train, hold, pop=8, max_gen=4, tol=1e-12, seed=2)
         assert result.generations_run == 4
 
     def test_mismatched_grids_rejected(self):
@@ -163,7 +140,8 @@ class TestOptimize:
         a = build_conditional(records, MetricGrid(2, 1), ParamGrid(4))
         b = build_conditional(records, MetricGrid(2, 1), ParamGrid(5))
         c = build_conditional(records, MetricGrid(2, 2), ParamGrid(4))
+        settings = {"pop": 8, "max_gen": 4, "tol": 1e-3, "seed": 0}
         with pytest.raises(ValueError, match="different grids"):
-            optimize(a, b)
+            optimize(a, b, **settings)
         with pytest.raises(ValueError, match="different grids"):
-            optimize(a, c)
+            optimize(a, c, **settings)
