@@ -102,8 +102,8 @@ def read_edge_list(path: str | Path) -> Graph:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
-    pairs = _parse_pairs(data)
-    if pairs is None:
+    pairs = int_table(data, 2)
+    if pairs is None or np.any(pairs < 0):
         _parse_lines(path, data)
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
@@ -113,31 +113,33 @@ def read_edge_list(path: str | Path) -> Graph:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _parse_pairs(data: bytes) -> np.ndarray | None:
-    """(E, 2) ids when every non-blank line is two non-negative integers, else None."""
+def int_table(data: bytes, columns: int) -> np.ndarray | None:
+    """(rows, columns) int64 when every non-blank line holds ``columns`` integers within int64, else None."""
     tokens = data.split()
     try:
-        ids = np.array(tokens, dtype=np.int64)
+        values = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
         return None
-    if len(ids) == 0:
-        return ids.reshape(0, 2)
-    if len(ids) % 2 or ids.min() < 0:
+    if len(values) % columns:
         return None
+    if len(values) == 0:
+        return values.reshape(0, columns)
     # The tokens parsed as integers, so every byte <= 32 is one of bytes.split()'s
     # separators, and 10..13 (\n \v \f \r) are those str.splitlines() breaks at.
     raw = np.frombuffer(data, dtype=np.uint8)
     space = np.concatenate(([True], raw <= 32))
     starts = np.flatnonzero(space[:-1] & ~space[1:])
-    # broken[i]: a line break lies between token i and token i + 1
-    broken = np.logical_or.reduceat((raw >= 10) & (raw <= 13), starts)[:-1]
-    if np.any(broken[0::2]) or not np.all(broken[1::2]):
+    # broken[i]: a line break lies after token i (the last token counts as broken)
+    broken = np.logical_or.reduceat((raw >= 10) & (raw <= 13), starts)
+    broken[-1] = True
+    rows = broken.reshape(-1, columns)
+    if np.any(rows[:, :-1]) or not np.all(rows[:, -1]):
         return None
-    return ids.reshape(-1, 2)
+    return values.reshape(-1, columns)
 
 
 def _parse_lines(path: Path, data: bytes) -> NoReturn:
-    """Raise a DataError naming the first bad line of a file _parse_pairs refused."""
+    """Raise a DataError naming the first bad line of an edge list int_table refused or found negative."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

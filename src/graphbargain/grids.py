@@ -10,6 +10,9 @@ scored by pushing its per-cell mass through the conditional rows:
 
 Only observed parameter cells contribute, so the total pushed mass (the
 coverage) is less than 1; predictions renormalize and report it separately.
+The push is one sparse matrix (metric cells by parameter cells) built once per
+model, so scoring a candidate costs four Beta CDFs, three gathers and one
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
+import scipy.sparse
 from scipy.special import betainc
 
-from .dataset import read_ascii
+from .dataset import int_table, read_ascii
 from .errors import DataError
 from .graph import MetricPoint
-from .params import QVector, UnitPoint
+from .params import SHAPE_MAX, UnitPoint
 
 __all__ = [
     "MetricGrid",
@@ -43,6 +47,10 @@ logger = logging.getLogger(__name__)
 
 _MODEL_MAGIC = "graphbargain-model"
 _MODEL_VERSION = "v1"
+_PAIR_COLUMNS = ("cell", "metric", "count")
+_INT64 = np.iinfo(np.int64)
+# bincount sums the pair counts as float64, which holds every integer up to 2**53.
+_MAX_TOTAL = 2**53
 
 
 @dataclass(frozen=True)
@@ -135,14 +143,36 @@ class ConditionalModel:
     pair_metric: np.ndarray
     pair_counts: np.ndarray
 
-    @cached_property
-    def pair_share(self) -> np.ndarray:
-        """n_ij / n_i per pair: the conditional row weights, computed once per model.
+    # The cached arrays below derive from the count arrays, so the model file
+    # does not hold them; the arrays are not to be mutated after construction.
 
-        Derived from the count arrays, so the model file does not hold it;
-        the arrays are not to be mutated after construction.
+    @cached_property
+    def param_edges(self) -> np.ndarray:
+        """The bins+1 unit-interval bin edges shared by the four parameter axes."""
+        return np.linspace(0.0, 1.0, self.param_grid.bins + 1)
+
+    @cached_property
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell: its flat (N, a) bin, its b bin and its c bin, each contiguous."""
+        cb = self.cell_bins
+        return cb[:, 0] * self.param_grid.bins + cb[:, 1], cb[:, 2].copy(), cb[:, 3].copy()
+
+    @cached_property
+    def push(self) -> scipy.sparse.csr_matrix:
+        """The conditional rows as a (metric cells, parameter cells) matrix of n_ij / n_i.
+
+        Each metric row keeps its pairs in pair order, so a matrix-vector
+        product adds the terms of a metric cell in the order a ``bincount``
+        over the pairs would.
         """
-        return self.pair_counts / self.cell_counts[self.pair_cell]
+        share = self.pair_counts / self.cell_counts[self.pair_cell]
+        order = np.argsort(self.pair_metric, kind="stable")
+        rows = self.metric_grid.cell_count
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.pair_metric, minlength=rows), out=indptr[1:])
+        return scipy.sparse.csr_matrix(
+            (share[order], self.pair_cell[order], indptr), shape=(rows, self.cell_flat.size)
+        )
 
 
 def conditional_from_pairs(
@@ -171,6 +201,9 @@ def conditional_from_pairs(
         raise ValueError("parameter cell id outside grid")
     if np.any(metric < 0) or np.any(metric >= metric_grid.cell_count):
         raise ValueError("metric cell id outside grid")
+    total = sum(counts.tolist())
+    if total > _MAX_TOTAL:
+        raise ValueError(f"total count {total} above 2**53, where float64 sums stop being exact")
 
     order = np.lexsort((metric, flat))
     flat, metric, counts = flat[order], metric[order], counts[order]
@@ -215,26 +248,32 @@ def build_conditional(
     return conditional_from_pairs(metric_grid, param_grid, flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
-def _dim_masses(q: QVector, bins: int) -> np.ndarray:
-    """Per-axis Beta mass in each of the shared unit bins, shape (4, bins)."""
-    alpha = np.array([s.alpha for s in q.specs])
-    beta = np.array([s.beta for s in q.specs])
-    return np.diff(betainc(alpha[:, None], beta[:, None], np.linspace(0.0, 1.0, bins + 1)), axis=1)
+def _dim_masses(shapes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per-axis Beta mass between consecutive unit bin edges, shape (4, bins)."""
+    cdf = betainc(shapes[0::2, None], shapes[1::2, None], edges)
+    return cdf[:, 1:] - cdf[:, :-1]
 
 
-def predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
+def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndarray, float]:
     """Raw pushed metric mass (not normalized) and the coverage it sums to.
 
+    ``shapes`` holds the eight Beta shapes in ``QVector.as_array()`` order.
     One broadcast ``betainc`` gives the four per-axis CDFs at the bin edges;
-    the row weights n_ij / n_i come from the model's cached ``pair_share``.
+    the (N, a) masses are multiplied once per bin pair, then per cell by the
+    b and c masses, and the model's ``push`` matrix carries the cell masses
+    to the metric cells.
     """
-    dim = _dim_masses(q, model.param_grid.bins)
-    cb = model.cell_bins
-    cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
+    # min and max are nan when any shape is, so nan fails the check
+    if shapes.shape != (8,) or not (0.0 < shapes.min() and shapes.max() <= SHAPE_MAX):
+        raise ValueError(f"expected 8 Beta shapes in (0, {SHAPE_MAX:g}], got {shapes!r}")
+    dim = _dim_masses(shapes, model.param_edges)
+    b01, b2, b3 = model.cell_index
+    # outer(d0, d1).ravel()[b01] * d2[b2] * d3[b3], multiplied in place
+    cellmass = (dim[0][:, None] * dim[1]).take(b01)
+    cellmass *= dim[2].take(b2)
+    cellmass *= dim[3].take(b3)
     coverage = float(cellmass.sum())
-    weights = model.pair_share * cellmass[model.pair_cell]
-    raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
-    return raw, coverage
+    return model.push @ cellmass, coverage
 
 
 def save_conditional(model: ConditionalModel, path: str | Path) -> None:
@@ -259,6 +298,25 @@ def _header_fields(line: str, lineno: int, name: str, count: int, path: Path) ->
     return parts[1:]
 
 
+def _bad_pair_line(path: Path, body: list[str]) -> NoReturn:
+    """Raise a DataError naming the first bad pair line of a body int_table refused."""
+    layout = " ".join(_PAIR_COLUMNS)
+    for lineno, line in enumerate(body, start=6):
+        parts = line.split()
+        if len(parts) != len(_PAIR_COLUMNS):
+            raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in zip(_PAIR_COLUMNS, values):
+            if not _INT64.min <= value <= _INT64.max:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
+    # Every line holds three integers, so only separators that str.split()
+    # knows and bytes.split() does not (the control bytes \x1c-\x1f) are left.
+    raise DataError(f"{path}: expected '{layout}' lines separated by ASCII whitespace")
+
+
 def load_conditional(path: str | Path) -> ConditionalModel:
     path = Path(path)
     lines = read_ascii(path, "model file", DataError).splitlines()
@@ -278,17 +336,10 @@ def load_conditional(path: str | Path) -> ConditionalModel:
     body = lines[5:]
     if len(body) != pairs:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
-    flat = np.empty(pairs, dtype=np.int64)
-    metric = np.empty(pairs, dtype=np.int64)
-    counts = np.empty(pairs, dtype=np.int64)
-    for k, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataError(f"{path}:{k + 6}: expected 'cell metric count', got {line!r}")
-        try:
-            flat[k], metric[k], counts[k] = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{k + 6}: {exc}") from exc
+    table = int_table("\n".join(body).encode("ascii"), len(_PAIR_COLUMNS))
+    if table is None or len(table) != pairs:
+        _bad_pair_line(path, body)
+    flat, metric, counts = table.T
     try:
         model = conditional_from_pairs(metric_grid, param_grid, flat, metric, counts)
     except ValueError as exc:

@@ -31,7 +31,8 @@ def bargaining_fitness(probabilities: np.ndarray) -> Fitness:
     if np.any(p < 0.0):
         raise ValueError("invalid distribution: negative probability")
     total = float(p.sum())
-    if abs(total - 1.0) > _SUM_TOL:
+    # written so that a nan total fails too
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"invalid distribution: sums to {total!r}, not 1")
     p = p / total
     m = p.size

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CoverageCollapseError
 from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
 from .objective import Fitness, bargaining_fitness, fitness_bounds
-from .params import QVector
+from .params import SHAPE_MAX, QVector
 
 __all__ = [
     "GenerationStats",
@@ -39,7 +39,7 @@ _JITTER_HIGH = float(np.log(4.0))
 
 # Bounds on every Beta shape parameter, in linear space.
 _BOUND_LOW = 1e-3
-_BOUND_HIGH = 100.0
+_BOUND_HIGH = SHAPE_MAX
 _Z_LOW = float(np.log(_BOUND_LOW))
 _Z_HIGH = float(np.log(_BOUND_HIGH))
 
@@ -105,19 +105,19 @@ def split_model(
     return train, hold
 
 
-def _q_from_log(z: np.ndarray) -> QVector:
+def _shapes_from_log(z: np.ndarray) -> np.ndarray:
     # exp(log(bound)) can overshoot by an ulp; clip in linear space
-    return QVector.from_array(np.clip(np.exp(z), _BOUND_LOW, _BOUND_HIGH))
+    return np.clip(np.exp(z), _BOUND_LOW, _BOUND_HIGH)
 
 
 def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[Fitness, float]], float]:
     """Fitness of a log-space vector on one model, with its coverage floor."""
     _, f_max = fitness_bounds(model.metric_grid.cell_count)
-    _, uniform_cov = predicted_mass(model, QVector.all_ones())
+    _, uniform_cov = predicted_mass(model, QVector.all_ones().as_array())
     floor = _COVERAGE_FLOOR_RATIO * uniform_cov
 
     def evaluate(z: np.ndarray) -> tuple[Fitness, float]:
-        raw, cov = predicted_mass(model, _q_from_log(z))
+        raw, cov = predicted_mass(model, _shapes_from_log(z))
         if not np.isfinite(cov) or cov < floor or cov <= 0.0:
             return f_max, cov
         return bargaining_fitness(raw / raw.sum()), cov
@@ -216,7 +216,7 @@ def optimize(
             f"best candidate keeps only {best_coverage:.3g} mass on the holdout model (floor {floor_hold:.3g})"
         )
     return OptimizationResult(
-        best_q=_q_from_log(best_z),
+        best_q=QVector.from_array(_shapes_from_log(best_z)),
         best_holdout_fitness=best_fitness,
         best_coverage=best_coverage,
         generations_run=generations_run,

@@ -35,6 +35,9 @@ A_MAX = 1.0
 # The smallest edge count with a feasible node count (see ParamBounds).
 E_MIN = 19
 
+# The largest Beta shape parameter (alpha or beta) a q vector may hold.
+SHAPE_MAX = 100.0
+
 
 @dataclass(frozen=True)
 class ParamBounds:
@@ -96,8 +99,8 @@ class BetaSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 < value <= 100.0:
-                raise ValueError(f"{name} must lie in (0, 100], got {value}")
+            if not 0.0 < value <= SHAPE_MAX:
+                raise ValueError(f"{name} must lie in (0, {SHAPE_MAX:g}], got {value}")
 
 
 UNIFORM_SPEC = BetaSpec(1.0, 1.0)

@@ -147,9 +147,7 @@ def test_criterion_1_fitness_values_and_bounds(announce):
 
 def empirical_push(model: ConditionalModel) -> np.ndarray:
     """predicted_mass's push with the observed cell frequencies n_i / n as the cell masses."""
-    cellmass = model.cell_counts / model.total
-    weights = model.pair_share * cellmass[model.pair_cell]
-    return np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
+    return model.push @ (model.cell_counts / model.total)
 
 
 def test_criterion_2_empirical_identity(announce):
@@ -216,7 +214,7 @@ def test_criterion_3_beta_bin_masses_against_quadrature(announce):
     for alpha in levels:
         for beta in levels:
             spec = BetaSpec(alpha, beta)
-            masses = _dim_masses(QVector(spec, spec, spec, spec), bins)
+            masses = _dim_masses(QVector(spec, spec, spec, spec).as_array(), edges)
             cdf = np.array([beta_cdf_quadrature(float(x), alpha, beta) for x in edges])
             worst = max(worst, float(np.abs(masses - np.diff(cdf)).max()))
     ok = worst <= 1e-8
@@ -323,7 +321,7 @@ def test_criterion_6_optimizer_beats_uniform(announce, pipeline):
     model = load_conditional(run.ws.baseline_model)
     split_seed = int(np.random.default_rng([SEED, _TAG_SPLIT]).integers(2**63))
     _, holdout = split_model(model, run.config.holdout, split_seed)
-    raw, _ = predicted_mass(holdout, QVector.all_ones())
+    raw, _ = predicted_mass(holdout, QVector.all_ones().as_array())
     ones_fitness = bargaining_fitness(raw / raw.sum())
     best_fitness = float(_best_q_meta(run.ws)["holdout_fitness"])
     improvement = ones_fitness - best_fitness

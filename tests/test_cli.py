@@ -253,6 +253,29 @@ def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, co
     assert capsys.readouterr().err.startswith(f"error: {path}: not ASCII text: ")
 
 
+@pytest.mark.parametrize(
+    ("total", "body", "message"),
+    [
+        ("1", ["99999999999999999999 3 1"], "model.txt:6: cell 99999999999999999999 beyond int64"),
+        ("1", ["5 99999999999999999999 1"], "model.txt:6: metric 99999999999999999999 beyond int64"),
+        ("1", ["5 3 99999999999999999999"], "model.txt:6: count 99999999999999999999 beyond int64"),
+        (
+            "10000000000000000000",
+            ["5 3 5000000000000000000", "6 3 5000000000000000000"],
+            "inconsistent model: total count 10000000000000000000 above 2**53",
+        ),
+    ],
+)
+def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
+    ws = Workspace(tmp_path)
+    ws.baseline_model.parent.mkdir(parents=True)
+    header = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 20", f"total {total}", f"pairs {len(body)}"]
+    ws.baseline_model.write_text("\n".join(header + body) + "\n", encoding="ascii")
+    assert main(["optimize", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ws.baseline_model}") and message in err
+
+
 @pytest.mark.parametrize("command", ["report", "validate"])
 @pytest.mark.parametrize(
     ("field", "value"),

@@ -8,9 +8,9 @@ import pytest
 from graphbargain.dataset import (
     MANIFEST_HEADER,
     ManifestRow,
-    _parse_pairs,
     compute_stats,
     emit_scatter_csv,
+    int_table,
     read_edge_list,
     read_manifest,
     read_matrix_market,
@@ -169,7 +169,7 @@ class TestEdgeLists:
                     read_edge_list(path)
                 assert str(caught.value) == str(exc), body
                 continue
-            pairs = _parse_pairs(body)
+            pairs = int_table(body, 2)
             if b"\x1c" in body:
                 assert pairs is None, body
                 with pytest.raises(DataError):

@@ -73,7 +73,12 @@ def scalar_param_cell(grid: ParamGrid, u: UnitPoint) -> int:
 
 
 def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
-    """predicted_mass as first written: one betainc per spec, vstack, and the row shares per call."""
+    """predicted_mass as first written: one betainc per spec, vstack, four gathers and a bincount push.
+
+    The exact oracle for predicted_mass's outer product and sparse push: a
+    matrix-vector product that fused its multiply-add would differ in the
+    last bit and fail the == tests.
+    """
     edges = np.linspace(0.0, 1.0, model.param_grid.bins + 1)
     dim = np.vstack([np.diff(betainc(spec.alpha, spec.beta, edges)) for spec in q.specs])
     cb = model.cell_bins
@@ -265,11 +270,15 @@ class TestConditionalConstruction:
         assert a != b
 
 
+def unit_edges(bins: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, bins + 1)
+
+
 class TestPrediction:
     def test_all_ones_coverage_is_cell_fraction(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, count=300, param_bins=4)
-        raw, coverage = predicted_mass(model, QVector.all_ones())
+        raw, coverage = predicted_mass(model, QVector.all_ones().as_array())
         expected = model.cell_flat.size / model.param_grid.cell_count
         assert coverage == pytest.approx(expected, abs=1e-12)
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
@@ -279,7 +288,7 @@ class TestPrediction:
         rng = np.random.default_rng(13)
         model = random_model(rng, count=250, param_bins=5)
         q = QVector(BetaSpec(2.0, 1.0), BetaSpec(0.5, 0.5), BetaSpec(3.0, 4.0), BetaSpec(1.0, 2.0))
-        raw, coverage = predicted_mass(model, q)
+        raw, coverage = predicted_mass(model, q.as_array())
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
         assert np.all(raw >= 0.0)
 
@@ -287,7 +296,7 @@ class TestPrediction:
         u = UnitPoint(0.31, 0.62, 0.11, 0.87)
         model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), ParamGrid(5))
         q = QVector(BetaSpec(2.0, 0.7), BetaSpec(0.4, 1.3), BetaSpec(5.0, 2.0), BetaSpec(1.0, 3.0))
-        _, coverage = predicted_mass(model, q)
+        _, coverage = predicted_mass(model, q.as_array())
         # the box [0.2, 0.4) x [0.6, 0.8) x [0.0, 0.2) x [0.8, 1.0]
         lower = np.array([0.2, 0.6, 0.0, 0.8])
         expected = math.prod(
@@ -302,7 +311,7 @@ class TestPrediction:
         u = UnitPoint(0.5, 0.1, 0.7, 0.3)
         param_grid = ParamGrid(4)
         model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), param_grid)
-        _, coverage = predicted_mass(model, q)
+        _, coverage = predicted_mass(model, q.as_array())
         n = 200_000
         draws = np.column_stack([rng.beta(s.alpha, s.beta, n) for s in q.specs])
         estimate = float(np.mean(param_grid.locate(draws) == model.cell_flat[0]))
@@ -310,35 +319,63 @@ class TestPrediction:
         assert coverage == pytest.approx(estimate, abs=5 * sigma)
 
     def test_dim_masses_are_bin_probabilities(self):
-        uniform = _dim_masses(QVector.all_ones(), 8)
+        uniform = _dim_masses(QVector.all_ones().as_array(), unit_edges(8))
         assert uniform.shape == (4, 8)
         assert np.allclose(uniform, 1.0 / 8, atol=1e-15)
         rng = np.random.default_rng(45)
         for q in bound_qs(rng, 40):
-            dim = _dim_masses(q, 20)
+            dim = _dim_masses(q.as_array(), unit_edges(20))
             assert np.all(dim >= 0.0)
             assert np.allclose(dim.sum(axis=1), 1.0, atol=1e-12)
         for shape in (0.3, 1.0, 7.0, 50.0):
-            dim = _dim_masses(QVector(*(BetaSpec(shape, shape) for _ in range(4))), 10)
+            dim = _dim_masses(np.full(8, shape), unit_edges(10))
             assert np.allclose(dim, dim[:, ::-1], atol=1e-12)
 
     def test_equals_per_spec_reference(self):
         rng = np.random.default_rng(41)
-        model = random_model(rng, count=1500, param_bins=20)
-        for q in bound_qs(rng, 240):
-            raw, coverage = predicted_mass(model, q)
-            expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
-            assert np.all(raw == expected_raw)
-            assert coverage == expected_coverage
+        models = [random_model(rng, count=1500, param_bins=bins) for bins in (1, 2, 7, 20, 33)]
+        # most of a 30 x 30 metric grid stays empty under 60 records
+        models.append(random_model(rng, count=60, metric_bins=30, param_bins=20))
+        # single-pair models: one record, and one pair holding many records
+        models.append(random_model(rng, count=1, param_bins=20))
+        models.append(conditional_from_pairs(MetricGrid(10, 10), ParamGrid(20), [77_777], [42], [9]))
+        assert np.unique(models[5].pair_metric).size < models[5].metric_grid.cell_count // 10
+        assert models[6].pair_counts.size == models[7].pair_counts.size == 1
+        qs = bound_qs(rng, 240)
+        for model in models:
+            for q in qs:
+                raw, coverage = predicted_mass(model, q.as_array())
+                expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
+                assert np.all(raw == expected_raw)
+                assert coverage == expected_coverage
 
-    def test_cached_share_leaves_equality_and_file_unchanged(self, tmp_path):
+    def test_rejects_bad_shapes(self):
+        model = random_model(np.random.default_rng(47), count=50)
+        predicted_mass(model, np.full(8, 100.0))
+        bad = [np.ones(7), np.ones((2, 8))]
+        for value in (0.0, -1.0, 100.5, np.inf, np.nan):
+            shapes = np.ones(8)
+            shapes[3] = value
+            bad.append(shapes)
+        for shapes in bad:
+            with pytest.raises(ValueError, match=r"expected 8 Beta shapes in \(0, 100\]"):
+                predicted_mass(model, shapes)
+
+    def test_cached_arrays_leave_equality_and_file_unchanged(self, tmp_path):
         model = random_model(np.random.default_rng(43), count=400)
         twin = random_model(np.random.default_rng(43), count=400)
         before, after = tmp_path / "before.txt", tmp_path / "after.txt"
         save_conditional(model, before)
-        predicted_mass(model, QVector.all_ones())
-        assert "pair_share" in vars(model) and "pair_share" not in vars(twin)
-        assert np.all(model.pair_share == model.pair_counts / model.cell_counts[model.pair_cell])
+        predicted_mass(model, QVector.all_ones().as_array())
+        cached = ("param_edges", "cell_index", "push")
+        assert all(name in vars(model) and name not in vars(twin) for name in cached)
+        push = model.push
+        assert push.shape == (model.metric_grid.cell_count, model.cell_flat.size)
+        assert push.nnz == model.pair_counts.size
+        assert np.all(push.toarray()[model.pair_metric, model.pair_cell] == model.pair_counts / model.cell_counts[model.pair_cell])
+        b01, b2, b3 = model.cell_index
+        bins = model.param_grid.bins
+        assert np.array_equal(b01 * bins**2 + b2 * bins + b3, model.cell_flat)
         assert same_model(model, twin) and same_model(twin, model)
         save_conditional(model, after)
         assert after.read_bytes() == before.read_bytes()
@@ -388,6 +425,11 @@ class TestModelFile:
             load_conditional(self._write(tmp_path, good + ["5 3 1"]))
         with pytest.raises(DataError, match="expected 'cell metric count'"):
             load_conditional(self._write(tmp_path, good[:5] + ["5 2"]))
+        with pytest.raises(DataError, match=r"bad\.txt:7: expected 'cell metric count', got ''$"):
+            load_conditional(self._write(tmp_path, [*good[:4], "pairs 2", "5 2 3", ""]))
+        # str.split() separates at \x1f and bytes.split() does not, so no line is to blame
+        with pytest.raises(DataError, match=r"bad\.txt: expected 'cell metric count' lines separated by ASCII whitespace$"):
+            load_conditional(self._write(tmp_path, good[:5] + ["5\x1f2 3"]))
         with pytest.raises(DataError, match="bad.txt:6"):
             load_conditional(self._write(tmp_path, good[:5] + ["5 x 3"]))
         with pytest.raises(DataError, match="inconsistent model"):
@@ -396,6 +438,15 @@ class TestModelFile:
             load_conditional(self._write(tmp_path, [*good[:3], "total 4", *good[4:]]))
         with pytest.raises(DataError, match="cannot read"):
             load_conditional(tmp_path / "missing.txt")
+
+    def test_numbers_beyond_int64_or_an_inexact_total(self, tmp_path):
+        # test_cli.py::test_oversized_model_numbers_are_3 covers each column and the int64 wrap through main
+        head = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5"]
+        with pytest.raises(DataError, match=r"bad\.txt:7: count -99999999999999999999 beyond int64$"):
+            load_conditional(self._write(tmp_path, [*head, "total 1", "pairs 2", "5 3 1", "6 3 -99999999999999999999"]))
+        with pytest.raises(DataError, match=r"inconsistent model: total count 9007199254740993 above 2\*\*53"):
+            load_conditional(self._write(tmp_path, [*head, f"total {2**53 + 1}", "pairs 1", f"5 3 {2**53 + 1}"]))
+        assert load_conditional(self._write(tmp_path, [*head, f"total {2**53}", "pairs 1", f"5 3 {2**53}"])).total == 2**53
 
     def test_loaded_file_from_nonzero_grid_settings(self, tmp_path):
         model = random_model(np.random.default_rng(37), metric_bins=3, param_bins=2)

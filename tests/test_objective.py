@@ -85,6 +85,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="sums to"):
             bargaining_fitness(p)
 
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match=r"sums to nan, not 1$"):
+            bargaining_fitness(np.array([math.nan, 0.5, 0.5]))
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="negative"):
             bargaining_fitness(np.array([1.1, -0.1]))

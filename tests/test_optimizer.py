@@ -94,7 +94,7 @@ class TestOptimize:
     def test_improves_over_uniform_q(self, skewed_split):
         train, hold = skewed_split
         result = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
-        raw, _ = predicted_mass(hold, QVector.all_ones())
+        raw, _ = predicted_mass(hold, QVector.all_ones().as_array())
         ones = bargaining_fitness(raw / raw.sum())
         assert result.best_holdout_fitness <= ones
         assert result.best_holdout_fitness < ones - 0.025
