@@ -17,10 +17,10 @@ per-graph seeds come from dedicated streams that are advanced serially, so
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -216,6 +216,11 @@ def _run_one(task: tuple[int, RmatParams, int, str]) -> tuple[int, int, float, f
 def _run_tasks(tasks: list[tuple[int, RmatParams, int, str]], jobs: int) -> list[tuple[int, int, float, float] | None]:
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Load the scipy modules that every graph needs once, here, so forked
+    # workers inherit them instead of each importing them again.
+    importlib.import_module("scipy.sparse.csgraph")
     workers = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))

@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
-import scipy.io
 
 from .errors import DataError
 from .graph import Graph, MetricPoint
@@ -168,6 +167,9 @@ def read_matrix_market(path: str | Path) -> Graph:
 
     Keeps the off-diagonal pattern only: self-loops dropped, direction and
     values ignored, then the largest connected component is extracted.
+    A malformed file, an index beyond int64 or a size line claiming more
+    entries than the file's bytes can hold raises DataError, the last
+    before any entry is read.
     """
     path = Path(path)
     try:
@@ -184,18 +186,30 @@ def read_matrix_market(path: str | Path) -> Graph:
         raise DataError(f"{path}:1: unknown field type {field_kind!r}")
     if symmetry not in _MM_SYMMETRIES:
         raise DataError(f"{path}:1: unknown symmetry {symmetry!r}")
+    import scipy.io
+
+    # mminfo parses the size line alone; mmread allocates its entry count before reading.
     try:
-        mat = scipy.io.mmread(str(path)).tocoo()
-    except (OSError, ValueError) as exc:
+        rows, cols, entries, *_ = scipy.io.mminfo(str(path))
+        size = path.stat().st_size
+    except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    rows, cols = mat.shape
     if rows != cols:
         raise DataError(f"{path}: adjacency matrix must be square, got {rows}x{cols}")
+    # Each entry takes two indices, and entries are whitespace-separated: at least 4k - 1 bytes.
+    if 4 * entries - 1 > size:
+        raise DataError(f"{path}: size line claims {entries} entries, more than its {size} bytes can hold")
+    try:
+        mat = scipy.io.mmread(str(path)).tocoo()
+    except (OSError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
     edges = np.column_stack([mat.row.astype(np.int64), mat.col.astype(np.int64)])
     try:
         return sanitize(edges, rows)
-    except (VanishedGraphError, ValueError) as exc:
+    except VanishedGraphError as exc:
         raise DataError(f"{path}: no usable off-diagonal structure ({exc})") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
+
+# scipy.sparse and csgraph load in the functions that call them, so importing
+# this module, as every command does, costs no scipy.
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Graph",
@@ -127,6 +131,8 @@ def _upper_adjacency(g: Graph) -> sparse.csr_matrix:
 
     Built apart, so the matrix dies when the search returns, before the relabeling.
     """
+    from scipy import sparse
+
     pairs = g.edge_array()
     n = g.node_count
     indptr = np.concatenate(([0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))))
@@ -140,6 +146,8 @@ def largest_connected_component(g: Graph) -> Graph:
     original node id. Relabeling preserves the original id order, so the
     kept pairs stay sorted.
     """
+    from scipy.sparse import csgraph
+
     if g.node_count == 0:
         raise ValueError("empty graph")
     n_comp, labels = csgraph.connected_components(_upper_adjacency(g), directed=False)
@@ -172,6 +180,8 @@ def _forward_dag(g: Graph, deg: np.ndarray) -> sparse.csr_matrix:
     Built apart from the products, so its edge-length temporaries (keys,
     masks, endpoints) die before L.T @ L is formed.
     """
+    from scipy import sparse
+
     n = g.node_count
     u, v = g.edge_array().T
     # (degree, id) order as one key: deg * n + id <= n * n - 1 fits in int64
@@ -203,6 +213,8 @@ def mean_local_clustering(g: Graph) -> float:
     their counts are exact integers, so the result is bit-identical to that
     of A @ A.
     """
+    from scipy import sparse
+
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")

@@ -21,11 +21,14 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
-import scipy.sparse
-from scipy.special import betainc
+
+# scipy.sparse and scipy.special load in the functions that call them: only
+# the optimizer pushes mass through a model or takes Beta CDFs.
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .dataset import int_table, read_ascii
 from .errors import DataError
@@ -165,6 +168,8 @@ class ConditionalModel:
         product adds the terms of a metric cell in the order a ``bincount``
         over the pairs would.
         """
+        import scipy.sparse
+
         share = self.pair_counts / self.cell_counts[self.pair_cell]
         order = np.argsort(self.pair_metric, kind="stable")
         rows = self.metric_grid.cell_count
@@ -250,6 +255,8 @@ def build_conditional(
 
 def _dim_masses(shapes: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Per-axis Beta mass between consecutive unit bin edges, shape (4, bins)."""
+    from scipy.special import betainc
+
     cdf = betainc(shapes[0::2, None], shapes[1::2, None], edges)
     return cdf[:, 1:] - cdf[:, :-1]
 

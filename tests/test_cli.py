@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import graphbargain.cli
@@ -25,7 +31,8 @@ from graphbargain.dataset import ManifestRow, read_edge_list, read_manifest, rea
 from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, MetricPoint, metric_projection
 from graphbargain.grids import load_conditional
-from graphbargain.rmat import RmatParams
+from graphbargain.params import sample_baseline
+from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
 TINY_FLAGS = [
     "--n", "10", "--e-min", "30", "--e-max", "90",
@@ -391,6 +398,17 @@ class TestPipeline:
         assert any("skipping" in r.getMessage() for r in caplog.records)
         capsys.readouterr()
 
+    def test_validate_skips_a_bad_matrix_market_file_and_measures_the_rest(self, pipeline, tmp_path, caplog, capsys):
+        bad = tmp_path / "claims.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 1000000000000000\n1 2\n")
+        good = pipeline.ws.result_graphs / "g000001.txt"
+        with caplog.at_level(logging.ERROR, logger="graphbargain.cli"):
+            assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(bad), str(good)]) == 0
+        assert [r.getMessage().startswith(f"validate: skipping {bad}: ") for r in caplog.records] == [True]
+        assert "coverage: 1/1 = 1.000" in capsys.readouterr().out
+        lines = pipeline.ws.validation_csv.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["g000001.txt"]
+
     def test_validate_via_main(self, pipeline, capsys):
         path = pipeline.ws.result_graphs / "g000001.txt"
         assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(path)]) == 0
@@ -428,3 +446,87 @@ class TestPipeline:
         )
         assert main(["baseline", "--config", str(cfg)]) == 0
         assert Workspace(out_d).baseline_manifest.read_bytes() == pipeline.ws.baseline_manifest.read_bytes()
+
+
+def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monkeypatch, caplog):
+    """Slots whose draw is degenerate take the next draws of both streams, at any worker count."""
+    cli = graphbargain.cli
+    n, doomed = 10, (2, 7)
+    param_rng = np.random.default_rng([5, cli._TAG_BASELINE_PARAMS])
+    seed_rng = np.random.default_rng([5, cli._TAG_BASELINE_GRAPHS])
+    draws = [(sample_baseline(30, 90, param_rng), int(seed_rng.integers(0, cli._SEED_SPAN))) for _ in range(n + 2)]
+    doomed_seeds = {draws[slot][1] for slot in doomed}
+    expected = draws[:n]
+    for k, slot in enumerate(doomed):
+        expected[slot] = draws[n + k]
+
+    def flaky(params, seed):
+        if seed in doomed_seeds:
+            raise DegenerateParametersError("forced")
+        return generate_graph(params, seed)
+
+    # Forked workers inherit the patched module global.
+    monkeypatch.setattr(cli, "generate_graph", flaky)
+    manifests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        with caplog.at_level(logging.WARNING, logger="graphbargain.cli"):
+            assert main(["baseline", *TINY_FLAGS, "--jobs", jobs, "--out", str(out)]) == 0
+        warned = [r.getMessage() for r in caplog.records if "resampling" in r.getMessage()]
+        assert warned == [f"baseline graph {slot}: degenerate parameters, resampling" for slot in doomed]
+        caplog.clear()
+        rows = check_manifest_against_graphs(Workspace(out).baseline_manifest, Workspace(out).baseline_graphs)
+        assert [(r.seed, r.n_param, r.e_param, r.a, r.b, r.c) for r in rows] == [
+            (seed, p.n_param, p.e_param, p.a, p.b, p.c) for p, seed in expected
+        ]
+        manifests.append(Workspace(out).baseline_manifest.read_bytes())
+    assert manifests[0] == manifests[1]
+    unchanged = pipeline.ws.baseline_manifest.read_text().splitlines()
+    redrawn = manifests[0].decode("ascii").splitlines()
+    assert [k for k, (a, b) in enumerate(zip(unchanged[1:], redrawn[1:])) if a != b] == list(doomed)
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from graphbargain.cli import main
+try:
+    main(sys.argv[2:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_loaded_by(*argv: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after ``main(argv)``, or after the import alone."""
+    src = Path(graphbargain.cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(src), *argv],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestCommandsLoadOnlyTheScipyTheyRun:
+    def test_import_and_help_load_no_scipy(self):
+        # main([]) exits at argument parsing, so this probe measures the import alone.
+        assert scipy_loaded_by() == []
+        assert scipy_loaded_by("--help") == []
+
+    def test_report_loads_no_scipy(self, pipeline, tmp_path):
+        out = tmp_path / "run"
+        for stage in ("baseline", "result"):
+            (out / stage).mkdir(parents=True)
+            shutil.copy(pipeline.out / stage / "manifest.csv", out / stage)
+        assert scipy_loaded_by("report", *TINY_FLAGS, "--out", str(out)) == []
+        assert (out / "report" / "report.txt").read_bytes() == cmd_report(pipeline.config).read_bytes()
+
+    def test_optimize_loads_neither_io_nor_csgraph(self, pipeline, tmp_path):
+        out = tmp_path / "run"
+        (out / "baseline").mkdir(parents=True)
+        shutil.copy(pipeline.ws.baseline_model, out / "baseline")
+        loaded = scipy_loaded_by("optimize", *TINY_FLAGS, "--out", str(out))
+        assert "scipy.special" in loaded
+        assert not [name for name in loaded if name.startswith(("scipy.io", "scipy.sparse.csgraph"))]
+        assert Workspace(out).best_q.read_bytes() == pipeline.ws.best_q.read_bytes()

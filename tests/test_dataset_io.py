@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.io
 
 from graphbargain.dataset import (
     MANIFEST_HEADER,
@@ -293,8 +294,39 @@ class TestMatrixMarket:
 
     def test_ids_that_overflow_edge_keys_rejected(self, tmp_path):
         body = "%%MatrixMarket matrix coordinate pattern general\n4000000002 4000000002 1\n4000000001 4000000002\n"
-        with pytest.raises(DataError, match="overflow"):
+        with pytest.raises(DataError, match="overflow") as info:
             read_matrix_market(self._write(tmp_path, body))
+        assert "off-diagonal" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "99999999999999999999 99999999999999999999 1\n1 2\n",
+            "3 3 1\n1 99999999999999999999\n",
+        ],
+        ids=["size-line", "entry"],
+    )
+    def test_numbers_beyond_int64_rejected(self, tmp_path, body):
+        with pytest.raises(DataError, match="out of range"):
+            read_matrix_market(self._write(tmp_path, "%%MatrixMarket matrix coordinate pattern general\n" + body))
+
+    @pytest.mark.parametrize("entries", [1_000_000_000_000_000, 3_000_000_000, 20])
+    def test_entry_count_beyond_the_file_rejected_before_reading(self, tmp_path, monkeypatch, entries):
+        # 20 entries need at least 79 bytes; the whole file holds fewer.
+        body = f"%%MatrixMarket matrix coordinate pattern general\n3 3 {entries}\n1 2\n2 3\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mmread would allocate the claimed entry count")
+
+        monkeypatch.setattr(scipy.io, "mmread", refuse)
+        with pytest.raises(DataError, match=f"claims {entries} entries, more than its"):
+            read_matrix_market(self._write(tmp_path, body))
+
+    def test_tightest_entry_layout_is_read(self, tmp_path):
+        # k entries fit in 4k - 1 bytes, so the bound refuses no file that holds them
+        header = "%%MatrixMarket matrix coordinate pattern general\n"
+        path = self._write(tmp_path, f"{header}3 3 2\n1 2\n2 3")
+        assert read_matrix_market(path).edge_array().tolist() == [[0, 1], [1, 2]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
