@@ -40,7 +40,7 @@ from .dataset import (
     write_manifest,
     write_qvector,
 )
-from .errors import ConfigError, CoverageCollapseError, DataError
+from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
 from .graph import Graph, MetricPoint, largest_connected_component, metric_projection
 from .grids import MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
@@ -217,14 +217,18 @@ def _run_tasks(tasks: list[tuple[int, RmatParams, int, str]], jobs: int) -> list
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # Load the scipy modules that every graph needs once, here, so forked
     # workers inherit them instead of each importing them again.
     importlib.import_module("scipy.sparse.csgraph")
     workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(_run_one, tasks, chunksize=chunk))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
+            return list(pool.map(_run_one, tasks, chunksize=chunk))
+    except BrokenProcessPool as exc:
+        raise GenerationError(f"a worker process died ({exc})") from exc
 
 
 def _generate_dataset(
@@ -261,7 +265,7 @@ def _generate_dataset(
         if not pending:
             break
     else:
-        raise RuntimeError(f"{label}: generation kept failing for {len(pending)} graphs")
+        raise GenerationError(f"{label}: {len(pending)} graphs still degenerate after {_MAX_ROUNDS} rounds")
     return [row for row in rows if row is not None]
 
 
@@ -277,7 +281,8 @@ def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
     logger.info("baseline: generating %d graphs with E in [%d, %d]", config.n, config.e_min, config.e_max)
     rows = _generate_dataset(config.n, draw, rng_seeds, ws.baseline_graphs, config.jobs, "baseline")
     write_manifest(rows, ws.baseline_manifest)
-    model = build_conditional(((r.unit, r.metric) for r in rows), config.metric_grid, config.param_grid)
+    table = np.array([(r.u_n, r.u_a, r.u_b, r.u_c, r.clustering, r.dlog) for r in rows], dtype=np.float64)
+    model = build_conditional(table[:, :4], table[:, 4], table[:, 5], config.metric_grid, config.param_grid)
     save_conditional(model, ws.baseline_model)
     logger.info("baseline: wrote %s and %s", ws.baseline_manifest, ws.baseline_model)
     return ws.baseline_manifest, ws.baseline_model
@@ -492,7 +497,7 @@ _COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], object]] = {
 }
 
 # The documented exit code of each error a run reports without a traceback.
-_EXIT_CODES: dict[type[Exception], int] = {ConfigError: 2, DataError: 3, CoverageCollapseError: 4}
+_EXIT_CODES: dict[type[Exception], int] = {ConfigError: 2, DataError: 3, CoverageCollapseError: 4, GenerationError: 5}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .graph import Graph, MetricPoint
-from .params import QVector, UnitPoint, unit_point
+from .params import Q_KEYS, check_shapes, unit_point
 from .rmat import RmatParams, VanishedGraphError, sanitize
 
 __all__ = [
@@ -33,13 +33,10 @@ __all__ = [
     "emit_scatter_csv",
 ]
 
-# q vector file keys, in QVector.as_array() order
-_Q_KEYS = ("alpha_n", "beta_n", "alpha_a", "beta_a", "alpha_b", "beta_b", "alpha_c", "beta_c")
-
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 _WRITE_ROWS = 65536
-_MAX_ID = int(np.iinfo(np.int64).max)
+_INT64 = np.iinfo(np.int64)
 
 
 def read_ascii(path: Path, what: str, error: type[ValueError]) -> str:
@@ -103,7 +100,12 @@ def read_edge_list(path: str | Path) -> Graph:
         raise DataError(f"cannot read edge list {path}: {exc}") from exc
     pairs = int_table(data, 2)
     if pairs is None or np.any(pairs < 0):
-        _parse_lines(path, data)
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not ASCII text: {exc}") from exc
+        lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip())
+        bad_line(path, lines, ("u", "v"), negative="negative node id")
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
     try:
@@ -137,29 +139,32 @@ def int_table(data: bytes, columns: int) -> np.ndarray | None:
     return values.reshape(-1, columns)
 
 
-def _parse_lines(path: Path, data: bytes) -> NoReturn:
-    """Raise a DataError naming the first bad line of an edge list int_table refused or found negative."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not ASCII text: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+def bad_line(
+    path: Path, lines: Iterable[tuple[int, str]], columns: Sequence[str], negative: str | None = None
+) -> NoReturn:
+    """Raise a DataError naming the first bad one of the numbered lines of a table int_table refused.
+
+    A line is bad when it does not hold one integer per column, when a value
+    is negative (only if ``negative`` gives the message for it) or when a
+    value lies beyond int64; each line is checked in that order.
+    """
+    layout = " ".join(columns)
+    for lineno, line in lines:
         parts = line.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        if len(parts) != len(columns):
+            raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            values = [int(part) for part in parts]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if u < 0 or v < 0:
-            raise DataError(f"{path}:{lineno}: negative node id")
-        if u > _MAX_ID or v > _MAX_ID:
-            raise DataError(f"{path}:{lineno}: node id beyond int64")
-    # Every line holds two ids, so only separators that str.split() knows
+        if negative is not None and min(values) < 0:
+            raise DataError(f"{path}:{lineno}: {negative}")
+        for name, value in zip(columns, values):
+            if not _INT64.min <= value <= _INT64.max:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
+    # Every line holds its integers, so only separators that str.split() knows
     # and bytes.split() does not (the control bytes \x1c-\x1f) are left.
-    raise DataError(f"{path}: expected 'u v' lines separated by ASCII whitespace")
+    raise DataError(f"{path}: expected '{layout}' lines separated by ASCII whitespace")
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -237,7 +242,7 @@ class ManifestRow:
     def build(
         cls, id: int, seed: int, params: RmatParams, n_final: int, e_final: int, metric: MetricPoint
     ) -> "ManifestRow":
-        u = unit_point(params)
+        u_n, u_a, u_b, u_c = unit_point(params)
         return cls(
             id=id,
             seed=seed,
@@ -247,19 +252,15 @@ class ManifestRow:
             b=params.b,
             c=params.c,
             d=params.d,
-            u_n=u.u_n,
-            u_a=u.u_a,
-            u_b=u.u_b,
-            u_c=u.u_c,
+            u_n=u_n,
+            u_a=u_a,
+            u_b=u_b,
+            u_c=u_c,
             n_final=n_final,
             e_final=e_final,
             clustering=metric.clustering,
             dlog=metric.dlog,
         )
-
-    @property
-    def unit(self) -> UnitPoint:
-        return UnitPoint(self.u_n, self.u_a, self.u_b, self.u_c)
 
     @property
     def metric(self) -> MetricPoint:
@@ -315,29 +316,29 @@ def read_manifest(path: str | Path) -> list[ManifestRow]:
     return rows
 
 
-def write_qvector(q: QVector, path: str | Path, extra: dict[str, object] | None = None) -> None:
-    """Persist a Beta parameter vector as flat key=value text."""
-    lines = [f"{key} = {float(value)!r}" for key, value in zip(_Q_KEYS, q.as_array())]
+def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object] | None = None) -> None:
+    """Persist the eight Beta shapes of q, in ``Q_KEYS`` order, as flat key=value text."""
+    lines = [f"{key} = {float(value)!r}" for key, value in zip(Q_KEYS, check_shapes(q))]
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {_format_value(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_qvector(path: str | Path) -> QVector:
-    """Read a q vector back; unknown keys are ignored as metadata."""
+def read_qvector(path: str | Path) -> np.ndarray:
+    """Read a q vector back as its (8,) shape array; unknown keys are ignored as metadata."""
     path = Path(path)
     values: dict[str, float] = {}
     for where, key, value in key_value_lines(path, "q vector", DataError):
-        if key in _Q_KEYS:
+        if key in Q_KEYS:
             try:
                 values[key] = float(value)
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from exc
-    missing = [key for key in _Q_KEYS if key not in values]
+    missing = [key for key in Q_KEYS if key not in values]
     if missing:
         raise DataError(f"{path}: missing keys: {', '.join(missing)}")
     try:
-        return QVector.from_array([values[key] for key in _Q_KEYS])
+        return check_shapes([values[key] for key in Q_KEYS])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -1,6 +1,6 @@
 """Exception types shared across modules (CLI maps these to exit codes)."""
 
-__all__ = ["ConfigError", "DataError", "CoverageCollapseError"]
+__all__ = ["ConfigError", "DataError", "CoverageCollapseError", "GenerationError"]
 
 
 class ConfigError(ValueError):
@@ -13,3 +13,7 @@ class DataError(ValueError):
 
 class CoverageCollapseError(RuntimeError):
     """Optimization ended with all probability mass outside the observed region (exit code 4)."""
+
+
+class GenerationError(RuntimeError):
+    """Graph generation could not fill every slot, or a worker process died (exit code 5)."""

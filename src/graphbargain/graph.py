@@ -144,12 +144,18 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Size ties are broken in favor of the component containing the smallest
     original node id. Relabeling preserves the original id order, so the
-    kept pairs stay sorted.
+    kept pairs stay sorted. Memory follows the edge count, not the largest id.
     """
     from scipy.sparse import csgraph
 
     if g.node_count == 0:
         raise ValueError("empty graph")
+    pairs = g.edge_array()
+    if g.node_count > 2 * len(pairs) > 0:
+        # Some ids touch no edge and cannot win. Relabeling onto the ids that
+        # occur keeps their order, so the tie-break and the sorted pairs hold.
+        ids = np.unique(pairs)
+        g = Graph(len(ids), np.searchsorted(ids, pairs))
     n_comp, labels = csgraph.connected_components(_upper_adjacency(g), directed=False)
     if n_comp == 1:
         return g

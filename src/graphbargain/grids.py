@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,10 +30,9 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .dataset import int_table, read_ascii
+from .dataset import bad_line, int_table, read_ascii
 from .errors import DataError
-from .graph import MetricPoint
-from .params import SHAPE_MAX, UnitPoint
+from .params import check_shapes
 
 __all__ = [
     "MetricGrid",
@@ -51,7 +50,6 @@ logger = logging.getLogger(__name__)
 _MODEL_MAGIC = "graphbargain-model"
 _MODEL_VERSION = "v1"
 _PAIR_COLUMNS = ("cell", "metric", "count")
-_INT64 = np.iinfo(np.int64)
 # bincount sums the pair counts as float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
 
@@ -140,7 +138,6 @@ class ConditionalModel:
     param_grid: ParamGrid
     total: int
     cell_flat: np.ndarray
-    cell_bins: np.ndarray
     cell_counts: np.ndarray
     pair_cell: np.ndarray
     pair_metric: np.ndarray
@@ -157,8 +154,10 @@ class ConditionalModel:
     @cached_property
     def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per cell: its flat (N, a) bin, its b bin and its c bin, each contiguous."""
-        cb = self.cell_bins
-        return cb[:, 0] * self.param_grid.bins + cb[:, 1], cb[:, 2].copy(), cb[:, 3].copy()
+        bins = self.param_grid.bins
+        b01, rest = np.divmod(self.cell_flat, bins**2)
+        b2, b3 = np.divmod(rest, bins)
+        return b01, b2, b3
 
     @cached_property
     def push(self) -> scipy.sparse.csr_matrix:
@@ -221,17 +220,12 @@ def conditional_from_pairs(
 
     cell_flat, pair_cell = np.unique(pair_flat, return_inverse=True)
     cell_counts = np.bincount(pair_cell, weights=pair_counts).astype(np.int64)
-    rest, bc = np.divmod(cell_flat, param_grid.bins)
-    rest, bb = np.divmod(rest, param_grid.bins)
-    bn, ba = np.divmod(rest, param_grid.bins)
-    cell_bins = np.column_stack([bn, ba, bb, bc])
 
     return ConditionalModel(
         metric_grid=metric_grid,
         param_grid=param_grid,
         total=int(pair_counts.sum()),
         cell_flat=cell_flat,
-        cell_bins=cell_bins,
         cell_counts=cell_counts,
         pair_cell=pair_cell.astype(np.int64),
         pair_metric=pair_metric,
@@ -240,16 +234,19 @@ def conditional_from_pairs(
 
 
 def build_conditional(
-    records: Iterable[tuple[UnitPoint, MetricPoint]],
+    units: np.ndarray,
+    clustering: np.ndarray,
+    dlog: np.ndarray,
     metric_grid: MetricGrid,
     param_grid: ParamGrid,
 ) -> ConditionalModel:
-    """Count (parameter cell, metric cell) co-occurrences over baseline records."""
-    records = list(records)
-    units = np.array([(u.u_n, u.u_a, u.u_b, u.u_c) for u, _ in records], dtype=np.float64).reshape(-1, 4)
-    points = np.array([(p.clustering, p.dlog) for _, p in records], dtype=np.float64).reshape(-1, 2)
+    """Count (parameter cell, metric cell) co-occurrences over baseline records.
+
+    Record k has the unit coordinates ``units[k]`` of an (K, 4) array and the
+    metric point (``clustering[k]``, ``dlog[k]``).
+    """
     flat = param_grid.locate(units)
-    metric = metric_grid.locate(points[:, 0], points[:, 1])
+    metric = metric_grid.locate(clustering, dlog)
     return conditional_from_pairs(metric_grid, param_grid, flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
@@ -264,16 +261,13 @@ def _dim_masses(shapes: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndarray, float]:
     """Raw pushed metric mass (not normalized) and the coverage it sums to.
 
-    ``shapes`` holds the eight Beta shapes in ``QVector.as_array()`` order.
+    ``shapes`` holds the eight Beta shapes in ``params.Q_KEYS`` order.
     One broadcast ``betainc`` gives the four per-axis CDFs at the bin edges;
     the (N, a) masses are multiplied once per bin pair, then per cell by the
     b and c masses, and the model's ``push`` matrix carries the cell masses
     to the metric cells.
     """
-    # min and max are nan when any shape is, so nan fails the check
-    if shapes.shape != (8,) or not (0.0 < shapes.min() and shapes.max() <= SHAPE_MAX):
-        raise ValueError(f"expected 8 Beta shapes in (0, {SHAPE_MAX:g}], got {shapes!r}")
-    dim = _dim_masses(shapes, model.param_edges)
+    dim = _dim_masses(check_shapes(shapes), model.param_edges)
     b01, b2, b3 = model.cell_index
     # outer(d0, d1).ravel()[b01] * d2[b2] * d3[b3], multiplied in place
     cellmass = (dim[0][:, None] * dim[1]).take(b01)
@@ -305,25 +299,6 @@ def _header_fields(line: str, lineno: int, name: str, count: int, path: Path) ->
     return parts[1:]
 
 
-def _bad_pair_line(path: Path, body: list[str]) -> NoReturn:
-    """Raise a DataError naming the first bad pair line of a body int_table refused."""
-    layout = " ".join(_PAIR_COLUMNS)
-    for lineno, line in enumerate(body, start=6):
-        parts = line.split()
-        if len(parts) != len(_PAIR_COLUMNS):
-            raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
-        try:
-            values = [int(part) for part in parts]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        for name, value in zip(_PAIR_COLUMNS, values):
-            if not _INT64.min <= value <= _INT64.max:
-                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
-    # Every line holds three integers, so only separators that str.split()
-    # knows and bytes.split() does not (the control bytes \x1c-\x1f) are left.
-    raise DataError(f"{path}: expected '{layout}' lines separated by ASCII whitespace")
-
-
 def load_conditional(path: str | Path) -> ConditionalModel:
     path = Path(path)
     lines = read_ascii(path, "model file", DataError).splitlines()
@@ -345,7 +320,7 @@ def load_conditional(path: str | Path) -> ConditionalModel:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
     table = int_table("\n".join(body).encode("ascii"), len(_PAIR_COLUMNS))
     if table is None or len(table) != pairs:
-        _bad_pair_line(path, body)
+        bad_line(path, enumerate(body, start=6), _PAIR_COLUMNS)
     flat, metric, counts = table.T
     try:
         model = conditional_from_pairs(metric_grid, param_grid, flat, metric, counts)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CoverageCollapseError
 from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
 from .objective import Fitness, bargaining_fitness, fitness_bounds
-from .params import SHAPE_MAX, QVector
+from .params import SHAPE_MAX
 
 __all__ = [
     "GenerationStats",
@@ -71,7 +71,7 @@ class GenerationStats:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_q: QVector
+    best_q: np.ndarray  # the eight Beta shapes in params.Q_KEYS order
     best_holdout_fitness: Fitness
     best_coverage: float
     generations_run: int
@@ -113,7 +113,7 @@ def _shapes_from_log(z: np.ndarray) -> np.ndarray:
 def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[Fitness, float]], float]:
     """Fitness of a log-space vector on one model, with its coverage floor."""
     _, f_max = fitness_bounds(model.metric_grid.cell_count)
-    _, uniform_cov = predicted_mass(model, QVector.all_ones().as_array())
+    _, uniform_cov = predicted_mass(model, np.ones(8))
     floor = _COVERAGE_FLOOR_RATIO * uniform_cov
 
     def evaluate(z: np.ndarray) -> tuple[Fitness, float]:
@@ -216,7 +216,7 @@ def optimize(
             f"best candidate keeps only {best_coverage:.3g} mass on the holdout model (floor {floor_hold:.3g})"
         )
     return OptimizationResult(
-        best_q=QVector.from_array(_shapes_from_log(best_z)),
+        best_q=_shapes_from_log(best_z),
         best_holdout_fitness=best_fitness,
         best_coverage=best_coverage,
         generations_run=generations_run,

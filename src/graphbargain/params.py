@@ -12,6 +12,7 @@ exact cell probability.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,9 @@ import numpy as np
 from .rmat import RmatParams
 
 __all__ = [
+    "Q_KEYS",
     "ParamBounds",
-    "UnitPoint",
-    "BetaSpec",
-    "QVector",
+    "check_shapes",
     "sample_baseline",
     "sample_from_q",
     "unit_point",
@@ -37,6 +37,10 @@ E_MIN = 19
 
 # The largest Beta shape parameter (alpha or beta) a q vector may hold.
 SHAPE_MAX = 100.0
+
+# The names of q's eight Beta shapes, in the order of its arrays and files.
+Q_KEYS = ("alpha_n", "beta_n", "alpha_a", "beta_a", "alpha_b", "beta_b", "alpha_c", "beta_c")
+_EXPECTED_SHAPES = f"expected {len(Q_KEYS)} Beta shapes in (0, {SHAPE_MAX:g}]"
 
 
 @dataclass(frozen=True)
@@ -80,60 +84,20 @@ class ParamBounds:
         return (min(max(0.0, 1.0 - 2.0 * a - b), hi), hi)
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    """Unit-hypercube coordinates of one parameter configuration."""
+def check_shapes(values: object) -> np.ndarray:
+    """The eight Beta shapes as a float64 (8,) array in ``Q_KEYS`` order.
 
-    u_n: float
-    u_a: float
-    u_b: float
-    u_c: float
-
-
-@dataclass(frozen=True)
-class BetaSpec:
-    """Shape parameters of one shifted-scaled Beta distribution."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 < value <= SHAPE_MAX:
-                raise ValueError(f"{name} must lie in (0, {SHAPE_MAX:g}], got {value}")
-
-
-UNIFORM_SPEC = BetaSpec(1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class QVector:
-    """The optimization variables: one BetaSpec per optimized parameter."""
-
-    q_n: BetaSpec
-    q_a: BetaSpec
-    q_b: BetaSpec
-    q_c: BetaSpec
-
-    @property
-    def specs(self) -> tuple[BetaSpec, BetaSpec, BetaSpec, BetaSpec]:
-        """Per-dimension specs in the canonical (N, a, b, c) order."""
-        return (self.q_n, self.q_a, self.q_b, self.q_c)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([v for s in self.specs for v in (s.alpha, s.beta)])
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "QVector":
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        if flat.shape != (8,):
-            raise ValueError("expected 8 values (alpha, beta per dimension)")
-        specs = [BetaSpec(flat[2 * i], flat[2 * i + 1]) for i in range(4)]
-        return cls(*specs)
-
-    @classmethod
-    def all_ones(cls) -> "QVector":
-        return cls(UNIFORM_SPEC, UNIFORM_SPEC, UNIFORM_SPEC, UNIFORM_SPEC)
+    A wrong shape raises ValueError naming it; a nan or a shape outside
+    (0, SHAPE_MAX] raises one naming the first bad key.
+    """
+    shapes = np.asarray(values, dtype=np.float64)
+    if shapes.shape != (len(Q_KEYS),):
+        raise ValueError(f"{_EXPECTED_SHAPES}, got shape {shapes.shape}")
+    # min and max are nan when any shape is, so nan fails the check
+    if not (0.0 < shapes.min() and shapes.max() <= SHAPE_MAX):
+        first = int(np.argmin((shapes > 0.0) & (shapes <= SHAPE_MAX)))
+        raise ValueError(f"{_EXPECTED_SHAPES}, got {Q_KEYS[first]} = {float(shapes[first])!r}")
+    return shapes
 
 
 def _affine(u: float, lo: float, hi: float) -> float:
@@ -148,27 +112,28 @@ def _to_unit(raw: float, lo: float, hi: float) -> float:
     return (raw - lo) / (hi - lo)
 
 
-def unit_point(p: RmatParams) -> UnitPoint:
-    """Map a raw configuration onto its unit-hypercube coordinates."""
+def unit_point(p: RmatParams) -> tuple[float, float, float, float]:
+    """Map a raw configuration onto its unit-hypercube coordinates (u_n, u_a, u_b, u_c)."""
     bounds = ParamBounds.for_edges(p.e_param)
     b_lo, b_hi = ParamBounds.b_range(p.a)
     c_lo, c_hi = ParamBounds.c_range(p.a, p.b)
-    return UnitPoint(
-        u_n=_to_unit(float(p.n_param), float(bounds.n_min), float(bounds.n_max)),
-        u_a=_to_unit(p.a, A_MIN, A_MAX),
-        u_b=_to_unit(p.b, b_lo, b_hi),
-        u_c=_to_unit(p.c, c_lo, c_hi),
+    return (
+        _to_unit(float(p.n_param), float(bounds.n_min), float(bounds.n_max)),
+        _to_unit(p.a, A_MIN, A_MAX),
+        _to_unit(p.b, b_lo, b_hi),
+        _to_unit(p.c, c_lo, c_hi),
     )
 
 
-def params_from_unit(e_param: int, u: UnitPoint) -> RmatParams:
-    """Recover a raw configuration from unit coordinates (N rounded to int)."""
+def params_from_unit(e_param: int, u: Sequence[float]) -> RmatParams:
+    """Recover a raw configuration from unit coordinates (u_n, u_a, u_b, u_c); N is rounded to int."""
+    u_n, u_a, u_b, u_c = u
     bounds = ParamBounds.for_edges(e_param)
-    n = round(_affine(u.u_n, float(bounds.n_min), float(bounds.n_max)))
+    n = round(_affine(u_n, float(bounds.n_min), float(bounds.n_max)))
     n = min(max(n, bounds.n_min), bounds.n_max)
-    a = _affine(u.u_a, A_MIN, A_MAX)
-    b = _affine(u.u_b, *ParamBounds.b_range(a))
-    c = _affine(u.u_c, *ParamBounds.c_range(a, b))
+    a = _affine(u_a, A_MIN, A_MAX)
+    b = _affine(u_b, *ParamBounds.b_range(a))
+    c = _affine(u_c, *ParamBounds.c_range(a, b))
     d = min(max(1.0 - a - b - c, 0.0), a)
     return RmatParams(n_param=n, e_param=e_param, a=a, b=b, c=c, d=d)
 
@@ -195,12 +160,15 @@ def sample_baseline(e_min: int, e_max: int, rng: np.random.Generator) -> RmatPar
     return RmatParams(n_param=n, e_param=e, a=a, b=b, c=c, d=d)
 
 
-def sample_from_q(
-    q: QVector, e_min: int, e_max: int, rng: np.random.Generator
-) -> RmatParams:
-    """One draw with Beta-distributed unit coordinates; E stays uniform."""
+def sample_from_q(q: np.ndarray, e_min: int, e_max: int, rng: np.random.Generator) -> RmatParams:
+    """One draw with Beta-distributed unit coordinates; E stays uniform.
+
+    ``q`` holds the eight Beta shapes in ``Q_KEYS`` order. The four
+    coordinates come from one ``rng.beta`` call, which draws the same values
+    from the stream as four calls in (N, a, b, c) order.
+    """
+    shapes = check_shapes(q)
     _check_edge_interval(e_min, e_max)
     e = int(rng.integers(e_min, e_max + 1))
-    coords = [float(rng.beta(s.alpha, s.beta)) for s in q.specs]
-    return params_from_unit(e, UnitPoint(*coords))
+    return params_from_unit(e, rng.beta(shapes[0::2], shapes[1::2]).tolist())
 

@@ -31,7 +31,7 @@ from scipy import integrate, stats
 
 from graphbargain.cli import RunConfig, Workspace, cmd_baseline, cmd_generate, cmd_optimize, _TAG_SPLIT
 from graphbargain.dataset import compute_stats, read_manifest, read_matrix_market
-from graphbargain.graph import Graph, MetricPoint, mean_local_clustering, metric_projection
+from graphbargain.graph import Graph, mean_local_clustering, metric_projection
 from graphbargain.grids import (
     ConditionalModel,
     MetricGrid,
@@ -43,7 +43,7 @@ from graphbargain.grids import (
 )
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import split_model
-from graphbargain.params import A_MAX, A_MIN, BetaSpec, ParamBounds, QVector, UnitPoint
+from graphbargain.params import A_MAX, A_MIN, ParamBounds
 from graphbargain.rmat import RmatParams, generate_raw_edges
 
 SEED = 1
@@ -158,12 +158,10 @@ def test_criterion_2_empirical_identity(announce):
         metric_grid = MetricGrid(int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         param_grid = ParamGrid(int(rng.integers(2, 7)))
         k = int(rng.integers(20, 200))
-        records = [
-            (UnitPoint(*rng.random(4)), MetricPoint(rng.random(), rng.uniform(-6.0, 0.0)))
-            for _ in range(k)
-        ]
-        model = build_conditional(records, metric_grid, param_grid)
-        cells = metric_grid.locate([p.clustering for _, p in records], [p.dlog for _, p in records])
+        records = np.array([[*rng.random(4), rng.random(), rng.uniform(-6.0, 0.0)] for _ in range(k)])
+        units, clustering, dlog = records[:, :4], records[:, 4], records[:, 5]
+        model = build_conditional(units, clustering, dlog, metric_grid, param_grid)
+        cells = metric_grid.locate(clustering, dlog)
         histogram = np.bincount(cells, minlength=metric_grid.cell_count) / k
         diff = np.abs(empirical_push(model) - histogram).max()
         worst = max(worst, diff)
@@ -213,8 +211,7 @@ def test_criterion_3_beta_bin_masses_against_quadrature(announce):
     worst = 0.0
     for alpha in levels:
         for beta in levels:
-            spec = BetaSpec(alpha, beta)
-            masses = _dim_masses(QVector(spec, spec, spec, spec).as_array(), edges)
+            masses = _dim_masses(np.tile([alpha, beta], 4), edges)
             cdf = np.array([beta_cdf_quadrature(float(x), alpha, beta) for x in edges])
             worst = max(worst, float(np.abs(masses - np.diff(cdf)).max()))
     ok = worst <= 1e-8
@@ -321,7 +318,7 @@ def test_criterion_6_optimizer_beats_uniform(announce, pipeline):
     model = load_conditional(run.ws.baseline_model)
     split_seed = int(np.random.default_rng([SEED, _TAG_SPLIT]).integers(2**63))
     _, holdout = split_model(model, run.config.holdout, split_seed)
-    raw, _ = predicted_mass(holdout, QVector.all_ones().as_array())
+    raw, _ = predicted_mass(holdout, np.ones(8))
     ones_fitness = bargaining_fitness(raw / raw.sum())
     best_fitness = float(_best_q_meta(run.ws)["holdout_fitness"])
     improvement = ones_fitness - best_fitness

@@ -23,7 +23,6 @@ from graphbargain.cli import RunConfig, cmd_generate
 from graphbargain.dataset import read_manifest, write_qvector
 from graphbargain.grids import MetricGrid, ParamGrid, conditional_from_pairs
 from graphbargain.optimizer import optimize, split_model
-from graphbargain.params import QVector
 from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
 
@@ -81,7 +80,7 @@ def test_generate_graph_draws_raw_edges_through_its_module(calls):
 
 def test_generate_measures_and_writes_each_graph_through_its_module(calls, tmp_path):
     q_path = tmp_path / "q.txt"
-    write_qvector(QVector.all_ones(), q_path)
+    write_qvector(np.ones(8), q_path)
     config = RunConfig(n=12, e_min=30, e_max=90, seed=5, out=str(tmp_path / "run"))
     rows = read_manifest(cmd_generate(config, q_path))
     assert len(rows) == 12

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -319,9 +320,8 @@ class TestPipeline:
     def test_optimize_outputs(self, pipeline):
         ws = pipeline.ws
         q = read_qvector(ws.best_q)
-        for spec in q.specs:
-            assert 1e-3 <= spec.alpha <= 100.0
-            assert 1e-3 <= spec.beta <= 100.0
+        assert q.shape == (8,)
+        assert np.all((1e-3 <= q) & (q <= 100.0))
         text = ws.best_q.read_text()
         for key in ("holdout_fitness", "coverage", "generations", "seed = 5"):
             assert key in text
@@ -484,6 +484,33 @@ def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monk
     unchanged = pipeline.ws.baseline_manifest.read_text().splitlines()
     redrawn = manifests[0].decode("ascii").splitlines()
     assert [k for k, (a, b) in enumerate(zip(unchanged[1:], redrawn[1:])) if a != b] == list(doomed)
+
+
+def test_slots_that_stay_degenerate_exit_5(tmp_path, monkeypatch, capsys):
+    def degenerate(params, seed):
+        raise DegenerateParametersError("forced")
+
+    monkeypatch.setattr(graphbargain.cli, "generate_graph", degenerate)
+    assert main(["baseline", *TINY_FLAGS, "--out", str(tmp_path / "run")]) == 5
+    err = capsys.readouterr().err
+    assert f"error: baseline: 10 graphs still degenerate after {graphbargain.cli._MAX_ROUNDS} rounds" in err
+    assert "Traceback" not in err
+
+
+def test_a_worker_that_dies_exits_5(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def die(params, seed):
+        if os.getpid() != parent:
+            os._exit(1)  # a worker killed, for example for memory
+        raise AssertionError("at --jobs 2 every graph is made in a worker")
+
+    # Forked workers inherit the patched module global.
+    monkeypatch.setattr(graphbargain.cli, "generate_graph", die)
+    assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(tmp_path / "run")]) == 5
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err
+    assert "Traceback" not in err
 
 
 _SCIPY_PROBE = """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -21,8 +23,7 @@ from graphbargain.dataset import (
     write_qvector,
 )
 from graphbargain.errors import DataError
-from graphbargain.graph import Graph, MetricPoint
-from graphbargain.params import BetaSpec, QVector
+from graphbargain.graph import Graph, MetricPoint, largest_connected_component, metric_projection
 from graphbargain.rmat import RmatParams
 
 
@@ -46,8 +47,9 @@ def reference_line_parse(path, data: bytes) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if u < 0 or v < 0:
             raise DataError(f"{path}:{lineno}: negative node id")
-        if u > np.iinfo(np.int64).max or v > np.iinfo(np.int64).max:
-            raise DataError(f"{path}:{lineno}: node id beyond int64")
+        for name, value in (("u", u), ("v", v)):
+            if value > np.iinfo(np.int64).max:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
         us.append(u)
         vs.append(v)
     return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
@@ -134,8 +136,8 @@ class TestEdgeLists:
             ("1\r2\n", r":1: expected 'u v'"),
             ("0 1\n1 x\n", r":2: invalid literal"),
             ("0 1\n2 -1\n", r":2: negative node id"),
-            ("99999999999999999999 1\n", r":1: node id beyond int64"),
-            ("0 1\n1 9223372036854775808\n", r":2: node id beyond int64"),
+            ("99999999999999999999 1\n", r":1: u 99999999999999999999 beyond int64"),
+            ("0 1\n1 9223372036854775808\n", r":2: v 9223372036854775808 beyond int64"),
         ],
     )
     def test_error_positions_when_the_token_total_is_even_or_odd(self, tmp_path, body, where):
@@ -333,6 +335,37 @@ class TestMatrixMarket:
             read_matrix_market(tmp_path / "absent.mtx")
 
 
+@pytest.mark.parametrize(
+    "name,small,large",
+    [
+        ("g.txt", "1 0\n", "10000000 1\n"),
+        ("g.mtx", "2 2 1\n2 1\n", "10000000 10000000 1\n10000000 1\n"),
+    ],
+    ids=["edge-list", "matrix-market"],
+)
+def test_reader_memory_follows_the_edges_not_the_largest_id(tmp_path, name, small, large):
+    # validate's path: an edge list and its largest component, or a MatrixMarket file
+    def read(body: str) -> Graph:
+        header = "%%MatrixMarket matrix coordinate pattern general\n" if name.endswith(".mtx") else ""
+        path = tmp_path / name
+        path.write_text(header + body, encoding="ascii")
+        if name.endswith(".mtx"):
+            return read_matrix_market(path)
+        return largest_connected_component(read_edge_list(path))
+
+    expected = read(small)  # also loads what the readers import
+    assert expected == Graph.from_edge_list([(0, 1)])
+    tracemalloc.start()
+    try:
+        g = read(large)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib < 4.0
+    assert g == expected
+    assert metric_projection(g) == metric_projection(expected)
+
+
 def sample_rows() -> list[ManifestRow]:
     rows = []
     for k, (a, b, c) in enumerate([(0.5, 0.25, 0.15), (0.7, 0.2, 0.06), (0.25, 0.25, 0.25)]):
@@ -406,17 +439,18 @@ class TestManifest:
     def test_row_accessors(self):
         row = sample_rows()[0]
         assert row.metric == MetricPoint(0.1, -2.0)
-        u = row.unit
-        assert 0.0 <= min(u.u_n, u.u_a, u.u_b, u.u_c)
-        assert max(u.u_n, u.u_a, u.u_b, u.u_c) <= 1.0
+        u = (row.u_n, row.u_a, row.u_b, row.u_c)
+        assert 0.0 <= min(u)
+        assert max(u) <= 1.0
 
 
 class TestQVectorFile:
     def test_round_trip_with_extras(self, tmp_path):
-        q = QVector(BetaSpec(1.5, 2.0), BetaSpec(0.5, 0.25), BetaSpec(3.0, 1.0), BetaSpec(2.5, 4.0))
+        q = np.array([1.5, 2.0, 0.5, 0.25, 3.0, 1.0, 2.5, 4.0])
         path = tmp_path / "best_q.txt"
         write_qvector(q, path, extra={"holdout_fitness": -0.5596, "generations": 17})
-        assert read_qvector(path) == q
+        back = read_qvector(path)
+        assert back.dtype == np.float64 and back.tolist() == q.tolist()
         text = path.read_text()
         assert "holdout_fitness = -0.5596" in text
         assert "generations = 17" in text
@@ -430,7 +464,7 @@ class TestQVectorFile:
             "mystery = 42\n\n"
         )
         q = read_qvector(path)
-        assert q.as_array().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert q.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "q.txt"
@@ -454,10 +488,10 @@ class TestQVectorFile:
             "alpha_b = 5.0", "beta_b = 6.0", "alpha_c = 7.0", "beta_c = 8.0",
         ]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"q\.txt: alpha must lie in \(0, 100\], got 0\.0$"):
+        with pytest.raises(DataError, match=r"q\.txt: expected 8 Beta shapes in \(0, 100\], got alpha_n = 0\.0$"):
             read_qvector(path)
         path.write_text("\n".join(lines[1:] + ["alpha_n = 1.0", "beta_c = 101.5"]) + "\n")
-        with pytest.raises(DataError, match=r"q\.txt: beta must lie in \(0, 100\], got 101\.5$"):
+        with pytest.raises(DataError, match=r"q\.txt: expected 8 Beta shapes in \(0, 100\], got beta_c = 101\.5$"):
             read_qvector(path)
 
     def test_missing_file(self, tmp_path):

@@ -350,6 +350,25 @@ class TestLargestConnectedComponent:
             assert largest_connected_component(g) == resorted_lcc(g)
         assert ties >= 10
 
+    def test_sparse_ids_give_the_lcc_of_their_relabeled_form(self):
+        # more ids than twice the edges: the search runs on the ids that occur
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            k = int(rng.integers(2, 25))
+            dense = random_edges(rng, k, 0.12)
+            if not dense:
+                continue
+            spread = np.sort(rng.choice(5000, size=k, replace=False))
+            n = int(spread[-1]) + 1 + int(rng.integers(0, 3))
+            sparse_g = Graph.from_edge_list([(spread[u], spread[v]) for u, v in dense], node_count=n)
+            assert sparse_g.node_count > 2 * sparse_g.edge_count
+            occurring = sorted({x for edge in dense for x in edge})
+            rank = {x: i for i, x in enumerate(occurring)}
+            relabeled = Graph.from_edge_list([(rank[u], rank[v]) for u, v in dense], node_count=len(occurring))
+            lcc = largest_connected_component(sparse_g)
+            assert lcc == largest_connected_component(relabeled)
+            assert lcc == resorted_lcc(sparse_g)
+
 
 class TestMeanLocalClustering:
     def test_triangle_is_fully_clustered(self):

@@ -10,7 +10,6 @@ import pytest
 from scipy.special import betainc
 
 from graphbargain.errors import DataError
-from graphbargain.graph import MetricPoint
 from graphbargain.grids import (
     ConditionalModel,
     MetricGrid,
@@ -22,24 +21,26 @@ from graphbargain.grids import (
     predicted_mass,
     save_conditional,
 )
-from graphbargain.params import BetaSpec, QVector, UnitPoint
 
 
-def random_records(rng: np.random.Generator, count: int) -> list[tuple[UnitPoint, MetricPoint]]:
-    records = []
-    for _ in range(count):
-        u = UnitPoint(*(float(x) for x in rng.random(4)))
-        point = MetricPoint(float(rng.random()), float(rng.uniform(-6.0, 0.0)))
-        records.append((u, point))
-    return records
+def random_records(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (K, 4) unit points, clustering and dlog of ``count`` random records, drawn record by record."""
+    rows = [[*rng.random(4), rng.random(), rng.uniform(-6.0, 0.0)] for _ in range(count)]
+    table = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return table[:, :4], table[:, 4], table[:, 5]
 
 
 def random_model(rng: np.random.Generator, count: int = 200, metric_bins: int = 10, param_bins: int = 5) -> ConditionalModel:
     return build_conditional(
-        random_records(rng, count),
+        *random_records(rng, count),
         MetricGrid(metric_bins, metric_bins),
         ParamGrid(param_bins),
     )
+
+
+def cell_digits(model: ConditionalModel) -> np.ndarray:
+    """Per observed cell, its (N, a, b, c) bins, read off ``cell_flat``."""
+    return np.column_stack(np.unravel_index(model.cell_flat, (model.param_grid.bins,) * 4))
 
 
 def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
@@ -50,7 +51,7 @@ def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
         and a.total == b.total
         and all(
             np.array_equal(getattr(a, name), getattr(b, name))
-            for name in ("cell_flat", "cell_bins", "cell_counts", "pair_cell", "pair_metric", "pair_counts")
+            for name in ("cell_flat", "cell_counts", "pair_cell", "pair_metric", "pair_counts")
         )
     )
 
@@ -64,15 +65,15 @@ def scalar_metric_cell(grid: MetricGrid, clustering: float, dlog: float) -> int:
     return c_bin * grid.dlog_bins + d_bin
 
 
-def scalar_param_cell(grid: ParamGrid, u: UnitPoint) -> int:
+def scalar_param_cell(grid: ParamGrid, u: list[float]) -> int:
     """Per-point parameter cell id, row-major over (N, a, b, c); the array locate's reference."""
     flat = 0
-    for x in (u.u_n, u.u_a, u.u_b, u.u_c):
+    for x in u:
         flat = flat * grid.bins + min(int(x * grid.bins), grid.bins - 1)
     return flat
 
 
-def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.ndarray, float]:
+def per_spec_predicted_mass(model: ConditionalModel, q: np.ndarray) -> tuple[np.ndarray, float]:
     """predicted_mass as first written: one betainc per spec, vstack, four gathers and a bincount push.
 
     The exact oracle for predicted_mass's outer product and sparse push: a
@@ -80,8 +81,8 @@ def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.nda
     last bit and fail the == tests.
     """
     edges = np.linspace(0.0, 1.0, model.param_grid.bins + 1)
-    dim = np.vstack([np.diff(betainc(spec.alpha, spec.beta, edges)) for spec in q.specs])
-    cb = model.cell_bins
+    dim = np.vstack([np.diff(betainc(alpha, beta, edges)) for alpha, beta in zip(q[0::2], q[1::2])])
+    cb = cell_digits(model)
     cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
     coverage = float(cellmass.sum())
     weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
@@ -89,19 +90,19 @@ def per_spec_predicted_mass(model: ConditionalModel, q: QVector) -> tuple[np.nda
     return raw, coverage
 
 
-def bound_qs(rng: np.random.Generator, count: int) -> list[QVector]:
+def bound_qs(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """Every alpha/beta alone at 1e-3 and at 100, both extremes everywhere, then log-uniform draws."""
     qs = []
     for value in (1e-3, 100.0):
-        qs.append(QVector.from_array(np.full(8, value)))
+        qs.append(np.full(8, value))
         for k in range(8):
             z = np.ones(8)
             z[k] = value
-            qs.append(QVector.from_array(z))
-    qs.append(QVector.from_array([1e-3, 100.0] * 4))
-    qs.append(QVector.from_array([100.0, 1e-3] * 4))
+            qs.append(z)
+    qs.append(np.array([1e-3, 100.0] * 4))
+    qs.append(np.array([100.0, 1e-3] * 4))
     while len(qs) < count:
-        qs.append(QVector.from_array(np.exp(rng.uniform(np.log(1e-3), np.log(100.0), 8))))
+        qs.append(np.exp(rng.uniform(np.log(1e-3), np.log(100.0), 8)))
     return qs
 
 
@@ -174,7 +175,7 @@ def test_array_locates_match_the_scalar_reference():
         pgrid = ParamGrid(int(rng.integers(1, 25)))
         edges = np.arange(pgrid.bins + 1) / pgrid.bins
         units = np.column_stack([with_bin_edges(rng, edges, 0.0, 1.0, 500) for _ in range(4)])
-        expected = [scalar_param_cell(pgrid, UnitPoint(*map(float, row))) for row in units]
+        expected = [scalar_param_cell(pgrid, list(map(float, row))) for row in units]
         assert pgrid.locate(units).tolist() == expected
 
 
@@ -202,14 +203,14 @@ class TestParamGrid:
 class TestConditionalConstruction:
     def test_build_matches_manual_pair_assembly(self):
         rng = np.random.default_rng(7)
-        records = random_records(rng, 400)
+        units, clustering, dlog = random_records(rng, 400)
         metric_grid = MetricGrid(10, 10)
         param_grid = ParamGrid(5)
-        built = build_conditional(records, metric_grid, param_grid)
+        built = build_conditional(units, clustering, dlog, metric_grid, param_grid)
 
         counts: dict[tuple[int, int], int] = {}
-        for u, point in records:
-            key = (scalar_param_cell(param_grid, u), scalar_metric_cell(metric_grid, point.clustering, point.dlog))
+        for u, c, d in zip(units.tolist(), clustering.tolist(), dlog.tolist()):
+            key = (scalar_param_cell(param_grid, u), scalar_metric_cell(metric_grid, c, d))
             counts[key] = counts.get(key, 0) + 1
         keys = sorted(counts)
         manual = conditional_from_pairs(
@@ -233,7 +234,7 @@ class TestConditionalConstruction:
         assert model.pair_metric.tolist() == [7, 2]
         assert model.pair_counts.tolist() == [4, 3]
         assert model.pair_cell.tolist() == [0, 1]
-        assert model.cell_bins.tolist() == [[0, 0, 0, 3], [0, 0, 1, 0]]
+        assert cell_digits(model).tolist() == [[0, 0, 0, 3], [0, 0, 1, 0]]
 
     def test_zero_counts_dropped(self):
         model = conditional_from_pairs(
@@ -259,7 +260,7 @@ class TestConditionalConstruction:
         with pytest.raises(ValueError, match="metric cell id"):
             conditional_from_pairs(mg, pg, one, np.array([mg.cell_count]), one)
         with pytest.raises(ValueError, match="no records"):
-            build_conditional([], mg, pg)
+            build_conditional(np.zeros((0, 4)), [], [], mg, pg)
 
     def test_equality(self):
         a = random_model(np.random.default_rng(9))
@@ -278,7 +279,7 @@ class TestPrediction:
     def test_all_ones_coverage_is_cell_fraction(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, count=300, param_bins=4)
-        raw, coverage = predicted_mass(model, QVector.all_ones().as_array())
+        raw, coverage = predicted_mass(model, np.ones(8))
         expected = model.cell_flat.size / model.param_grid.cell_count
         assert coverage == pytest.approx(expected, abs=1e-12)
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
@@ -287,44 +288,44 @@ class TestPrediction:
     def test_raw_mass_sums_to_coverage(self):
         rng = np.random.default_rng(13)
         model = random_model(rng, count=250, param_bins=5)
-        q = QVector(BetaSpec(2.0, 1.0), BetaSpec(0.5, 0.5), BetaSpec(3.0, 4.0), BetaSpec(1.0, 2.0))
-        raw, coverage = predicted_mass(model, q.as_array())
+        q = np.array([2.0, 1.0, 0.5, 0.5, 3.0, 4.0, 1.0, 2.0])
+        raw, coverage = predicted_mass(model, q)
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
         assert np.all(raw >= 0.0)
 
     def test_single_cell_mass_is_the_box_probability(self):
-        u = UnitPoint(0.31, 0.62, 0.11, 0.87)
-        model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), ParamGrid(5))
-        q = QVector(BetaSpec(2.0, 0.7), BetaSpec(0.4, 1.3), BetaSpec(5.0, 2.0), BetaSpec(1.0, 3.0))
-        _, coverage = predicted_mass(model, q.as_array())
+        u = [[0.31, 0.62, 0.11, 0.87]]
+        model = build_conditional(u, [0.5], [-2.0], MetricGrid(10, 10), ParamGrid(5))
+        q = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
+        _, coverage = predicted_mass(model, q)
         # the box [0.2, 0.4) x [0.6, 0.8) x [0.0, 0.2) x [0.8, 1.0]
         lower = np.array([0.2, 0.6, 0.0, 0.8])
         expected = math.prod(
-            betainc(s.alpha, s.beta, hi) - betainc(s.alpha, s.beta, lo)
-            for s, lo, hi in zip(q.specs, lower, lower + 0.2)
+            betainc(alpha, beta, hi) - betainc(alpha, beta, lo)
+            for alpha, beta, lo, hi in zip(q[0::2], q[1::2], lower, lower + 0.2)
         )
         assert coverage == pytest.approx(expected, abs=1e-12)
 
     def test_single_cell_mass_matches_monte_carlo(self):
         rng = np.random.default_rng(41)
-        q = QVector(BetaSpec(2.0, 0.7), BetaSpec(0.4, 1.3), BetaSpec(5.0, 2.0), BetaSpec(1.0, 3.0))
-        u = UnitPoint(0.5, 0.1, 0.7, 0.3)
+        q = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
+        u = [[0.5, 0.1, 0.7, 0.3]]
         param_grid = ParamGrid(4)
-        model = build_conditional([(u, MetricPoint(0.5, -2.0))], MetricGrid(10, 10), param_grid)
-        _, coverage = predicted_mass(model, q.as_array())
+        model = build_conditional(u, [0.5], [-2.0], MetricGrid(10, 10), param_grid)
+        _, coverage = predicted_mass(model, q)
         n = 200_000
-        draws = np.column_stack([rng.beta(s.alpha, s.beta, n) for s in q.specs])
+        draws = np.column_stack([rng.beta(alpha, beta, n) for alpha, beta in zip(q[0::2], q[1::2])])
         estimate = float(np.mean(param_grid.locate(draws) == model.cell_flat[0]))
         sigma = math.sqrt(estimate * (1 - estimate) / n)
         assert coverage == pytest.approx(estimate, abs=5 * sigma)
 
     def test_dim_masses_are_bin_probabilities(self):
-        uniform = _dim_masses(QVector.all_ones().as_array(), unit_edges(8))
+        uniform = _dim_masses(np.ones(8), unit_edges(8))
         assert uniform.shape == (4, 8)
         assert np.allclose(uniform, 1.0 / 8, atol=1e-15)
         rng = np.random.default_rng(45)
         for q in bound_qs(rng, 40):
-            dim = _dim_masses(q.as_array(), unit_edges(20))
+            dim = _dim_masses(q, unit_edges(20))
             assert np.all(dim >= 0.0)
             assert np.allclose(dim.sum(axis=1), 1.0, atol=1e-12)
         for shape in (0.3, 1.0, 7.0, 50.0):
@@ -344,7 +345,7 @@ class TestPrediction:
         qs = bound_qs(rng, 240)
         for model in models:
             for q in qs:
-                raw, coverage = predicted_mass(model, q.as_array())
+                raw, coverage = predicted_mass(model, q)
                 expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
                 assert np.all(raw == expected_raw)
                 assert coverage == expected_coverage
@@ -366,7 +367,7 @@ class TestPrediction:
         twin = random_model(np.random.default_rng(43), count=400)
         before, after = tmp_path / "before.txt", tmp_path / "after.txt"
         save_conditional(model, before)
-        predicted_mass(model, QVector.all_ones().as_array())
+        predicted_mass(model, np.ones(8))
         cached = ("param_edges", "cell_index", "push")
         assert all(name in vars(model) and name not in vars(twin) for name in cached)
         push = model.push

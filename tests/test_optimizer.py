@@ -6,42 +6,34 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
-from graphbargain.graph import MetricPoint
 from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import optimize, split_model
-from graphbargain.params import QVector, UnitPoint
 
 
-def random_records(rng: np.random.Generator, count: int) -> list[tuple[UnitPoint, MetricPoint]]:
-    records = []
-    for _ in range(count):
-        u = UnitPoint(*(float(x) for x in rng.random(4)))
-        point = MetricPoint(float(rng.random()), float(rng.uniform(-6.0, 0.0)))
-        records.append((u, point))
-    return records
+def random_records(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (K, 4) unit points, clustering and dlog of ``count`` random records, drawn record by record."""
+    rows = [[*rng.random(4), rng.random(), rng.uniform(-6.0, 0.0)] for _ in range(count)]
+    table = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return table[:, :4], table[:, 4], table[:, 5]
 
 
-def skewed_records(rng: np.random.Generator) -> list[tuple[UnitPoint, MetricPoint]]:
+def skewed_records(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two metric cells decided by u_n, with 7 parameter cells on one side and 1 on the other.
 
     The uniform q weights every observed parameter cell equally, so it
     predicts (7/8, 1/8); a right-skewed Beta on u_n can even that out.
     """
-    records = []
-    for _ in range(350):
-        u = UnitPoint(float(rng.uniform(0.0, 0.875)), 0.5, 0.5, 0.5)
-        records.append((u, MetricPoint(0.25, -3.0)))
-    for _ in range(50):
-        u = UnitPoint(float(rng.uniform(0.875, 1.0)), 0.5, 0.5, 0.5)
-        records.append((u, MetricPoint(0.75, -3.0)))
-    return records
+    units = np.full((400, 4), 0.5)
+    units[:350, 0] = rng.uniform(0.0, 0.875, 350)
+    units[350:, 0] = rng.uniform(0.875, 1.0, 50)
+    return units, np.repeat([0.25, 0.75], [350, 50]), np.full(400, -3.0)
 
 
 @pytest.fixture(scope="module")
 def skewed_split():
     records = skewed_records(np.random.default_rng(23))
-    return split_model(build_conditional(records, MetricGrid(2, 1), ParamGrid(8)), 0.2, 3)
+    return split_model(build_conditional(*records, MetricGrid(2, 1), ParamGrid(8)), 0.2, 3)
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
@@ -55,7 +47,7 @@ def pair_dict(model) -> dict[tuple[int, int], int]:
 class TestSplitModel:
     def test_partition_totals_and_conservation(self):
         records = random_records(np.random.default_rng(9), 60)
-        full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
         train, hold = split_model(full, 0.25, 13)
         assert hold.total == 15
         assert train.total == 45
@@ -69,7 +61,7 @@ class TestSplitModel:
 
     def test_deterministic(self):
         records = random_records(np.random.default_rng(15), 60)
-        full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
         a = split_model(full, 0.2, 21)
         b = split_model(full, 0.2, 21)
         assert pair_dict(a[0]) == pair_dict(b[0]) and pair_dict(a[1]) == pair_dict(b[1])
@@ -78,14 +70,14 @@ class TestSplitModel:
 
     def test_too_few_records(self):
         records = random_records(np.random.default_rng(17), 12)
-        full = build_conditional(records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
         # one range check on the rounded holdout size refuses every bad fraction
         for fraction in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="degenerate split"):
                 split_model(full, fraction, 0)
         with pytest.raises(ValueError):
             split_model(full, float("nan"), 0)
-        small = build_conditional(random_records(np.random.default_rng(18), 9), MetricGrid(10, 10), ParamGrid(5))
+        small = build_conditional(*random_records(np.random.default_rng(18), 9), MetricGrid(10, 10), ParamGrid(5))
         with pytest.raises(ValueError, match="at least 10 records"):
             split_model(small, 0.2, 0)
 
@@ -94,7 +86,7 @@ class TestOptimize:
     def test_improves_over_uniform_q(self, skewed_split):
         train, hold = skewed_split
         result = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
-        raw, _ = predicted_mass(hold, QVector.all_ones().as_array())
+        raw, _ = predicted_mass(hold, np.ones(8))
         ones = bargaining_fitness(raw / raw.sum())
         assert result.best_holdout_fitness <= ones
         assert result.best_holdout_fitness < ones - 0.025
@@ -110,9 +102,8 @@ class TestOptimize:
         best = [t.best_holdout for t in result.trace]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
         low, high = graphbargain.optimizer._BOUND_LOW, graphbargain.optimizer._BOUND_HIGH
-        for spec in result.best_q.specs:
-            assert low <= spec.alpha <= high
-            assert low <= spec.beta <= high
+        assert result.best_q.shape == (8,)
+        assert np.all((low <= result.best_q) & (result.best_q <= high))
         assert 0.0 < result.best_coverage <= 1.0 + 1e-12
 
     def test_deterministic(self, skewed_split):
@@ -120,7 +111,7 @@ class TestOptimize:
         settings = {"pop": 8, "max_gen": 6, "tol": 1e-3, "seed": 5}
         a = optimize(train, hold, **settings)
         b = optimize(train, hold, **settings)
-        assert a.best_q == b.best_q
+        assert a.best_q.tolist() == b.best_q.tolist()
         assert a.best_holdout_fitness == b.best_holdout_fitness
         assert a.trace == b.trace
 
@@ -137,9 +128,9 @@ class TestOptimize:
 
     def test_mismatched_grids_rejected(self):
         records = skewed_records(np.random.default_rng(29))
-        a = build_conditional(records, MetricGrid(2, 1), ParamGrid(4))
-        b = build_conditional(records, MetricGrid(2, 1), ParamGrid(5))
-        c = build_conditional(records, MetricGrid(2, 2), ParamGrid(4))
+        a = build_conditional(*records, MetricGrid(2, 1), ParamGrid(4))
+        b = build_conditional(*records, MetricGrid(2, 1), ParamGrid(5))
+        c = build_conditional(*records, MetricGrid(2, 2), ParamGrid(4))
         settings = {"pop": 8, "max_gen": 4, "tol": 1e-3, "seed": 0}
         with pytest.raises(ValueError, match="different grids"):
             optimize(a, b, **settings)

@@ -10,19 +10,15 @@ from graphbargain.params import (
     A_MAX,
     A_MIN,
     E_MIN,
-    BetaSpec,
+    Q_KEYS,
+    SHAPE_MAX,
     ParamBounds,
-    QVector,
-    UnitPoint,
+    check_shapes,
     params_from_unit,
     sample_baseline,
     sample_from_q,
     unit_point,
 )
-
-
-def unit_coords(u: UnitPoint) -> tuple[float, float, float, float]:
-    return (u.u_n, u.u_a, u.u_b, u.u_c)
 
 
 class TestParamBounds:
@@ -79,7 +75,7 @@ class TestUnitNormalization:
         for _ in range(300):
             p = sample_baseline(100, 5000, rng)
             u = unit_point(p)
-            for coord in (u.u_n, u.u_a, u.u_b, u.u_c):
+            for coord in u:
                 assert -1e-12 <= coord <= 1.0 + 1e-12
             q = params_from_unit(p.e_param, u)
             assert q.n_param == p.n_param
@@ -92,22 +88,22 @@ class TestUnitNormalization:
         rng = np.random.default_rng(19)
         corners = [0.0, 1e-13, 3.2e-7, 0.5, 1.0 - 1e-16, 1.0]
         for _ in range(400):
-            u = UnitPoint(*(float(rng.choice(corners)) for _ in range(4)))
+            u = [float(rng.choice(corners)) for _ in range(4)]
             e = int(rng.integers(19, 20000))
             p = params_from_unit(e, u)
             assert p.e_param == e
 
     def test_rounding_inversion_regression(self):
         # coordinates observed to invert the c interval by one ulp
-        u = UnitPoint(0.9999989721431102, 8.494593471030542e-13, 3.1696722737229873e-07, 1.7320543629898558e-26)
+        u = (0.9999989721431102, 8.494593471030542e-13, 3.1696722737229873e-07, 1.7320543629898558e-26)
         p = params_from_unit(3799, u)
         assert p.a >= max(p.b, p.c, p.d)
 
     def test_extreme_unit_values_map_to_interval_ends(self):
         e = 1000
         bounds = ParamBounds.for_edges(e)
-        lo = params_from_unit(e, UnitPoint(0.0, 0.0, 0.0, 0.0))
-        hi = params_from_unit(e, UnitPoint(1.0, 1.0, 1.0, 1.0))
+        lo = params_from_unit(e, (0.0, 0.0, 0.0, 0.0))
+        hi = params_from_unit(e, (1.0, 1.0, 1.0, 1.0))
         assert lo.n_param == bounds.n_min
         assert hi.n_param == bounds.n_max
         assert lo.a == A_MIN
@@ -117,7 +113,7 @@ class TestUnitNormalization:
 class TestSampling:
     def test_baseline_unit_coordinates_are_uniform(self):
         rng = np.random.default_rng(23)
-        coords = np.array([unit_coords(unit_point(sample_baseline(50, 4000, rng))) for _ in range(4000)])
+        coords = np.array([unit_point(sample_baseline(50, 4000, rng)) for _ in range(4000)])
         for k in range(4):
             res = stats.kstest(coords[:, k], "uniform")
             assert res.pvalue > 1e-3, f"coordinate {k} not uniform (p={res.pvalue})"
@@ -127,19 +123,17 @@ class TestSampling:
 
     def test_all_ones_q_matches_baseline_distribution(self):
         rng = np.random.default_rng(29)
-        coords = np.array(
-            [unit_coords(unit_point(sample_from_q(QVector.all_ones(), 50, 4000, rng))) for _ in range(2000)]
-        )
+        coords = np.array([unit_point(sample_from_q(np.ones(8), 50, 4000, rng)) for _ in range(2000)])
         for k in range(4):
             res = stats.kstest(coords[:, k], "uniform")
             assert res.pvalue > 1e-3
 
     def test_concentrated_q_concentrates_coordinates(self):
         rng = np.random.default_rng(31)
-        q = QVector(*(BetaSpec(100.0, 100.0) for _ in range(4)))
+        q = np.full(8, 100.0)
         for _ in range(100):
-            u = unit_point(sample_from_q(q, 100, 2000, rng))
-            assert abs(u.u_a - 0.5) < 0.35
+            _, u_a, _, _ = unit_point(sample_from_q(q, 100, 2000, rng))
+            assert abs(u_a - 0.5) < 0.35
 
     def test_edge_interval_validation(self):
         rng = np.random.default_rng(1)
@@ -154,9 +148,9 @@ class TestSampling:
         with pytest.raises(ValueError, match="e_min must be at least 19"):
             sample_baseline(18, 100, rng)
         with pytest.raises(ValueError, match="e_min must be at least 19"):
-            sample_from_q(QVector.all_ones(), 18, 100, rng)
+            sample_from_q(np.ones(8), 18, 100, rng)
         assert sample_baseline(E_MIN, E_MIN + 1, rng).e_param >= E_MIN
-        assert sample_from_q(QVector.all_ones(), E_MIN, E_MIN + 1, rng).e_param >= E_MIN
+        assert sample_from_q(np.ones(8), E_MIN, E_MIN + 1, rng).e_param >= E_MIN
 
     def test_baseline_respects_bounds(self):
         rng = np.random.default_rng(37)
@@ -172,24 +166,45 @@ class TestSampling:
         assert a == b
 
 
-class TestBetaSpec:
-    def test_accepts_boundary_values(self):
-        BetaSpec(100.0, 1e-9)
+    def test_one_beta_call_draws_what_four_scalar_calls_drew(self):
+        # sample_from_q draws its four coordinates in one call; the stream,
+        # and so every generated dataset, is the one four calls in (N, a, b, c) order gave
+        shapes_rng = np.random.default_rng(43)
+        for seed in range(50):
+            q = np.exp(shapes_rng.uniform(np.log(1e-3), np.log(SHAPE_MAX), 8))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                e = int(twin.integers(50, 4001))
+                coords = [float(twin.beta(q[2 * k], q[2 * k + 1])) for k in range(4)]
+                assert sample_from_q(q, 50, 4000, rng) == params_from_unit(e, coords)
+            assert rng.random() == twin.random()
 
-    def test_rejects_out_of_range(self):
-        for alpha, beta in [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (100.0001, 1.0), (1.0, 101.0)]:
-            with pytest.raises(ValueError, match="must lie in"):
-                BetaSpec(alpha, beta)
 
-    def test_qvector_array_round_trip(self):
-        q = QVector(BetaSpec(1.5, 2.0), BetaSpec(0.5, 0.25), BetaSpec(3.0, 1.0), BetaSpec(2.5, 4.0))
-        assert QVector.from_array(q.as_array()) == q
-        assert q.as_array().shape == (8,)
+class TestCheckShapes:
+    def test_returns_the_float64_array_in_key_order(self):
+        assert Q_KEYS == ("alpha_n", "beta_n", "alpha_a", "beta_a", "alpha_b", "beta_b", "alpha_c", "beta_c")
+        shapes = check_shapes([1, 2.0, 3, 4, 5, 6, 7, SHAPE_MAX])
+        assert shapes.dtype == np.float64
+        assert shapes.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 100.0]
+        assert check_shapes(np.full(8, 1e-9)).tolist() == [1e-9] * 8
+        array = np.ones(8)
+        assert check_shapes(array) is array
 
-    def test_qvector_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="8 values"):
-            QVector.from_array(np.ones(7))
+    @pytest.mark.parametrize(
+        "index,value,shown",
+        [(0, 0.0, "0.0"), (1, -1.0, "-1.0"), (3, 100.0001, "100.0001"), (6, np.nan, "nan"), (7, np.inf, "inf")],
+    )
+    def test_names_the_first_bad_key(self, index, value, shown):
+        shapes = np.ones(8)
+        shapes[index] = value
+        if index < 7:
+            shapes[7] = 101.0  # a later bad key is not the one named
+        with pytest.raises(ValueError, match=rf"^expected 8 Beta shapes in \(0, 100\], got {Q_KEYS[index]} = {shown}$"):
+            check_shapes(shapes)
 
-    def test_all_ones_is_uniform(self):
-        q = QVector.all_ones()
-        assert q.as_array().tolist() == [1.0] * 8
+    @pytest.mark.parametrize(
+        "values,shape", [(np.ones(7), r"\(7,\)"), (np.ones(9), r"\(9,\)"), (np.ones((2, 4)), r"\(2, 4\)"), ([], r"\(0,\)")]
+    )
+    def test_rejects_a_wrong_shape(self, values, shape):
+        with pytest.raises(ValueError, match=rf"^expected 8 Beta shapes in \(0, 100\], got shape {shape}$"):
+            check_shapes(values)

@@ -102,5 +102,37 @@ def test_every_method_is_called_outside_the_tests():
     assert unread == []
 
 
+def mentioned_names(node: ast.AST) -> set[str]:
+    """Names read under ``node``: as names, attributes, imported names or identifier strings."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.add(sub.value)  # a quoted annotation, or an attribute perfbench patches by name
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """Each public top-level function, class and constant is read by another package module, by the
+    benchmark, or by its own module outside its definition and ``__all__``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*MODULES, *BENCHMARK]}
+    unread = []
+    for path in MODULES:
+        elsewhere = set().union(*(mentioned_names(tree) for other, tree in trees.items() if other != path))
+        defined = {node: top_level_names(ast.Module(body=[node], type_ignores=[])) for node in trees[path].body}
+        body = [node for node in trees[path].body if not isinstance(node, (ast.Import, ast.ImportFrom))]
+        body = [node for node in body if "__all__" not in defined[node]]
+        for node in body:
+            here = set().union(*(mentioned_names(other) for other in body if other is not node))
+            public = sorted(name for name in defined[node] if not name.startswith("_"))
+            unread += [f"{path.name}: {name}" for name in public if name not in elsewhere | here]
+    assert unread == []
+
+
 def test_package_root_exports_only_the_version():
     assert graphbargain.__all__ == ["__version__"]
