@@ -28,9 +28,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dataset import (
-    ManifestRow,
-    compute_stats,
-    emit_scatter_csv,
+    MANIFEST_DTYPE,
+    correlation,
     key_value_lines,
     read_edge_list,
     read_manifest,
@@ -41,11 +40,11 @@ from .dataset import (
     write_qvector,
 )
 from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
-from .graph import Graph, MetricPoint, largest_connected_component, metric_projection
-from .grids import MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
+from .graph import Graph, largest_connected_component, metric_projection
+from .grids import MAX_PARAM_BINS, MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import optimize, split_model
-from .params import E_MIN, sample_baseline, sample_from_q
+from .params import E_MIN, sample_baseline, sample_from_q, unit_point
 from .rmat import DegenerateParametersError, RmatParams, generate_graph
 
 __all__ = [
@@ -105,10 +104,10 @@ class RunConfig:
             raise ConfigError(f"e_min must be at least {E_MIN}; smaller edge targets leave no feasible node count")
         if self.e_max <= self.e_min:
             raise ConfigError("e_max must exceed e_min")
-        if self.metric_bins < 1:
-            raise ConfigError("metric_bins must be at least 1")
-        if self.param_bins < 1:
-            raise ConfigError("param_bins must be at least 1")
+        if self.metric_bins < 2:
+            raise ConfigError("metric_bins must be at least 2")
+        if not 1 <= self.param_bins <= MAX_PARAM_BINS:
+            raise ConfigError(f"param_bins must lie in [1, {MAX_PARAM_BINS}]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
@@ -206,11 +205,11 @@ def _run_one(task: tuple[int, RmatParams, int, str]) -> tuple[int, int, float, f
     """Generate one graph, write its edge list, return its measurements."""
     _, params, seed, path = task
     try:
-        g, metric = generate_graph(params, seed)
+        g, (clustering, dlog) = generate_graph(params, seed)
     except DegenerateParametersError:
         return None
     write_edge_list(g, path)
-    return g.node_count, g.edge_count, metric.clustering, metric.dlog
+    return g.node_count, g.edge_count, clustering, dlog
 
 
 def _run_tasks(tasks: list[tuple[int, RmatParams, int, str]], jobs: int) -> list[tuple[int, int, float, float] | None]:
@@ -238,14 +237,14 @@ def _generate_dataset(
     graphs_dir: Path,
     jobs: int,
     label: str,
-) -> list[ManifestRow]:
-    """Fill `count` slots; degenerate draws are logged and resampled.
+) -> np.ndarray:
+    """The MANIFEST_DTYPE table of `count` slots; degenerate draws are logged and resampled.
 
     Parameters and seeds are drawn serially between rounds, so the output
     does not depend on the worker count.
     """
     graphs_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[ManifestRow | None] = [None] * count
+    table = np.zeros(count, MANIFEST_DTYPE)
     pending = list(range(count))
     for _ in range(_MAX_ROUNDS):
         tasks = []
@@ -260,13 +259,13 @@ def _generate_dataset(
                 logger.warning("%s graph %d: degenerate parameters, resampling", label, slot)
                 pending.append(slot)
                 continue
-            n_final, e_final, clustering, dlog = outcome
-            rows[slot] = ManifestRow.build(slot, seed, params, n_final, e_final, MetricPoint(clustering, dlog))
+            recipe = (slot, seed, params.n_param, params.e_param, params.a, params.b, params.c, params.d)
+            table[slot] = (*recipe, *unit_point(params), *outcome)
         if not pending:
             break
     else:
         raise GenerationError(f"{label}: {len(pending)} graphs still degenerate after {_MAX_ROUNDS} rounds")
-    return [row for row in rows if row is not None]
+    return table
 
 
 def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
@@ -279,10 +278,10 @@ def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
         return sample_baseline(config.e_min, config.e_max, rng_params)
 
     logger.info("baseline: generating %d graphs with E in [%d, %d]", config.n, config.e_min, config.e_max)
-    rows = _generate_dataset(config.n, draw, rng_seeds, ws.baseline_graphs, config.jobs, "baseline")
-    write_manifest(rows, ws.baseline_manifest)
-    table = np.array([(r.u_n, r.u_a, r.u_b, r.u_c, r.clustering, r.dlog) for r in rows], dtype=np.float64)
-    model = build_conditional(table[:, :4], table[:, 4], table[:, 5], config.metric_grid, config.param_grid)
+    table = _generate_dataset(config.n, draw, rng_seeds, ws.baseline_graphs, config.jobs, "baseline")
+    write_manifest(table, ws.baseline_manifest)
+    units = np.column_stack([table[name] for name in ("u_n", "u_a", "u_b", "u_c")])
+    model = build_conditional(units, table["clustering"], table["dlog"], config.metric_grid, config.param_grid)
     save_conditional(model, ws.baseline_model)
     logger.info("baseline: wrote %s and %s", ws.baseline_manifest, ws.baseline_model)
     return ws.baseline_manifest, ws.baseline_model
@@ -296,7 +295,10 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
         raise DataError(f"model file {path} not found; run baseline first")
     model = load_conditional(path)
     split_seed = int(np.random.default_rng([config.seed, _TAG_SPLIT]).integers(2**63))
-    train, hold = split_model(model, config.holdout, split_seed)
+    try:
+        train, hold = split_model(model, config.holdout, split_seed)
+    except ValueError as exc:
+        raise DataError(f"{path}: cannot split {model.total} records at holdout {config.holdout}: {exc}") from exc
     result = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
     ws.optimize_dir.mkdir(parents=True, exist_ok=True)
     write_qvector(
@@ -334,8 +336,8 @@ def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
         return sample_from_q(q, config.e_min, config.e_max, rng_params)
 
     logger.info("generate: sampling %d graphs from %s", config.n, path)
-    rows = _generate_dataset(config.n, draw, rng_seeds, ws.result_graphs, config.jobs, "result")
-    write_manifest(rows, ws.result_manifest)
+    table = _generate_dataset(config.n, draw, rng_seeds, ws.result_graphs, config.jobs, "result")
+    write_manifest(table, ws.result_manifest)
     logger.info("generate: wrote %s", ws.result_manifest)
     return ws.result_manifest
 
@@ -352,38 +354,37 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     ws = _workspace(config)
     if not ws.result_manifest.exists():
         raise DataError(f"result manifest {ws.result_manifest} not found; run generate first")
-    rows = read_manifest(ws.result_manifest)
+    table = read_manifest(ws.result_manifest)
     grid = config.metric_grid
-    occupied = grid.locate([r.clustering for r in rows], [r.dlog for r in rows])
+    occupied = grid.locate(table["clustering"], table["dlog"])
 
-    measured: list[tuple[str, int, int, MetricPoint]] = []
+    measured: list[tuple[str, int, int, float, float]] = []
     for name in files:
         try:
             g = _read_validation_graph(Path(name))
         except DataError as exc:
             logger.error("validate: skipping %s: %s", name, exc)
             continue
-        metric = metric_projection(g)
-        measured.append((Path(name).name, g.node_count, g.edge_count, metric))
+        measured.append((Path(name).name, g.node_count, g.edge_count, *metric_projection(g)))
 
     ws.validate_dir.mkdir(parents=True, exist_ok=True)
     with open(ws.validation_csv, "w", encoding="ascii") as fh:
         fh.write("name,n,e,clustering,dlog\n")
-        for name, n, e, metric in measured:
-            fh.write(f"{name},{n},{e},{metric.clustering!r},{metric.dlog!r}\n")
+        for name, n, e, clustering, dlog in measured:
+            fh.write(f"{name},{n},{e},{clustering!r},{dlog!r}\n")
     with open(ws.scatter_csv, "w", encoding="ascii") as fh:
         fh.write("source,clustering,dlog\n")
-        for row in rows:
-            fh.write(f"result,{row.clustering!r},{row.dlog!r}\n")
-        for name, _, _, metric in measured:
-            fh.write(f"validation,{metric.clustering!r},{metric.dlog!r}\n")
+        for clustering, dlog in table[["clustering", "dlog"]].tolist():
+            fh.write(f"result,{clustering!r},{dlog!r}\n")
+        for *_, clustering, dlog in measured:
+            fh.write(f"validation,{clustering!r},{dlog!r}\n")
 
-    for name, n, e, metric in measured:
-        print(f"{name}: N={n} E={e} clustering={metric.clustering:.4f} dlog={metric.dlog:.4f}")
+    for name, n, e, clustering, dlog in measured:
+        print(f"{name}: N={n} E={e} clustering={clustering:.4f} dlog={dlog:.4f}")
     if not measured:
         print("coverage: n/a (no validation graphs)")
         return None
-    cells = grid.locate([m.clustering for *_, m in measured], [m.dlog for *_, m in measured])
+    cells = grid.locate([m[3] for m in measured], [m[4] for m in measured])
     hits = int(np.isin(cells, occupied).sum())
     coverage = hits / len(measured)
     print(f"coverage: {hits}/{len(measured)} = {coverage:.3f}")
@@ -403,19 +404,20 @@ def cmd_report(config: RunConfig) -> Path:
         if not manifest_path.exists():
             continue
         found = True
-        rows = read_manifest(manifest_path)
-        points = [r.metric for r in rows]
-        stats = compute_stats(points)
-        cells = grid.locate([p.clustering for p in points], [p.dlog for p in points])
-        hist = np.bincount(cells, minlength=grid.cell_count) / len(points)
+        table = read_manifest(manifest_path)
+        clustering, dlog = table["clustering"], table["dlog"]
+        hist = np.bincount(grid.locate(clustering, dlog), minlength=grid.cell_count) / len(table)
         fitness = bargaining_fitness(hist)
         occupied = int(np.count_nonzero(hist))
-        corr = "n/a" if stats.correlation is None else f"{stats.correlation:.4f}"
-        emit_scatter_csv(points, ws.report_dir / f"{label}_scatter.csv")
+        corr = correlation(clustering, dlog)
+        corr_text = "n/a" if corr is None else f"{corr:.4f}"
+        with open(ws.report_dir / f"{label}_scatter.csv", "w", encoding="ascii") as fh:
+            fh.write("clustering,dlog\n")
+            fh.writelines(f"{c!r},{d!r}\n" for c, d in table[["clustering", "dlog"]].tolist())
         lines.append(
-            f"{label}: count={stats.count} occupied_cells={occupied}/{grid.cell_count} "
-            f"fitness={fitness:.6f} corr={corr} max_clustering={stats.max_clustering:.4f} "
-            f"mean_clustering={stats.mean_clustering:.4f} mean_dlog={stats.mean_dlog:.4f}"
+            f"{label}: count={len(table)} occupied_cells={occupied}/{grid.cell_count} "
+            f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "
+            f"mean_clustering={clustering.mean():.4f} mean_dlog={dlog.mean():.4f}"
         )
     if not found:
         raise DataError(f"no manifests under {ws.root}; run baseline or generate first")

@@ -1,4 +1,4 @@
-"""File formats: edge lists, MatrixMarket adjacency input, manifests, stats.
+"""File formats: edge lists, MatrixMarket adjacency input, manifests, q vectors; metric correlation.
 
 All text output is ASCII with floats rendered via repr(), so files are
 byte-identical across runs and round-trip without precision loss.
@@ -7,21 +7,19 @@ byte-identical across runs and round-trip without precision loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, MetricPoint
-from .params import Q_KEYS, check_shapes, unit_point
-from .rmat import RmatParams, VanishedGraphError, sanitize
+from .graph import Graph
+from .params import Q_KEYS, check_shapes
+from .rmat import VanishedGraphError, sanitize
 
 __all__ = [
+    "MANIFEST_DTYPE",
     "MANIFEST_HEADER",
-    "ManifestRow",
-    "SummaryStats",
     "write_edge_list",
     "read_edge_list",
     "read_matrix_market",
@@ -29,8 +27,7 @@ __all__ = [
     "read_manifest",
     "write_qvector",
     "read_qvector",
-    "compute_stats",
-    "emit_scatter_csv",
+    "correlation",
 ]
 
 _MM_FIELDS = {"pattern", "real", "integer", "complex"}
@@ -217,110 +214,64 @@ def read_matrix_market(path: str | Path) -> Graph:
         raise DataError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ManifestRow:
-    """One generated graph: its recipe, seed, and measured outcome."""
+# One generated graph per row: its recipe, seed, unit point and measured outcome.
+MANIFEST_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("id", "seed", "n_param", "e_param")]
+    + [(name, np.float64) for name in ("a", "b", "c", "d", "u_n", "u_a", "u_b", "u_c")]
+    + [("n_final", np.int64), ("e_final", np.int64), ("clustering", np.float64), ("dlog", np.float64)]
+)
 
-    id: int
-    seed: int
-    n_param: int
-    e_param: int
-    a: float
-    b: float
-    c: float
-    d: float
-    u_n: float
-    u_a: float
-    u_b: float
-    u_c: float
-    n_final: int
-    e_final: int
-    clustering: float
-    dlog: float
-
-    @classmethod
-    def build(
-        cls, id: int, seed: int, params: RmatParams, n_final: int, e_final: int, metric: MetricPoint
-    ) -> "ManifestRow":
-        u_n, u_a, u_b, u_c = unit_point(params)
-        return cls(
-            id=id,
-            seed=seed,
-            n_param=params.n_param,
-            e_param=params.e_param,
-            a=params.a,
-            b=params.b,
-            c=params.c,
-            d=params.d,
-            u_n=u_n,
-            u_a=u_a,
-            u_b=u_b,
-            u_c=u_c,
-            n_final=n_final,
-            e_final=e_final,
-            clustering=metric.clustering,
-            dlog=metric.dlog,
-        )
-
-    @property
-    def metric(self) -> MetricPoint:
-        return MetricPoint(self.clustering, self.dlog)
+MANIFEST_HEADER = ",".join(MANIFEST_DTYPE.names)
+_MANIFEST_PARSERS = [(name, int if MANIFEST_DTYPE[name].kind == "i" else float) for name in MANIFEST_DTYPE.names]
 
 
-_ROW_FIELDS = [(f.name, f.type) for f in fields(ManifestRow)]
-
-MANIFEST_HEADER = ",".join(name for name, _ in _ROW_FIELDS)
-
-
-def _format_value(value: object) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def write_manifest(rows: Iterable[ManifestRow], path: str | Path) -> None:
+def write_manifest(table: np.ndarray, path: str | Path) -> None:
+    """One line per row of a MANIFEST_DTYPE table; tolist() gives Python scalars, so repr round-trips."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MANIFEST_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(getattr(row, name)) for name, _ in _ROW_FIELDS) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
-def read_manifest(path: str | Path) -> list[ManifestRow]:
+def read_manifest(path: str | Path) -> np.ndarray:
+    """The MANIFEST_DTYPE table of a manifest file; errors name the first bad line."""
     path = Path(path)
     lines = read_ascii(path, "manifest", DataError).splitlines()
     if not lines:
         raise DataError(f"{path}: empty manifest")
     if lines[0] != MANIFEST_HEADER:
         raise DataError(f"{path}:1: bad header {lines[0]!r}")
-    rows: list[ManifestRow] = []
+    rows: list[tuple[int | float, ...]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != len(_ROW_FIELDS):
-            raise DataError(f"{path}:{lineno}: expected {len(_ROW_FIELDS)} fields, got {len(parts)}")
-        values: dict[str, object] = {}
+        if len(parts) != len(_MANIFEST_PARSERS):
+            raise DataError(f"{path}:{lineno}: expected {len(_MANIFEST_PARSERS)} fields, got {len(parts)}")
         try:
-            for (name, kind), token in zip(_ROW_FIELDS, parts):
-                values[name] = int(token) if kind == "int" else float(token)
+            values = {name: parse(token) for (name, parse), token in zip(_MANIFEST_PARSERS, parts)}
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        for name, kind in _ROW_FIELDS:
-            if kind != "int" and not math.isfinite(values[name]):
-                raise DataError(f"{path}:{lineno}: {name} is {values[name]!r}, not a finite number")
+        for name, value in values.items():
+            if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: {name} is {value!r}, not a finite number")
         if not 0.0 <= values["clustering"] <= 1.0:
             raise DataError(f"{path}:{lineno}: clustering {values['clustering']!r} outside [0, 1]")
-        rows.append(ManifestRow(**values))
+        rows.append(tuple(values.values()))
     if not rows:
         raise DataError(f"{path}: manifest has no rows")
-    return rows
+    return np.array(rows, dtype=MANIFEST_DTYPE)
 
 
 def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object] | None = None) -> None:
-    """Persist the eight Beta shapes of q, in ``Q_KEYS`` order, as flat key=value text."""
-    lines = [f"{key} = {float(value)!r}" for key, value in zip(Q_KEYS, check_shapes(q))]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {_format_value(value)}")
+    """Persist the eight Beta shapes of q, in ``Q_KEYS`` order, as flat key=value text.
+
+    ``extra`` holds Python scalars, written with repr after the shapes.
+    """
+    lines = [f"{key} = {value!r}" for key, value in zip(Q_KEYS, check_shapes(q).tolist())]
+    lines += [f"{key} = {value!r}" for key, value in (extra or {}).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -343,45 +294,16 @@ def read_qvector(path: str | Path) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Descriptive statistics of a metric-point cloud.
+def correlation(clustering: np.ndarray, dlog: np.ndarray) -> float | None:
+    """Pearson correlation of the two metric columns from population moments (ddof 0).
 
-    correlation is None when either coordinate is constant (the population
+    None for fewer than two points, or when either column is constant (its
     standard deviation vanishes and the ratio is undefined).
     """
-
-    count: int
-    mean_clustering: float
-    mean_dlog: float
-    max_clustering: float
-    correlation: float | None
-
-
-def compute_stats(points: Iterable[MetricPoint]) -> SummaryStats:
-    arr = np.array([[p.clustering, p.dlog] for p in points], dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("no points")
-    c, d = arr[:, 0], arr[:, 1]
-    correlation: float | None = None
-    if len(arr) >= 2:
-        # population moments (ddof 0)
-        sc, sd = c.std(), d.std()
-        if sc > 0.0 and sd > 0.0:
-            cov = float(np.mean((c - c.mean()) * (d - d.mean())))
-            correlation = cov / (sc * sd)
-    return SummaryStats(
-        count=len(arr),
-        mean_clustering=float(c.mean()),
-        mean_dlog=float(d.mean()),
-        max_clustering=float(c.max()),
-        correlation=correlation,
-    )
-
-
-def emit_scatter_csv(points: Iterable[MetricPoint], path: str | Path) -> None:
-    """Two-column CSV of the metric cloud, ready for plotting."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("clustering,dlog\n")
-        for p in points:
-            fh.write(f"{p.clustering!r},{p.dlog!r}\n")
+    if len(clustering) < 2:
+        return None
+    sc, sd = clustering.std(), dlog.std()
+    if not (sc > 0.0 and sd > 0.0):
+        return None
+    cov = float(np.mean((clustering - clustering.mean()) * (dlog - dlog.mean())))
+    return cov / (sc * sd)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -16,23 +15,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Graph",
-    "MetricPoint",
     "largest_connected_component",
     "mean_local_clustering",
     "metric_projection",
 ]
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """A graph's coordinates in metric space.
-
-    clustering: mean local clustering coefficient, in [0, 1].
-    dlog: log10 of the graph density 2E / (N(N-1)); <= 0 for any simple graph.
-    """
-
-    clustering: float
-    dlog: float
 
 
 # Largest n for which n * n - 1, above every edge key u * n + v, fits in int64.
@@ -247,10 +233,14 @@ def mean_local_clustering(g: Graph) -> float:
     return float(coeff.mean())
 
 
-def metric_projection(g: Graph) -> MetricPoint:
-    """Metric-space coordinates of a connected graph with at least 2 nodes."""
+def metric_projection(g: Graph) -> tuple[float, float]:
+    """Metric-space coordinates (clustering, dlog) of a connected graph with at least 2 nodes.
+
+    clustering is the mean local clustering coefficient, in [0, 1]; dlog is
+    log10 of the density 2E / (N(N-1)), <= 0 for any simple graph.
+    """
     n = g.node_count
     if n < 2:
         raise ValueError("degenerate graph")
     density = 2.0 * g.edge_count / (n * (n - 1.0))
-    return MetricPoint(clustering=mean_local_clustering(g), dlog=math.log10(density))
+    return mean_local_clustering(g), math.log10(density)

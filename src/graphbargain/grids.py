@@ -35,6 +35,7 @@ from .errors import DataError
 from .params import check_shapes
 
 __all__ = [
+    "MAX_PARAM_BINS",
     "MetricGrid",
     "ParamGrid",
     "ConditionalModel",
@@ -52,6 +53,8 @@ _MODEL_VERSION = "v1"
 _PAIR_COLUMNS = ("cell", "metric", "count")
 # bincount sums the pair counts as float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
+# Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
+MAX_PARAM_BINS = 55_108
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class MetricGrid:
     def __post_init__(self) -> None:
         if self.clustering_bins < 1 or self.dlog_bins < 1:
             raise ValueError("grid needs at least one bin per axis")
+        if self.cell_count < 2:
+            raise ValueError("metric grid needs at least 2 cells for the bargaining fitness")
         if not self.dlog_min < self.dlog_max:
             raise ValueError("dlog_min must be below dlog_max")
 
@@ -104,6 +109,8 @@ class ParamGrid:
     def __post_init__(self) -> None:
         if self.bins < 1:
             raise ValueError("grid needs at least one bin per axis")
+        if self.bins > MAX_PARAM_BINS:
+            raise ValueError(f"{self.bins} bins per axis overflow the int64 cell ids (at most {MAX_PARAM_BINS})")
 
     @property
     def cell_count(self) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, MetricPoint, _edge_keys, largest_connected_component, metric_projection
+from .graph import Graph, _edge_keys, largest_connected_component, metric_projection
 
 __all__ = [
     "RmatParams",
@@ -125,8 +125,8 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     return largest_connected_component(g)
 
 
-def generate_graph(p: RmatParams, seed: int) -> tuple[Graph, MetricPoint]:
-    """Sanitized graph plus its metric projection.
+def generate_graph(p: RmatParams, seed: int) -> tuple[Graph, tuple[float, float]]:
+    """Sanitized graph plus its metric projection (clustering, dlog).
 
     Resamples with seed+1, seed+2, ... when sanitization vanishes; gives up
     after MAX_ATTEMPTS consecutive vanished graphs.

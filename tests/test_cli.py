@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -28,12 +29,12 @@ from graphbargain.cli import (
     _make_parser,
     _read_config_file,
 )
-from graphbargain.dataset import ManifestRow, read_edge_list, read_manifest, read_qvector, write_manifest
+from graphbargain.dataset import MANIFEST_HEADER, read_edge_list, read_manifest, read_qvector
 from graphbargain.errors import ConfigError, CoverageCollapseError
-from graphbargain.graph import Graph, MetricPoint, metric_projection
+from graphbargain.graph import Graph, metric_projection
 from graphbargain.grids import load_conditional
 from graphbargain.params import sample_baseline
-from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
+from graphbargain.rmat import DegenerateParametersError, generate_graph
 
 TINY_FLAGS = [
     "--n", "10", "--e-min", "30", "--e-max", "90",
@@ -56,15 +57,13 @@ def write_matrix_market_copy(g: Graph, path) -> None:
 
 
 def check_manifest_against_graphs(manifest_path, graphs_dir):
-    rows = read_manifest(manifest_path)
-    for row in rows:
-        g = read_edge_list(graphs_dir / f"g{row.id:06d}.txt")
-        assert g.node_count == row.n_final
-        assert g.edge_count == row.e_final
-        metric = metric_projection(g)
-        assert metric.clustering == row.clustering
-        assert metric.dlog == row.dlog
-    return rows
+    table = read_manifest(manifest_path)
+    for row in table:
+        g = read_edge_list(graphs_dir / f"g{row['id']:06d}.txt")
+        assert g.node_count == row["n_final"]
+        assert g.edge_count == row["e_final"]
+        assert metric_projection(g) == (row["clustering"], row["dlog"])
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +260,15 @@ def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, co
     assert capsys.readouterr().err.startswith(f"error: {path}: not ASCII text: ")
 
 
+def write_model(path, body, total, metric_grid="10 10", param_bins=20) -> None:
+    header = [
+        "graphbargain-model v1", f"metric_grid {metric_grid} -6.0 0.0", f"param_grid {param_bins}",
+        f"total {total}", f"pairs {len(body)}",
+    ]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(header + body) + "\n", encoding="ascii")
+
+
 @pytest.mark.parametrize(
     ("total", "body", "message"),
     [
@@ -276,33 +284,71 @@ def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, co
 )
 def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
     ws = Workspace(tmp_path)
-    ws.baseline_model.parent.mkdir(parents=True)
-    header = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 20", f"total {total}", f"pairs {len(body)}"]
-    ws.baseline_model.write_text("\n".join(header + body) + "\n", encoding="ascii")
+    write_model(ws.baseline_model, body, total)
     assert main(["optimize", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ws.baseline_model}") and message in err
 
 
+@pytest.mark.parametrize(
+    ("model", "argv", "code", "message"),
+    [
+        # a model too small to split, or a holdout that rounds one side to nothing
+        ((["5 3 6"], 6, "10 10", 20), [], 3, "cannot split 6 records at holdout 0.2: need at least 10 records"),
+        ((["5 3 20"], 20, "10 10", 20), ["--holdout", "0.01"], 3, "at holdout 0.01: degenerate split"),
+        # one metric cell leaves the bargaining fitness undefined
+        (None, ["--metric-bins", "1"], 2, "metric_bins must be at least 2"),
+        ((["5 0 12"], 12, "1 1", 20), [], 3, "bad header: metric grid needs at least 2 cells"),
+        # 55109**4 - 1, the largest flat parameter cell id, overflows int64
+        (None, ["--param-bins", "60000"], 2, "param_bins must lie in [1, 55108]"),
+        ((["5 3 12"], 12, "10 10", 55109), [], 3, "bad header: 55109 bins per axis overflow the int64 cell ids"),
+    ],
+    ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "param-bins-flag",
+         "param-grid-header"],
+)
+def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, model, argv, code, message):
+    ws = Workspace(tmp_path)
+    if model is None:
+        # the flag is refused before baseline generates any graph, and by every command
+        assert main(["baseline", *argv, "--out", str(tmp_path)]) == code
+        assert not ws.baseline_dir.exists()
+        assert message in capsys.readouterr().err
+        command = "report"
+    else:
+        write_model(ws.baseline_model, *model)
+        command = "optimize"
+    assert main([command, *argv, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    if model is not None:
+        assert err.startswith(f"error: {ws.baseline_model}: ")
+
+
 @pytest.mark.parametrize("command", ["report", "validate"])
 @pytest.mark.parametrize(
-    ("field", "value"),
+    ("field", "token"),
     [
-        ("clustering", float("nan")),
-        ("clustering", float("inf")),
-        ("clustering", 1.5),
-        ("dlog", float("nan")),
-        ("dlog", float("inf")),
-        ("dlog", float("-inf")),
+        ("clustering", "nan"),
+        ("clustering", "inf"),
+        ("clustering", "1.5"),
+        ("dlog", "nan"),
+        ("dlog", "inf"),
+        ("dlog", "-inf"),
+        # a table cannot hold these, so the bad line is written as text
+        ("id", "9223372036854775808"),
+        ("seed", "-9223372036854775809"),
     ],
 )
-def test_malformed_manifest_is_3(tmp_path, capsys, command, field, value):
+def test_malformed_manifest_is_3(tmp_path, capsys, command, field, token):
     ws = Workspace(tmp_path)
     ws.result_dir.mkdir()
-    good = ManifestRow.build(0, 1000, RmatParams(140, 150, 0.5, 0.25, 0.15, 0.1), 138, 140, MetricPoint(0.1, -2.0))
-    write_manifest([good, dataclasses.replace(good, id=1, **{field: value})], ws.result_manifest)
+    good = "0,1000,140,150,0.5,0.25,0.15,0.1,0.5,0.5,0.5,0.5,138,140,0.1,-2.0"
+    bad = good.split(",")
+    bad[MANIFEST_HEADER.split(",").index(field)] = token
+    ws.result_manifest.write_text("\n".join([MANIFEST_HEADER, good, ",".join(bad)]) + "\n", encoding="ascii")
     assert main([command, "--out", str(tmp_path)]) == 3
-    assert f"manifest.csv:3: {field}" in capsys.readouterr().err
+    assert f"manifest.csv:3: {field} " in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -310,9 +356,9 @@ class TestPipeline:
         ws = pipeline.ws
         files = sorted(p.name for p in ws.baseline_graphs.iterdir())
         assert files == [f"g{k:06d}.txt" for k in range(10)]
-        rows = check_manifest_against_graphs(ws.baseline_manifest, ws.baseline_graphs)
-        assert [r.id for r in rows] == list(range(10))
-        assert all(30 <= r.e_param <= 90 for r in rows)
+        table = check_manifest_against_graphs(ws.baseline_manifest, ws.baseline_graphs)
+        assert table["id"].tolist() == list(range(10))
+        assert np.all((30 <= table["e_param"]) & (table["e_param"] <= 90))
         model = load_conditional(ws.baseline_model)
         assert model.total == 10
         assert model.param_grid.bins == 4
@@ -332,15 +378,14 @@ class TestPipeline:
 
     def test_generate_outputs(self, pipeline):
         ws = pipeline.ws
-        rows = check_manifest_against_graphs(ws.result_manifest, ws.result_graphs)
-        assert len(rows) == 10
+        table = check_manifest_against_graphs(ws.result_manifest, ws.result_graphs)
+        assert len(table) == 10
 
     def test_generate_count_and_q_path(self, pipeline, tmp_path):
         out2 = tmp_path / "other"
         config2 = tiny_config(out2)
         manifest = cmd_generate(dataclasses.replace(config2, n=3), q_path=pipeline.ws.best_q)
-        rows = read_manifest(manifest)
-        assert len(rows) == 3
+        assert len(read_manifest(manifest)) == 3
         ws2 = Workspace(out2)
         assert sorted(p.name for p in ws2.result_graphs.iterdir()) == [f"g{k:06d}.txt" for k in range(3)]
 
@@ -424,6 +469,21 @@ class TestPipeline:
         assert (pipeline.ws.report_dir / "baseline_scatter.csv").exists()
         assert (pipeline.ws.report_dir / "result_scatter.csv").exists()
 
+    def test_report_lines_and_scatter_files_follow_the_manifests(self, pipeline, capsys):
+        lines = cmd_report(pipeline.config).read_text().splitlines()
+        capsys.readouterr()
+        for label, manifest in (("baseline", pipeline.ws.baseline_manifest), ("result", pipeline.ws.result_manifest)):
+            table = read_manifest(manifest)
+            c, d = table["clustering"].tolist(), table["dlog"].tolist()
+            (line,) = [line for line in lines if line.startswith(f"{label}: ")]
+            values = dict(part.split("=") for part in line.split(": ", 1)[1].split())
+            assert values["count"] == "10"
+            assert values["max_clustering"] == f"{max(c):.4f}"
+            assert values["mean_clustering"] == f"{math.fsum(c) / len(c):.4f}"
+            assert values["mean_dlog"] == f"{math.fsum(d) / len(d):.4f}"
+            scatter = (pipeline.ws.report_dir / f"{label}_scatter.csv").read_text()
+            assert scatter == "clustering,dlog\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(c, d))
+
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         out_b = tmp_path / "again"
         for command in ("baseline", "optimize", "generate"):
@@ -475,8 +535,8 @@ def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monk
         warned = [r.getMessage() for r in caplog.records if "resampling" in r.getMessage()]
         assert warned == [f"baseline graph {slot}: degenerate parameters, resampling" for slot in doomed]
         caplog.clear()
-        rows = check_manifest_against_graphs(Workspace(out).baseline_manifest, Workspace(out).baseline_graphs)
-        assert [(r.seed, r.n_param, r.e_param, r.a, r.b, r.c) for r in rows] == [
+        table = check_manifest_against_graphs(Workspace(out).baseline_manifest, Workspace(out).baseline_graphs)
+        assert table[["seed", "n_param", "e_param", "a", "b", "c"]].tolist() == [
             (seed, p.n_param, p.e_param, p.a, p.b, p.c) for p, seed in expected
         ]
         manifests.append(Workspace(out).baseline_manifest.read_bytes())

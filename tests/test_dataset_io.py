@@ -1,4 +1,4 @@
-"""Edge lists, MatrixMarket input, manifests, q vector files, and stats."""
+"""Edge lists, MatrixMarket input, manifests, q vector files, and the metric correlation."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ import pytest
 import scipy.io
 
 from graphbargain.dataset import (
+    MANIFEST_DTYPE,
     MANIFEST_HEADER,
-    ManifestRow,
-    compute_stats,
-    emit_scatter_csv,
+    correlation,
     int_table,
     read_edge_list,
     read_manifest,
@@ -23,7 +22,8 @@ from graphbargain.dataset import (
     write_qvector,
 )
 from graphbargain.errors import DataError
-from graphbargain.graph import Graph, MetricPoint, largest_connected_component, metric_projection
+from graphbargain.graph import Graph, largest_connected_component, metric_projection
+from graphbargain.params import unit_point
 from graphbargain.rmat import RmatParams
 
 
@@ -366,40 +366,41 @@ def test_reader_memory_follows_the_edges_not_the_largest_id(tmp_path, name, smal
     assert metric_projection(g) == metric_projection(expected)
 
 
-def sample_rows() -> list[ManifestRow]:
-    rows = []
+def sample_table() -> np.ndarray:
+    table = np.zeros(3, MANIFEST_DTYPE)
     for k, (a, b, c) in enumerate([(0.5, 0.25, 0.15), (0.7, 0.2, 0.06), (0.25, 0.25, 0.25)]):
-        params = RmatParams(n_param=140 + k, e_param=150, a=a, b=b, c=c, d=round(1.0 - a - b - c, 10))
-        rows.append(
-            ManifestRow.build(
-                id=k,
-                seed=1000 + k,
-                params=params,
-                n_final=180 - k,
-                e_final=140 + k,
-                metric=MetricPoint(0.1 * (k + 1), -2.0 - 0.3 * k),
-            )
-        )
-    return rows
+        p = RmatParams(n_param=140 + k, e_param=150, a=a, b=b, c=c, d=round(1.0 - a - b - c, 10))
+        recipe = (k, 1000 + k, p.n_param, p.e_param, p.a, p.b, p.c, p.d)
+        table[k] = (*recipe, *unit_point(p), 180 - k, 140 + k, 0.1 * (k + 1), -2.0 - 0.3 * k)
+    return table
 
 
 class TestManifest:
     def test_round_trip_exact(self, tmp_path):
-        rows = sample_rows()
+        table = sample_table()
         path = tmp_path / "manifest.csv"
-        write_manifest(rows, path)
-        assert read_manifest(path) == rows
+        write_manifest(table, path)
+        back = read_manifest(path)
+        assert back.dtype == MANIFEST_DTYPE
+        assert back.tolist() == table.tolist()
+
+    def test_written_lines_are_the_reprs_of_each_row(self, tmp_path):
+        table = sample_table()
+        path = tmp_path / "manifest.csv"
+        write_manifest(table, path)
+        second = path.read_text().splitlines()[2]
+        assert second == "1,1001,141,150,0.7,0.2,0.06,0.04," + ",".join(map(repr, table[1].tolist()[8:]))
+        assert second.endswith(",179,141,0.2,-2.3")
 
     def test_rewrites_are_byte_identical(self, tmp_path):
-        rows = sample_rows()
         p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-        write_manifest(rows, p1)
+        write_manifest(sample_table(), p1)
         write_manifest(read_manifest(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "manifest.csv"
-        write_manifest(sample_rows(), path)
+        write_manifest(sample_table(), path)
         first = path.read_text().splitlines()[0]
         assert first == MANIFEST_HEADER
         assert first == "id,seed,n_param,e_param,a,b,c,d,u_n,u_a,u_b,u_c,n_final,e_final,clustering,dlog"
@@ -418,8 +419,7 @@ class TestManifest:
         path.write_text(MANIFEST_HEADER + "\n1,2,3\n")
         with pytest.raises(DataError, match="expected 16 fields, got 3"):
             read_manifest(path)
-        good = path.read_text()
-        write_manifest(sample_rows(), path)
+        write_manifest(sample_table(), path)
         broken = path.read_text().replace("0.5", "zero.five", 1)
         path.write_text(broken)
         with pytest.raises(DataError, match=r"manifest\.csv:2"):
@@ -428,20 +428,22 @@ class TestManifest:
             read_manifest(tmp_path / "absent.csv")
 
     def test_blank_lines_skipped(self, tmp_path):
-        rows = sample_rows()
+        table = sample_table()
         path = tmp_path / "manifest.csv"
-        write_manifest(rows, path)
+        write_manifest(table, path)
         padded = tmp_path / "padded.csv"
         lines = path.read_text().splitlines()
         padded.write_text("\n".join([lines[0], "", lines[1], "  ", *lines[2:]]) + "\n")
-        assert read_manifest(padded) == rows
+        assert read_manifest(padded).tolist() == table.tolist()
 
-    def test_row_accessors(self):
-        row = sample_rows()[0]
-        assert row.metric == MetricPoint(0.1, -2.0)
-        u = (row.u_n, row.u_a, row.u_b, row.u_c)
-        assert 0.0 <= min(u)
-        assert max(u) <= 1.0
+    def test_columns(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(sample_table(), path)
+        table = read_manifest(path)
+        assert table["id"].tolist() == [0, 1, 2]
+        assert table["clustering"].tolist() == [0.1, 0.2, 0.1 * 3]
+        units = np.column_stack([table[name] for name in ("u_n", "u_a", "u_b", "u_c")])
+        assert units.min() >= 0.0 and units.max() <= 1.0
 
 
 class TestQVectorFile:
@@ -499,50 +501,37 @@ class TestQVectorFile:
             read_qvector(tmp_path / "absent.txt")
 
 
-class TestStats:
+class TestCorrelation:
+    @staticmethod
+    def corr(points):
+        clustering, dlog = np.array(points, dtype=np.float64).reshape(-1, 2).T
+        return correlation(clustering, dlog)
+
     def test_perfect_positive_correlation(self):
-        points = [MetricPoint(0.1, -5.0), MetricPoint(0.2, -4.0), MetricPoint(0.3, -3.0)]
-        stats = compute_stats(points)
-        assert stats.correlation == pytest.approx(1.0, abs=1e-12)
-        assert stats.count == 3
-        assert stats.mean_clustering == pytest.approx(0.2, abs=1e-12)
-        assert stats.mean_dlog == pytest.approx(-4.0, abs=1e-12)
-        assert stats.max_clustering == pytest.approx(0.3, abs=1e-12)
+        assert self.corr([(0.1, -5.0), (0.2, -4.0), (0.3, -3.0)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_negative_correlation(self):
-        points = [MetricPoint(0.1, -1.0), MetricPoint(0.5, -3.0), MetricPoint(0.9, -5.0)]
-        assert compute_stats(points).correlation == pytest.approx(-1.0, abs=1e-12)
+        assert self.corr([(0.1, -1.0), (0.5, -3.0), (0.9, -5.0)]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_correlation(self):
-        points = [MetricPoint(0.0, -1.0), MetricPoint(1.0, -1.0), MetricPoint(0.0, -2.0), MetricPoint(1.0, -2.0)]
-        assert compute_stats(points).correlation == pytest.approx(0.0, abs=1e-12)
+        assert self.corr([(0.0, -1.0), (1.0, -1.0), (0.0, -2.0), (1.0, -2.0)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_coordinate_has_no_correlation(self):
-        points = [MetricPoint(0.5, -1.0), MetricPoint(0.5, -2.0)]
-        assert compute_stats(points).correlation is None
-        points = [MetricPoint(0.2, -3.0), MetricPoint(0.7, -3.0)]
-        assert compute_stats(points).correlation is None
+        assert self.corr([(0.5, -1.0), (0.5, -2.0)]) is None
+        assert self.corr([(0.2, -3.0), (0.7, -3.0)]) is None
 
-    def test_single_point_has_no_correlation(self):
-        stats = compute_stats([MetricPoint(0.4, -2.5)])
-        assert stats.count == 1
-        assert stats.correlation is None
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no points"):
-            compute_stats([])
+    def test_fewer_than_two_points_have_no_correlation(self):
+        assert self.corr([(0.4, -2.5)]) is None
+        assert self.corr([]) is None
 
     def test_matches_numpy_corrcoef(self):
         rng = np.random.default_rng(9)
-        points = [MetricPoint(float(rng.random()), float(rng.uniform(-6, 0))) for _ in range(50)]
-        stats = compute_stats(points)
-        arr = np.array([[p.clustering, p.dlog] for p in points])
-        expected = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
-        assert stats.correlation == pytest.approx(expected, abs=1e-12)
+        clustering, dlog = rng.random(50), rng.uniform(-6, 0, 50)
+        expected = float(np.corrcoef(clustering, dlog)[0, 1])
+        assert correlation(clustering, dlog) == pytest.approx(expected, abs=1e-12)
 
-
-class TestScatterCsv:
-    def test_contents(self, tmp_path):
-        path = tmp_path / "scatter.csv"
-        emit_scatter_csv([MetricPoint(0.25, -3.5), MetricPoint(0.75, -1.25)], path)
-        assert path.read_text() == "clustering,dlog\n0.25,-3.5\n0.75,-1.25\n"
+    def test_reads_manifest_columns(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(sample_table(), path)
+        table = read_manifest(path)
+        assert correlation(table["clustering"], table["dlog"]) == pytest.approx(-1.0, abs=1e-12)

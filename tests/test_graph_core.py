@@ -14,7 +14,6 @@ import graphbargain.graph
 from graphbargain.graph import (
     MAX_KEYED_NODES,
     Graph,
-    MetricPoint,
     _edge_keys,
     largest_connected_component,
     mean_local_clustering,
@@ -443,14 +442,14 @@ class TestMeanLocalClustering:
 class TestMetricProjection:
     def test_triangle_density_is_one(self):
         g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2)])
-        point = metric_projection(g)
-        assert point.clustering == pytest.approx(1.0, abs=1e-12)
-        assert point.dlog == pytest.approx(0.0, abs=1e-12)
+        clustering, dlog = metric_projection(g)
+        assert clustering == pytest.approx(1.0, abs=1e-12)
+        assert dlog == pytest.approx(0.0, abs=1e-12)
 
     def test_path_density(self):
         g = Graph.from_edge_list([(0, 1), (1, 2)])
-        point = metric_projection(g)
-        assert point.dlog == pytest.approx(math.log10(2.0 / 3.0), abs=1e-12)
+        _, dlog = metric_projection(g)
+        assert dlog == pytest.approx(math.log10(2.0 / 3.0), abs=1e-12)
 
     def test_density_formula_on_random_graphs(self):
         rng = np.random.default_rng(5)
@@ -460,15 +459,10 @@ class TestMetricProjection:
             if not edges:
                 continue
             g = Graph.from_edge_list(edges, node_count=n)
-            point = metric_projection(g)
+            _, dlog = metric_projection(g)
             expected = math.log10(2.0 * len(edges) / (n * (n - 1)))
-            assert point.dlog == pytest.approx(expected, abs=1e-12)
+            assert dlog == pytest.approx(expected, abs=1e-12)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             metric_projection(Graph.from_edge_list([], node_count=1))
-
-    def test_metric_point_fields(self):
-        p = MetricPoint(clustering=0.5, dlog=-2.0)
-        assert p.clustering == 0.5
-        assert p.dlog == -2.0

@@ -11,6 +11,7 @@ from scipy.special import betainc
 
 from graphbargain.errors import DataError
 from graphbargain.grids import (
+    MAX_PARAM_BINS,
     ConditionalModel,
     MetricGrid,
     ParamGrid,
@@ -142,6 +143,9 @@ class TestMetricGrid:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="at least one bin"):
             MetricGrid(0, 5)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            MetricGrid(1, 1)
+        assert MetricGrid(1, 2).cell_count == 2
         with pytest.raises(ValueError, match="dlog_min"):
             MetricGrid(5, 5, dlog_min=0.0, dlog_max=0.0)
 
@@ -161,8 +165,9 @@ def test_array_locates_match_the_scalar_reference():
     # bin edges, upper edges and dlog below (and above) the grid included
     rng = np.random.default_rng(17)
     for _ in range(200):
+        bins = (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
         mgrid = MetricGrid(
-            int(rng.integers(1, 13)), int(rng.integers(1, 13)),
+            *(bins if bins != (1, 1) else (1, 2)),  # a metric grid needs 2 cells
             dlog_min=float(rng.uniform(-8.0, -3.0)), dlog_max=float(rng.uniform(-2.0, 0.0)),
         )
         width = (mgrid.dlog_max - mgrid.dlog_min) / mgrid.dlog_bins
@@ -198,6 +203,11 @@ class TestParamGrid:
     def test_cell_count(self):
         assert ParamGrid(20).cell_count == 160000
         assert ParamGrid(1).cell_count == 1
+        assert ParamGrid(MAX_PARAM_BINS).cell_count - 1 <= np.iinfo(np.int64).max < (MAX_PARAM_BINS + 1) ** 4 - 1
+        with pytest.raises(ValueError, match=f"{MAX_PARAM_BINS + 1} bins per axis overflow the int64 cell ids"):
+            ParamGrid(MAX_PARAM_BINS + 1)
+        corner = ParamGrid(MAX_PARAM_BINS).locate([[1.0, 1.0, 1.0, 1.0]])
+        assert corner.tolist() == [MAX_PARAM_BINS**4 - 1]
 
 
 class TestConditionalConstruction:
