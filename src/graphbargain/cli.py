@@ -43,7 +43,7 @@ from .errors import ConfigError, CoverageCollapseError, DataError, GenerationErr
 from .graph import Graph, largest_connected_component, metric_projection
 from .grids import MAX_PARAM_BINS, MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
-from .optimizer import optimize, split_model
+from .optimizer import TRACE_DTYPE, optimize, split_model
 from .params import E_MIN, sample_baseline, sample_from_q, unit_point
 from .rmat import DegenerateParametersError, RmatParams, generate_graph
 
@@ -299,26 +299,15 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
         train, hold = split_model(model, config.holdout, split_seed)
     except ValueError as exc:
         raise DataError(f"{path}: cannot split {model.total} records at holdout {config.holdout}: {exc}") from exc
-    result = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
+    best_q, trace = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
+    generations, _, holdout_fitness, coverage = trace[-1].tolist()
+    extra = {"holdout_fitness": holdout_fitness, "coverage": coverage, "generations": generations, "seed": config.seed}
     ws.optimize_dir.mkdir(parents=True, exist_ok=True)
-    write_qvector(
-        result.best_q,
-        ws.best_q,
-        extra={
-            "holdout_fitness": result.best_holdout_fitness,
-            "coverage": result.best_coverage,
-            "generations": result.generations_run,
-            "seed": config.seed,
-        },
-    )
+    write_qvector(best_q, ws.best_q, extra=extra)
     with open(ws.trace, "w", encoding="ascii") as fh:
-        fh.write("generation,best_train,best_holdout,coverage\n")
-        for t in result.trace:
-            fh.write(f"{t.generation},{t.best_train!r},{t.best_holdout!r},{t.coverage!r}\n")
-    logger.info(
-        "optimize: holdout fitness %.6f after %d generations, wrote %s",
-        result.best_holdout_fitness, result.generations_run, ws.best_q,
-    )
+        fh.write(",".join(TRACE_DTYPE.names) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in trace.tolist())
+    logger.info("optimize: holdout fitness %.6f after %d generations, wrote %s", holdout_fitness, generations, ws.best_q)
     return ws.best_q
 
 
@@ -499,7 +488,10 @@ _COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], object]] = {
 }
 
 # The documented exit code of each error a run reports without a traceback.
-_EXIT_CODES: dict[type[Exception], int] = {ConfigError: 2, DataError: 3, CoverageCollapseError: 4, GenerationError: 5}
+# Readers turn OSError into DataError, so an OSError here is a failed write.
+_EXIT_CODES: dict[type[Exception], int] = {
+    ConfigError: 2, DataError: 3, CoverageCollapseError: 4, GenerationError: 5, OSError: 6,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

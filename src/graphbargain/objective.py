@@ -15,15 +15,12 @@ import math
 
 import numpy as np
 
-__all__ = ["Fitness", "bargaining_fitness", "fitness_bounds"]
-
-# Fitness values are plain floats; the alias marks intent in signatures.
-Fitness = float
+__all__ = ["bargaining_fitness", "fitness_bounds"]
 
 _SUM_TOL = 1e-6
 
 
-def bargaining_fitness(probabilities: np.ndarray) -> Fitness:
+def bargaining_fitness(probabilities: np.ndarray) -> float:
     """Fitness of a probability vector over M >= 2 metric cells."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
@@ -39,7 +36,7 @@ def bargaining_fitness(probabilities: np.ndarray) -> Fitness:
     return float(-np.mean(np.log2(1.0 + (m - 1) * p)))
 
 
-def fitness_bounds(m: int) -> tuple[Fitness, Fitness]:
+def fitness_bounds(m: int) -> tuple[float, float]:
     """(f_min, f_max) attainable fitness for an M-cell distribution.
 
     The uniform spread attains f_min, a single loaded cell f_max; every

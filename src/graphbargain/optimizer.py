@@ -14,24 +14,25 @@ candidate index), so runs are reproducible regardless of evaluation order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import CoverageCollapseError
 from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
-from .objective import Fitness, bargaining_fitness, fitness_bounds
+from .objective import bargaining_fitness, fitness_bounds
 from .params import SHAPE_MAX
 
-__all__ = [
-    "GenerationStats",
-    "OptimizationResult",
-    "split_model",
-    "optimize",
-]
+__all__ = ["TRACE_DTYPE", "split_model", "optimize"]
 
 logger = logging.getLogger(__name__)
+
+# One row per generation: the best train fitness in the population, then the
+# best holdout fitness seen so far and that candidate's holdout coverage. The
+# field names are trace.csv's header.
+TRACE_DTYPE = np.dtype(
+    [("generation", np.int64), ("best_train", np.float64), ("best_holdout", np.float64), ("coverage", np.float64)]
+)
 
 # Initial population jitter range in log space.
 _JITTER_LOW = float(np.log(0.25))
@@ -57,25 +58,6 @@ _CROSSOVER_RATE = 0.9
 # common long before the search is done, so the window keeps one quiet
 # generation from ending the run.
 _PATIENCE = 15
-
-
-@dataclass(frozen=True)
-class GenerationStats:
-    """Progress snapshot after a generation; best_holdout is best seen so far."""
-
-    generation: int
-    best_train: Fitness
-    best_holdout: Fitness
-    coverage: float
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
-    best_q: np.ndarray  # the eight Beta shapes in params.Q_KEYS order
-    best_holdout_fitness: Fitness
-    best_coverage: float
-    generations_run: int
-    trace: tuple[GenerationStats, ...] = field(repr=False)
 
 
 def split_model(
@@ -110,13 +92,13 @@ def _shapes_from_log(z: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(z), _BOUND_LOW, _BOUND_HIGH)
 
 
-def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[Fitness, float]], float]:
+def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[float, float]], float]:
     """Fitness of a log-space vector on one model, with its coverage floor."""
     _, f_max = fitness_bounds(model.metric_grid.cell_count)
     _, uniform_cov = predicted_mass(model, np.ones(8))
     floor = _COVERAGE_FLOOR_RATIO * uniform_cov
 
-    def evaluate(z: np.ndarray) -> tuple[Fitness, float]:
+    def evaluate(z: np.ndarray) -> tuple[float, float]:
         raw, cov = predicted_mass(model, _shapes_from_log(z))
         if not np.isfinite(cov) or cov < floor or cov <= 0.0:
             return f_max, cov
@@ -133,11 +115,15 @@ def optimize(
     max_gen: int,
     tol: float,
     seed: int,
-) -> OptimizationResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``pop`` candidates for at most ``max_gen`` generations.
 
-    The run stops early once the best holdout fitness gains less than ``tol``
-    for ``_PATIENCE`` generations in a row; RunConfig checks the settings.
+    Returns the best q (the eight Beta shapes in ``params.Q_KEYS`` order)
+    and the per-generation trace, a ``TRACE_DTYPE`` array whose last row
+    holds the best q's holdout fitness and coverage and the generation the
+    run ended on. The run stops early once the best holdout fitness gains
+    less than ``tol`` for ``_PATIENCE`` generations in a row; RunConfig
+    checks the settings.
     """
     if train.metric_grid != holdout.metric_grid or train.param_grid != holdout.param_grid:
         raise ValueError("train and holdout models use different grids")
@@ -159,51 +145,41 @@ def optimize(
         f_train[i], _ = eval_train(z[i])
         f_hold[i], cov_hold[i] = eval_hold(z[i])
 
-    best_i = int(np.argmin(f_hold))
-    best_z = z[best_i].copy()
-    best_fitness = float(f_hold[best_i])
-    best_coverage = float(cov_hold[best_i])
-
-    trace = [GenerationStats(0, float(f_train.min()), best_fitness, best_coverage)]
-    logger.info("generation 0: train %.6f holdout %.6f coverage %.4g", trace[0].best_train, best_fitness, best_coverage)
-
-    generations_run = 0
+    best_z, best_fitness, best_coverage = z[0], np.inf, 0.0
+    trace = []
     stagnant = 0
-    for gen in range(1, max_gen + 1):
-        new_z = z.copy()
-        new_f = f_train.copy()
-        accepted = []
-        for i in range(pop):
-            rng = np.random.default_rng([seed, gen, i])
-            picks = rng.choice(pop - 1, size=3, replace=False)
-            # skip over i so the three partners are distinct from the target
-            r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
-            mutant = z[r1] + _MUTATION_FACTOR * (z[r2] - z[r3])
-            mask = rng.random(8) < _CROSSOVER_RATE
-            mask[rng.integers(8)] = True
-            trial = np.where(mask, mutant, z[i])
-            np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
-            ft, _ = eval_train(trial)
-            if ft <= f_train[i]:
-                new_z[i] = trial
-                new_f[i] = ft
-                accepted.append(i)
-        z, f_train = new_z, new_f
-        for i in accepted:
-            f_hold[i], cov_hold[i] = eval_hold(z[i])
+    for gen in range(max_gen + 1):
+        if gen > 0:
+            new_z = z.copy()
+            new_f = f_train.copy()
+            accepted = []
+            for i in range(pop):
+                rng = np.random.default_rng([seed, gen, i])
+                picks = rng.choice(pop - 1, size=3, replace=False)
+                # skip over i so the three partners are distinct from the target
+                r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
+                mutant = z[r1] + _MUTATION_FACTOR * (z[r2] - z[r3])
+                mask = rng.random(8) < _CROSSOVER_RATE
+                mask[rng.integers(8)] = True
+                trial = np.where(mask, mutant, z[i])
+                np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
+                ft, _ = eval_train(trial)
+                if ft <= f_train[i]:
+                    new_z[i] = trial
+                    new_f[i] = ft
+                    accepted.append(i)
+            z, f_train = new_z, new_f
+            for i in accepted:
+                f_hold[i], cov_hold[i] = eval_hold(z[i])
 
-        generations_run = gen
         prev_best = best_fitness
         cand = int(np.argmin(f_hold))
         if f_hold[cand] < best_fitness:
             best_fitness = float(f_hold[cand])
             best_coverage = float(cov_hold[cand])
             best_z = z[cand].copy()
-        trace.append(GenerationStats(gen, float(f_train.min()), best_fitness, best_coverage))
-        logger.info(
-            "generation %d: train %.6f holdout %.6f coverage %.4g",
-            gen, trace[-1].best_train, best_fitness, best_coverage,
-        )
+        trace.append((gen, float(f_train.min()), best_fitness, best_coverage))
+        logger.info("generation %d: train %.6f holdout %.6f coverage %.4g", *trace[-1])
         if prev_best - best_fitness < tol:
             stagnant += 1
             if stagnant >= _PATIENCE:
@@ -215,10 +191,4 @@ def optimize(
         raise CoverageCollapseError(
             f"best candidate keeps only {best_coverage:.3g} mass on the holdout model (floor {floor_hold:.3g})"
         )
-    return OptimizationResult(
-        best_q=_shapes_from_log(best_z),
-        best_holdout_fitness=best_fitness,
-        best_coverage=best_coverage,
-        generations_run=generations_run,
-        trace=tuple(trace),
-    )
+    return _shapes_from_log(best_z), np.array(trace, dtype=TRACE_DTYPE)

@@ -43,7 +43,7 @@ from graphbargain.grids import (
 )
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import split_model
-from graphbargain.params import A_MAX, A_MIN, ParamBounds
+from graphbargain.params import A_MAX, A_MIN, b_range, c_range
 from graphbargain.rmat import RmatParams, generate_raw_edges
 
 SEED = 1
@@ -275,13 +275,12 @@ def test_criterion_5_edge_sampler_quadrant_frequencies(announce):
     """Raw sampler places first-level quadrants with the requested frequencies."""
     rng = np.random.default_rng(7)
     e = 10_000
-    bounds = ParamBounds.for_edges(e)
     p_values = []
     drawn = 0
     while drawn < 5:
         a = rng.uniform(A_MIN, A_MAX)
-        b = rng.uniform(*bounds.b_range(a))
-        c = rng.uniform(*bounds.c_range(a, b))
+        b = rng.uniform(*b_range(a))
+        c = rng.uniform(*c_range(a, b))
         d = round(1.0 - a - b - c, 10)
         if min(a, b, c, d) < 0.02:
             continue

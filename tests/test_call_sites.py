@@ -59,8 +59,8 @@ def pinned_model():
 
 def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):
     train, hold = split_model(pinned_model(), 0.25, seed=4)
-    result = optimize(train, hold, pop=6, max_gen=5, tol=1e-3, seed=9)
-    assert result.generations_run == 5
+    _, trace = optimize(train, hold, pop=6, max_gen=5, tol=1e-3, seed=9)
+    assert trace["generation"][-1] == 5
     # 2 uniform coverage probes, 12 initial evaluations, 30 trials and 12
     # accepted trials re-scored on the holdout; no candidate fell below the
     # coverage floor, so every evaluation but the probes reached the fitness.

@@ -23,6 +23,7 @@ from graphbargain.cli import (
     Workspace,
     build_config,
     cmd_generate,
+    cmd_optimize,
     cmd_report,
     cmd_validate,
     main,
@@ -33,6 +34,7 @@ from graphbargain.dataset import MANIFEST_HEADER, read_edge_list, read_manifest,
 from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, metric_projection
 from graphbargain.grids import load_conditional
+from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
 from graphbargain.rmat import DegenerateParametersError, generate_graph
 
@@ -241,6 +243,14 @@ class TestMainExitCodes:
         assert main(["report", "--out", out]) == 3
         assert "no manifests" in capsys.readouterr().err
 
+    def test_unwritable_output_is_6(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="ascii")
+        assert main(["baseline", "--n", "3", "--e-min", "100", "--e-max", "200", "--out", str(afile)]) == 6
+        err = capsys.readouterr().err
+        assert f"error: [Errno 20] Not a directory: '{afile / 'baseline' / 'graphs'}'" in err.splitlines()
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     ("command", "name", "code"),
@@ -375,6 +385,28 @@ class TestPipeline:
         assert trace_lines[0] == "generation,best_train,best_holdout,coverage"
         generations = int(text.split("generations = ")[1].splitlines()[0])
         assert len(trace_lines) == generations + 2
+
+    def test_best_q_and_trace_files_follow_the_returned_trace(self, pipeline, tmp_path, monkeypatch):
+        returned = []
+
+        def recording(train, hold, **settings):
+            returned.append(optimize(train, hold, **settings))
+            return returned[-1]
+
+        monkeypatch.setattr(graphbargain.cli, "optimize", recording)
+        ws = Workspace(tmp_path)
+        cmd_optimize(dataclasses.replace(pipeline.config, out=str(tmp_path)), pipeline.ws.baseline_model)
+        [(best_q, trace)] = returned
+        rows = [",".join(map(repr, row)) for row in trace.tolist()]
+        assert ws.trace.read_text(encoding="ascii").splitlines() == ["generation,best_train,best_holdout,coverage", *rows]
+        meta = dict(line.split(" = ") for line in ws.best_q.read_text(encoding="ascii").splitlines())
+        generations, _, holdout_fitness, coverage = trace[-1].tolist()
+        assert (meta["holdout_fitness"], meta["coverage"]) == (repr(holdout_fitness), repr(coverage))
+        assert meta["generations"] == str(generations) == str(len(trace) - 1)
+        assert float(meta["holdout_fitness"]) == trace["best_holdout"][-1]
+        assert read_qvector(ws.best_q).tolist() == best_q.tolist()
+        assert ws.best_q.read_bytes() == pipeline.ws.best_q.read_bytes()
+        assert ws.trace.read_bytes() == pipeline.ws.trace.read_bytes()
 
     def test_generate_outputs(self, pipeline):
         ws = pipeline.ws

@@ -8,7 +8,7 @@ import pytest
 import graphbargain.optimizer
 from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
 from graphbargain.objective import bargaining_fitness, fitness_bounds
-from graphbargain.optimizer import optimize, split_model
+from graphbargain.optimizer import TRACE_DTYPE, optimize, split_model
 
 
 def random_records(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,46 +85,55 @@ class TestSplitModel:
 class TestOptimize:
     def test_improves_over_uniform_q(self, skewed_split):
         train, hold = skewed_split
-        result = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
+        _, trace = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
+        best = trace["best_holdout"][-1]
         raw, _ = predicted_mass(hold, np.ones(8))
         ones = bargaining_fitness(raw / raw.sum())
-        assert result.best_holdout_fitness <= ones
-        assert result.best_holdout_fitness < ones - 0.025
+        assert best <= ones
+        assert best < ones - 0.025
         f_min, f_max = fitness_bounds(train.metric_grid.cell_count)
-        assert f_min - 1e-9 <= result.best_holdout_fitness <= f_max + 1e-9
+        assert f_min - 1e-9 <= best <= f_max + 1e-9
 
     def test_result_shape_and_bounds(self, skewed_split):
         train, hold = skewed_split
-        result = optimize(train, hold, pop=8, max_gen=5, tol=1e-3, seed=1)
-        assert result.trace[0].generation == 0
-        assert result.trace[-1].generation == result.generations_run
-        assert len(result.trace) == result.generations_run + 1
-        best = [t.best_holdout for t in result.trace]
+        best_q, trace = optimize(train, hold, pop=8, max_gen=5, tol=1e-3, seed=1)
+        assert trace.dtype == TRACE_DTYPE
+        assert trace.dtype.names == ("generation", "best_train", "best_holdout", "coverage")
+        assert trace["generation"].tolist() == list(range(len(trace)))
+        best = trace["best_holdout"].tolist()
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
         low, high = graphbargain.optimizer._BOUND_LOW, graphbargain.optimizer._BOUND_HIGH
-        assert result.best_q.shape == (8,)
-        assert np.all((low <= result.best_q) & (result.best_q <= high))
-        assert 0.0 < result.best_coverage <= 1.0 + 1e-12
+        assert best_q.shape == (8,)
+        assert np.all((low <= best_q) & (best_q <= high))
+        assert 0.0 < trace["coverage"][-1] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_last_trace_row_scores_the_best_q_on_the_holdout(self, skewed_split, seed):
+        train, hold = skewed_split
+        best_q, trace = optimize(train, hold, pop=8, max_gen=6, tol=1e-3, seed=seed)
+        raw, coverage = predicted_mass(hold, best_q)
+        assert bargaining_fitness(raw / raw.sum()) == trace["best_holdout"][-1]
+        assert coverage == trace["coverage"][-1]
 
     def test_deterministic(self, skewed_split):
         train, hold = skewed_split
         settings = {"pop": 8, "max_gen": 6, "tol": 1e-3, "seed": 5}
-        a = optimize(train, hold, **settings)
-        b = optimize(train, hold, **settings)
-        assert a.best_q.tolist() == b.best_q.tolist()
-        assert a.best_holdout_fitness == b.best_holdout_fitness
-        assert a.trace == b.trace
+        q_a, trace_a = optimize(train, hold, **settings)
+        q_b, trace_b = optimize(train, hold, **settings)
+        assert q_a.tolist() == q_b.tolist()
+        assert trace_a.tolist() == trace_b.tolist()
 
     def test_patience_stops_stagnant_run(self, skewed_split, monkeypatch):
         train, hold = skewed_split
         for patience in (1, 3):
             monkeypatch.setattr(graphbargain.optimizer, "_PATIENCE", patience)
-            assert optimize(train, hold, pop=8, max_gen=40, tol=10.0, seed=0).generations_run == patience
+            _, trace = optimize(train, hold, pop=8, max_gen=40, tol=10.0, seed=0)
+            assert trace["generation"][-1] == patience
 
     def test_max_generations_cap(self, skewed_split):
         train, hold = skewed_split
-        result = optimize(train, hold, pop=8, max_gen=4, tol=1e-12, seed=2)
-        assert result.generations_run == 4
+        _, trace = optimize(train, hold, pop=8, max_gen=4, tol=1e-12, seed=2)
+        assert trace["generation"].tolist() == [0, 1, 2, 3, 4]
 
     def test_mismatched_grids_rejected(self):
         records = skewed_records(np.random.default_rng(29))

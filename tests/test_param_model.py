@@ -12,8 +12,10 @@ from graphbargain.params import (
     E_MIN,
     Q_KEYS,
     SHAPE_MAX,
-    ParamBounds,
+    b_range,
+    c_range,
     check_shapes,
+    node_range,
     params_from_unit,
     sample_baseline,
     sample_from_q,
@@ -26,34 +28,32 @@ class TestParamBounds:
         rng = np.random.default_rng(11)
         for _ in range(200):
             e = int(rng.integers(19, 1_000_000))
-            bounds = ParamBounds.for_edges(e)
-            assert bounds.n_min * (bounds.n_min - 1) >= 20 * e
-            assert (bounds.n_min - 1) * (bounds.n_min - 2) < 20 * e
-            assert bounds.n_max == e + 1
+            n_min, n_max = node_range(e)
+            assert n_min * (n_min - 1) >= 20 * e
+            assert (n_min - 1) * (n_min - 2) < 20 * e
+            assert n_max == e + 1
 
     def test_smallest_feasible_edge_count(self):
         assert E_MIN == 19
-        bounds = ParamBounds.for_edges(E_MIN)
-        assert bounds.n_min == 20
-        assert bounds.n_max == 20
+        assert node_range(E_MIN) == (20, 20)
         with pytest.raises(ValueError, match=f"no feasible node count for E={E_MIN - 1}"):
-            ParamBounds.for_edges(E_MIN - 1)
+            node_range(E_MIN - 1)
 
     def test_infeasible_edge_counts_rejected(self):
         for e in (1, 5, 18):
             with pytest.raises(ValueError, match="feasible"):
-                ParamBounds.for_edges(e)
+                node_range(e)
         with pytest.raises(ValueError, match="positive"):
-            ParamBounds.for_edges(0)
+            node_range(0)
 
     def test_nested_intervals_are_consistent(self):
         rng = np.random.default_rng(13)
         for _ in range(500):
             a = float(rng.uniform(A_MIN, A_MAX))
-            b_lo, b_hi = ParamBounds.b_range(a)
+            b_lo, b_hi = b_range(a)
             assert 0.0 <= b_lo <= b_hi <= min(a, 1.0 - a) + 1e-15
             b = float(rng.uniform(b_lo, b_hi))
-            c_lo, c_hi = ParamBounds.c_range(a, b)
+            c_lo, c_hi = c_range(a, b)
             assert 0.0 <= c_lo <= c_hi <= min(a, 1.0 - a - b) + 1e-15
             c = float(rng.uniform(c_lo, c_hi))
             d = 1.0 - a - b - c
@@ -63,9 +63,9 @@ class TestParamBounds:
 
     def test_interval_lower_bounds_are_active(self):
         # for small a the sum constraint forces b and c strictly positive
-        b_lo, _ = ParamBounds.b_range(0.26)
+        b_lo, _ = b_range(0.26)
         assert b_lo == pytest.approx(1.0 - 3 * 0.26)
-        c_lo, _ = ParamBounds.c_range(0.3, 0.3)
+        c_lo, _ = c_range(0.3, 0.3)
         assert c_lo == pytest.approx(1.0 - 2 * 0.3 - 0.3)
 
 
@@ -101,11 +101,11 @@ class TestUnitNormalization:
 
     def test_extreme_unit_values_map_to_interval_ends(self):
         e = 1000
-        bounds = ParamBounds.for_edges(e)
+        n_min, n_max = node_range(e)
         lo = params_from_unit(e, (0.0, 0.0, 0.0, 0.0))
         hi = params_from_unit(e, (1.0, 1.0, 1.0, 1.0))
-        assert lo.n_param == bounds.n_min
-        assert hi.n_param == bounds.n_max
+        assert lo.n_param == n_min
+        assert hi.n_param == n_max
         assert lo.a == A_MIN
         assert hi.a == A_MAX
 
@@ -157,8 +157,8 @@ class TestSampling:
         for _ in range(200):
             p = sample_baseline(19, 400, rng)
             assert 19 <= p.e_param <= 400
-            bounds = ParamBounds.for_edges(p.e_param)
-            assert bounds.n_min <= p.n_param <= bounds.n_max
+            n_min, n_max = node_range(p.e_param)
+            assert n_min <= p.n_param <= n_max
 
     def test_sampling_is_deterministic_per_rng_state(self):
         a = sample_baseline(50, 500, np.random.default_rng(5))
