@@ -41,7 +41,7 @@ from .dataset import (
 )
 from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
 from .graph import Graph, largest_connected_component, metric_projection
-from .grids import MAX_PARAM_BINS, MetricGrid, ParamGrid, build_conditional, load_conditional, save_conditional
+from .grids import MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import TRACE_DTYPE, optimize, split_model
 from .params import E_MIN, sample_baseline, sample_from_q, unit_point
@@ -120,14 +120,6 @@ class RunConfig:
             raise ConfigError("tol must be positive")
         if not 0.0 < self.holdout < 1.0:
             raise ConfigError("holdout must lie in (0, 1)")
-
-    @property
-    def metric_grid(self) -> MetricGrid:
-        return MetricGrid(self.metric_bins, self.metric_bins)
-
-    @property
-    def param_grid(self) -> ParamGrid:
-        return ParamGrid(self.param_bins)
 
 
 @dataclass(frozen=True)
@@ -281,7 +273,7 @@ def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
     table = _generate_dataset(config.n, draw, rng_seeds, ws.baseline_graphs, config.jobs, "baseline")
     write_manifest(table, ws.baseline_manifest)
     units = np.column_stack([table[name] for name in ("u_n", "u_a", "u_b", "u_c")])
-    model = build_conditional(units, table["clustering"], table["dlog"], config.metric_grid, config.param_grid)
+    model = build_conditional(units, table["clustering"], table["dlog"], config.metric_bins, config.param_bins)
     save_conditional(model, ws.baseline_model)
     logger.info("baseline: wrote %s and %s", ws.baseline_manifest, ws.baseline_model)
     return ws.baseline_manifest, ws.baseline_model
@@ -344,8 +336,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     if not ws.result_manifest.exists():
         raise DataError(f"result manifest {ws.result_manifest} not found; run generate first")
     table = read_manifest(ws.result_manifest)
-    grid = config.metric_grid
-    occupied = grid.locate(table["clustering"], table["dlog"])
+    occupied = metric_cells(table["clustering"], table["dlog"], config.metric_bins)
 
     measured: list[tuple[str, int, int, float, float]] = []
     for name in files:
@@ -373,7 +364,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     if not measured:
         print("coverage: n/a (no validation graphs)")
         return None
-    cells = grid.locate([m[3] for m in measured], [m[4] for m in measured])
+    cells = metric_cells([m[3] for m in measured], [m[4] for m in measured], config.metric_bins)
     hits = int(np.isin(cells, occupied).sum())
     coverage = hits / len(measured)
     print(f"coverage: {hits}/{len(measured)} = {coverage:.3f}")
@@ -383,19 +374,17 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
 def cmd_report(config: RunConfig) -> Path:
     """Summarize the manifests present under the output directory."""
     ws = _workspace(config)
-    grid = config.metric_grid
+    sources = (("baseline", ws.baseline_manifest), ("result", ws.result_manifest))
+    tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
+    if not tables:
+        raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
     ws.report_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    f_min, f_max = fitness_bounds(grid.cell_count)
-    lines.append(f"metric grid: {grid.clustering_bins}x{grid.dlog_bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]")
-    found = False
-    for label, manifest_path in (("baseline", ws.baseline_manifest), ("result", ws.result_manifest)):
-        if not manifest_path.exists():
-            continue
-        found = True
-        table = read_manifest(manifest_path)
+    bins = config.metric_bins
+    f_min, f_max = fitness_bounds(bins**2)
+    lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
+    for label, table in tables:
         clustering, dlog = table["clustering"], table["dlog"]
-        hist = np.bincount(grid.locate(clustering, dlog), minlength=grid.cell_count) / len(table)
+        hist = np.bincount(metric_cells(clustering, dlog, bins), minlength=bins**2) / len(table)
         fitness = bargaining_fitness(hist)
         occupied = int(np.count_nonzero(hist))
         corr = correlation(clustering, dlog)
@@ -404,12 +393,10 @@ def cmd_report(config: RunConfig) -> Path:
             fh.write("clustering,dlog\n")
             fh.writelines(f"{c!r},{d!r}\n" for c, d in table[["clustering", "dlog"]].tolist())
         lines.append(
-            f"{label}: count={len(table)} occupied_cells={occupied}/{grid.cell_count} "
+            f"{label}: count={len(table)} occupied_cells={occupied}/{bins**2} "
             f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "
             f"mean_clustering={clustering.mean():.4f} mean_dlog={dlog.mean():.4f}"
         )
-    if not found:
-        raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
     text = "\n".join(lines) + "\n"
     ws.report_txt.write_text(text, encoding="ascii")
     print(text, end="")

@@ -35,9 +35,11 @@ from .errors import DataError
 from .params import check_shapes
 
 __all__ = [
+    "DLOG_MIN",
+    "DLOG_MAX",
     "MAX_PARAM_BINS",
-    "MetricGrid",
-    "ParamGrid",
+    "metric_cells",
+    "param_cells",
     "ConditionalModel",
     "build_conditional",
     "conditional_from_pairs",
@@ -55,80 +57,47 @@ _PAIR_COLUMNS = ("cell", "metric", "count")
 _MAX_TOTAL = 2**53
 # Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
 MAX_PARAM_BINS = 55_108
+# The dlog axis of the metric grid; the clustering axis is [0, 1].
+DLOG_MIN = -6.0
+DLOG_MAX = 0.0
 
 
-@dataclass(frozen=True)
-class MetricGrid:
-    """Regular grid over (clustering, dlog) space, row-major in clustering."""
+def metric_cells(clustering: np.ndarray, dlog: np.ndarray, bins: int) -> np.ndarray:
+    """Flat int64 cell ids on the square metric grid of ``bins`` bins per axis.
 
-    clustering_bins: int
-    dlog_bins: int
-    dlog_min: float = -6.0
-    dlog_max: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.clustering_bins < 1 or self.dlog_bins < 1:
-            raise ValueError("grid needs at least one bin per axis")
-        if self.cell_count < 2:
-            raise ValueError("metric grid needs at least 2 cells for the bargaining fitness")
-        if not self.dlog_min < self.dlog_max:
-            raise ValueError("dlog_min must be below dlog_max")
-
-    @property
-    def cell_count(self) -> int:
-        return self.clustering_bins * self.dlog_bins
-
-    def locate(self, clustering: np.ndarray, dlog: np.ndarray) -> np.ndarray:
-        """Flat int64 cell ids for arrays of metric coordinates.
-
-        Upper edges fold into the last bin; dlog below the grid minimum is
-        clamped into the first dlog bin, with one warning that counts them.
-        """
-        c = np.asarray(clustering, dtype=np.float64)
-        d = np.asarray(dlog, dtype=np.float64)
-        inside = (c >= 0.0) & (c <= 1.0)
-        if not inside.all():
-            raise ValueError(f"clustering {c[~inside][0]} outside [0, 1]")
-        if np.any(np.isnan(d)):
-            raise ValueError("dlog is nan")
-        low = int(np.count_nonzero(d < self.dlog_min))
-        if low:
-            logger.warning("%d dlog values below grid minimum %g; clamped into first bin", low, self.dlog_min)
-        c_bin = np.minimum((c * self.clustering_bins).astype(np.int64), self.clustering_bins - 1)
-        width = (self.dlog_max - self.dlog_min) / self.dlog_bins
-        d_bin = np.clip((d - self.dlog_min) / width, 0, self.dlog_bins - 1).astype(np.int64)
-        return c_bin * self.dlog_bins + d_bin
+    The grid covers clustering [0, 1] by dlog [DLOG_MIN, DLOG_MAX], row-major
+    in clustering. Upper edges fold into the last bin; dlog below DLOG_MIN is
+    clamped into the first dlog bin, with one warning that counts them.
+    """
+    c = np.asarray(clustering, dtype=np.float64)
+    d = np.asarray(dlog, dtype=np.float64)
+    inside = (c >= 0.0) & (c <= 1.0)
+    if not inside.all():
+        raise ValueError(f"clustering {c[~inside][0]} outside [0, 1]")
+    if np.any(np.isnan(d)):
+        raise ValueError("dlog is nan")
+    low = int(np.count_nonzero(d < DLOG_MIN))
+    if low:
+        logger.warning("%d dlog values below grid minimum %g; clamped into first bin", low, DLOG_MIN)
+    c_bin = np.minimum((c * bins).astype(np.int64), bins - 1)
+    width = (DLOG_MAX - DLOG_MIN) / bins
+    d_bin = np.clip((d - DLOG_MIN) / width, 0, bins - 1).astype(np.int64)
+    return c_bin * bins + d_bin
 
 
-@dataclass(frozen=True)
-class ParamGrid:
-    """Regular grid over the unit hypercube of normalized parameters."""
+def param_cells(units: np.ndarray, bins: int) -> np.ndarray:
+    """Flat int64 cell ids on the bins**4 parameter grid for an (K, 4) array of (N, a, b, c) unit coordinates.
 
-    bins: int
-
-    def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError("grid needs at least one bin per axis")
-        if self.bins > MAX_PARAM_BINS:
-            raise ValueError(f"{self.bins} bins per axis overflow the int64 cell ids (at most {MAX_PARAM_BINS})")
-
-    @property
-    def cell_count(self) -> int:
-        return self.bins**4
-
-    def locate(self, units: np.ndarray) -> np.ndarray:
-        """Flat int64 cell ids for an (K, 4) array of (N, a, b, c) unit coordinates.
-
-        Upper edges fold into the last bin; the last coordinate varies fastest.
-        """
-        u = np.asarray(units, dtype=np.float64)
-        if u.ndim != 2 or u.shape[1] != 4:
-            raise ValueError("unit coordinates must be an (K, 4) array")
-        inside = (u >= 0.0) & (u <= 1.0)
-        if not inside.all():
-            raise ValueError(f"unit coordinate {u[~inside][0]} outside [0, 1]")
-        bins4 = np.minimum((u * self.bins).astype(np.int64), self.bins - 1)
-        return bins4 @ self.bins ** np.arange(3, -1, -1, dtype=np.int64)
+    Upper edges fold into the last bin; the last coordinate varies fastest.
+    """
+    u = np.asarray(units, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != 4:
+        raise ValueError("unit coordinates must be an (K, 4) array")
+    inside = (u >= 0.0) & (u <= 1.0)
+    if not inside.all():
+        raise ValueError(f"unit coordinate {u[~inside][0]} outside [0, 1]")
+    bins4 = np.minimum((u * bins).astype(np.int64), bins - 1)
+    return bins4 @ bins ** np.arange(3, -1, -1, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -141,8 +110,8 @@ class ConditionalModel:
     into the cell arrays, not flat ids.  Models compare by identity.
     """
 
-    metric_grid: MetricGrid
-    param_grid: ParamGrid
+    metric_bins: int
+    param_bins: int
     total: int
     cell_flat: np.ndarray
     cell_counts: np.ndarray
@@ -156,12 +125,12 @@ class ConditionalModel:
     @cached_property
     def param_edges(self) -> np.ndarray:
         """The bins+1 unit-interval bin edges shared by the four parameter axes."""
-        return np.linspace(0.0, 1.0, self.param_grid.bins + 1)
+        return np.linspace(0.0, 1.0, self.param_bins + 1)
 
     @cached_property
     def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per cell: its flat (N, a) bin, its b bin and its c bin, each contiguous."""
-        bins = self.param_grid.bins
+        bins = self.param_bins
         b01, rest = np.divmod(self.cell_flat, bins**2)
         b2, b3 = np.divmod(rest, bins)
         return b01, b2, b3
@@ -178,7 +147,7 @@ class ConditionalModel:
 
         share = self.pair_counts / self.cell_counts[self.pair_cell]
         order = np.argsort(self.pair_metric, kind="stable")
-        rows = self.metric_grid.cell_count
+        rows = self.metric_bins**2
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.pair_metric, minlength=rows), out=indptr[1:])
         return scipy.sparse.csr_matrix(
@@ -187,16 +156,24 @@ class ConditionalModel:
 
 
 def conditional_from_pairs(
-    metric_grid: MetricGrid,
-    param_grid: ParamGrid,
+    metric_bins: int,
+    param_bins: int,
     flat: np.ndarray,
     metric: np.ndarray,
     counts: np.ndarray,
 ) -> ConditionalModel:
     """Assemble a model from raw (flat cell id, metric cell id, count) triples.
 
-    Duplicate (cell, metric) keys are merged, zero counts dropped.
+    Duplicate (cell, metric) keys are merged, zero counts dropped. The
+    fitness needs at least 2 metric cells, and the flat parameter cell ids
+    must fit in int64.
     """
+    if metric_bins < 2:
+        raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
+    if not 1 <= param_bins <= MAX_PARAM_BINS:
+        raise ValueError(
+            f"{param_bins} bins per parameter axis outside [1, {MAX_PARAM_BINS}], where the cell ids fit in int64"
+        )
     flat = np.asarray(flat, dtype=np.int64)
     metric = np.asarray(metric, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -208,9 +185,9 @@ def conditional_from_pairs(
     flat, metric, counts = flat[keep], metric[keep], counts[keep]
     if flat.size == 0:
         raise ValueError("model has no records")
-    if np.any(flat < 0) or np.any(flat >= param_grid.cell_count):
+    if np.any(flat < 0) or np.any(flat >= param_bins**4):
         raise ValueError("parameter cell id outside grid")
-    if np.any(metric < 0) or np.any(metric >= metric_grid.cell_count):
+    if np.any(metric < 0) or np.any(metric >= metric_bins**2):
         raise ValueError("metric cell id outside grid")
     total = sum(counts.tolist())
     if total > _MAX_TOTAL:
@@ -229,8 +206,8 @@ def conditional_from_pairs(
     cell_counts = np.bincount(pair_cell, weights=pair_counts).astype(np.int64)
 
     return ConditionalModel(
-        metric_grid=metric_grid,
-        param_grid=param_grid,
+        metric_bins=metric_bins,
+        param_bins=param_bins,
         total=int(pair_counts.sum()),
         cell_flat=cell_flat,
         cell_counts=cell_counts,
@@ -244,17 +221,17 @@ def build_conditional(
     units: np.ndarray,
     clustering: np.ndarray,
     dlog: np.ndarray,
-    metric_grid: MetricGrid,
-    param_grid: ParamGrid,
+    metric_bins: int,
+    param_bins: int,
 ) -> ConditionalModel:
     """Count (parameter cell, metric cell) co-occurrences over baseline records.
 
     Record k has the unit coordinates ``units[k]`` of an (K, 4) array and the
     metric point (``clustering[k]``, ``dlog[k]``).
     """
-    flat = param_grid.locate(units)
-    metric = metric_grid.locate(clustering, dlog)
-    return conditional_from_pairs(metric_grid, param_grid, flat, metric, np.ones(flat.size, dtype=np.int64))
+    flat = param_cells(units, param_bins)
+    metric = metric_cells(clustering, dlog, metric_bins)
+    return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
 def _dim_masses(shapes: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -287,9 +264,8 @@ def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndar
 def save_conditional(model: ConditionalModel, path: str | Path) -> None:
     lines = [
         f"{_MODEL_MAGIC} {_MODEL_VERSION}",
-        f"metric_grid {model.metric_grid.clustering_bins} {model.metric_grid.dlog_bins} "
-        f"{model.metric_grid.dlog_min!r} {model.metric_grid.dlog_max!r}",
-        f"param_grid {model.param_grid.bins}",
+        f"metric_grid {model.metric_bins} {model.metric_bins} {DLOG_MIN!r} {DLOG_MAX!r}",
+        f"param_grid {model.param_bins}",
         f"total {model.total}",
         f"pairs {model.pair_counts.size}",
     ]
@@ -315,9 +291,10 @@ def load_conditional(path: str | Path) -> ConditionalModel:
         raise DataError(f"{path}:1: bad magic line {lines[0]!r}")
     try:
         mg = _header_fields(lines[1], 2, "metric_grid", 4, path)
-        metric_grid = MetricGrid(int(mg[0]), int(mg[1]), float(mg[2]), float(mg[3]))
-        pg = _header_fields(lines[2], 3, "param_grid", 1, path)
-        param_grid = ParamGrid(int(pg[0]))
+        metric_bins = int(mg[0])
+        if int(mg[1]) != metric_bins or (float(mg[2]), float(mg[3])) != (DLOG_MIN, DLOG_MAX):
+            raise ValueError(f"{lines[1]!r} is not the square metric grid over dlog [{DLOG_MIN!r}, {DLOG_MAX!r}]")
+        param_bins = int(_header_fields(lines[2], 3, "param_grid", 1, path)[0])
         total = int(_header_fields(lines[3], 4, "total", 1, path)[0])
         pairs = int(_header_fields(lines[4], 5, "pairs", 1, path)[0])
     except ValueError as exc:
@@ -330,7 +307,7 @@ def load_conditional(path: str | Path) -> ConditionalModel:
         bad_line(path, enumerate(body, start=6), _PAIR_COLUMNS)
     flat, metric, counts = table.T
     try:
-        model = conditional_from_pairs(metric_grid, param_grid, flat, metric, counts)
+        model = conditional_from_pairs(metric_bins, param_bins, flat, metric, counts)
     except ValueError as exc:
         raise DataError(f"{path}: inconsistent model: {exc}") from exc
     if model.total != total:

@@ -82,8 +82,8 @@ def split_model(
     hold_counts = rng.multivariate_hypergeometric(model.pair_counts, n_hold)
     train_counts = model.pair_counts - hold_counts
     flat = model.cell_flat[model.pair_cell]
-    train = conditional_from_pairs(model.metric_grid, model.param_grid, flat, model.pair_metric, train_counts)
-    hold = conditional_from_pairs(model.metric_grid, model.param_grid, flat, model.pair_metric, hold_counts)
+    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, model.pair_metric, train_counts)
+    hold = conditional_from_pairs(model.metric_bins, model.param_bins, flat, model.pair_metric, hold_counts)
     return train, hold
 
 
@@ -94,7 +94,7 @@ def _shapes_from_log(z: np.ndarray) -> np.ndarray:
 
 def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[float, float]], float]:
     """Fitness of a log-space vector on one model, with its coverage floor."""
-    _, f_max = fitness_bounds(model.metric_grid.cell_count)
+    _, f_max = fitness_bounds(model.metric_bins**2)
     _, uniform_cov = predicted_mass(model, np.ones(8))
     floor = _COVERAGE_FLOOR_RATIO * uniform_cov
 
@@ -125,7 +125,7 @@ def optimize(
     less than ``tol`` for ``_PATIENCE`` generations in a row; RunConfig
     checks the settings.
     """
-    if train.metric_grid != holdout.metric_grid or train.param_grid != holdout.param_grid:
+    if (train.metric_bins, train.param_bins) != (holdout.metric_bins, holdout.param_bins):
         raise ValueError("train and holdout models use different grids")
 
     eval_train, _ = _make_evaluator(train)

@@ -34,11 +34,10 @@ from graphbargain.dataset import correlation, read_manifest, read_matrix_market
 from graphbargain.graph import Graph, mean_local_clustering, metric_projection
 from graphbargain.grids import (
     ConditionalModel,
-    MetricGrid,
-    ParamGrid,
     _dim_masses,
     build_conditional,
     load_conditional,
+    metric_cells,
     predicted_mass,
 )
 from graphbargain.objective import bargaining_fitness, fitness_bounds
@@ -155,14 +154,14 @@ def test_criterion_2_empirical_identity(announce):
     rng = np.random.default_rng(29)
     worst = 0.0
     for _ in range(100):
-        metric_grid = MetricGrid(int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        param_grid = ParamGrid(int(rng.integers(2, 7)))
+        metric_bins = int(rng.integers(2, 9))
+        param_bins = int(rng.integers(2, 7))
         k = int(rng.integers(20, 200))
         records = np.array([[*rng.random(4), rng.random(), rng.uniform(-6.0, 0.0)] for _ in range(k)])
         units, clustering, dlog = records[:, :4], records[:, 4], records[:, 5]
-        model = build_conditional(units, clustering, dlog, metric_grid, param_grid)
-        cells = metric_grid.locate(clustering, dlog)
-        histogram = np.bincount(cells, minlength=metric_grid.cell_count) / k
+        model = build_conditional(units, clustering, dlog, metric_bins, param_bins)
+        cells = metric_cells(clustering, dlog, metric_bins)
+        histogram = np.bincount(cells, minlength=metric_bins**2) / k
         diff = np.abs(empirical_push(model) - histogram).max()
         worst = max(worst, diff)
     ok = worst <= 1e-12
@@ -388,13 +387,13 @@ def test_criterion_7_spread_of_generated_metrics(announce, pipeline):
     the all-ones q) and the result together occupied 38 cells (README).
     """
     run = pipeline[0]
-    grid = run.config.metric_grid
+    bins = run.config.metric_bins
     base = read_manifest(run.ws.baseline_manifest)
     result = read_manifest(run.ws.result_manifest)
     base_corr = correlation(base["clustering"], base["dlog"])
     result_corr = correlation(result["clustering"], result["dlog"])
-    base_cells = Counter(grid.locate(base["clustering"], base["dlog"]).tolist())
-    result_cells = Counter(grid.locate(result["clustering"], result["dlog"]).tolist())
+    base_cells = Counter(metric_cells(base["clustering"], base["dlog"], bins).tolist())
+    result_cells = Counter(metric_cells(result["clustering"], result["dlog"], bins).tolist())
     base_effective, result_effective = _effective_cells(base_cells), _effective_cells(result_cells)
     corr_ok = abs(result_corr) < abs(base_corr)
     cells_ok = _cell_clause(base_cells, result_cells)

@@ -21,7 +21,7 @@ import graphbargain.optimizer
 import graphbargain.rmat
 from graphbargain.cli import RunConfig, cmd_generate
 from graphbargain.dataset import read_manifest, write_qvector
-from graphbargain.grids import MetricGrid, ParamGrid, conditional_from_pairs
+from graphbargain.grids import conditional_from_pairs
 from graphbargain.optimizer import optimize, split_model
 from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
@@ -49,12 +49,11 @@ def calls(monkeypatch):
 
 def pinned_model():
     rng = np.random.default_rng(31)
-    param_grid = ParamGrid(6)
-    metric_grid = MetricGrid(4, 4)
+    param_bins, metric_bins = 6, 4
     records = 600
-    flat = rng.integers(0, param_grid.cell_count, size=records)
-    metric = (flat * 7 + rng.integers(0, 3, size=records)) % metric_grid.cell_count
-    return conditional_from_pairs(metric_grid, param_grid, flat, metric, np.ones(records, dtype=np.int64))
+    flat = rng.integers(0, param_bins**4, size=records)
+    metric = (flat * 7 + rng.integers(0, 3, size=records)) % metric_bins**2
+    return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(records, dtype=np.int64))
 
 
 def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):

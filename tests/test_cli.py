@@ -33,7 +33,7 @@ from graphbargain.cli import (
 from graphbargain.dataset import MANIFEST_HEADER, read_edge_list, read_manifest, read_qvector
 from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, metric_projection
-from graphbargain.grids import load_conditional
+from graphbargain.grids import load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
 from graphbargain.rmat import DegenerateParametersError, generate_graph
@@ -114,8 +114,8 @@ class TestRunConfig:
 
     def test_grids(self):
         config = RunConfig(metric_bins=8, param_bins=6)
-        assert config.metric_grid.cell_count == 64
-        assert config.param_grid.cell_count == 6**4
+        assert metric_cells([1.0], [0.0], config.metric_bins).tolist() == [64 - 1]
+        assert param_cells([[1.0, 1.0, 1.0, 1.0]], config.param_bins).tolist() == [6**4 - 1]
 
 
 class TestConfigFile:
@@ -242,6 +242,8 @@ class TestMainExitCodes:
         assert "run generate first" in capsys.readouterr().err
         assert main(["report", "--out", out]) == 3
         assert "no manifests" in capsys.readouterr().err
+        # no command leaves an output directory behind on a missing input
+        assert not (tmp_path / "empty").exists()
 
     def test_unwritable_output_is_6(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -270,9 +272,9 @@ def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, co
     assert capsys.readouterr().err.startswith(f"error: {path}: not ASCII text: ")
 
 
-def write_model(path, body, total, metric_grid="10 10", param_bins=20) -> None:
+def write_model(path, body, total, metric_grid="10 10 -6.0 0.0", param_bins=20) -> None:
     header = [
-        "graphbargain-model v1", f"metric_grid {metric_grid} -6.0 0.0", f"param_grid {param_bins}",
+        "graphbargain-model v1", f"metric_grid {metric_grid}", f"param_grid {param_bins}",
         f"total {total}", f"pairs {len(body)}",
     ]
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -304,17 +306,21 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
     ("model", "argv", "code", "message"),
     [
         # a model too small to split, or a holdout that rounds one side to nothing
-        ((["5 3 6"], 6, "10 10", 20), [], 3, "cannot split 6 records at holdout 0.2: need at least 10 records"),
-        ((["5 3 20"], 20, "10 10", 20), ["--holdout", "0.01"], 3, "at holdout 0.01: degenerate split"),
+        ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), [], 3, "cannot split 6 records at holdout 0.2: need at least 10 records"),
+        ((["5 3 20"], 20, "10 10 -6.0 0.0", 20), ["--holdout", "0.01"], 3, "at holdout 0.01: degenerate split"),
         # one metric cell leaves the bargaining fitness undefined
         (None, ["--metric-bins", "1"], 2, "metric_bins must be at least 2"),
-        ((["5 0 12"], 12, "1 1", 20), [], 3, "bad header: metric grid needs at least 2 cells"),
+        ((["5 0 12"], 12, "1 1 -6.0 0.0", 20), [], 3, "inconsistent model: metric grid needs at least 2 bins per axis"),
         # 55109**4 - 1, the largest flat parameter cell id, overflows int64
         (None, ["--param-bins", "60000"], 2, "param_bins must lie in [1, 55108]"),
-        ((["5 3 12"], 12, "10 10", 55109), [], 3, "bad header: 55109 bins per axis overflow the int64 cell ids"),
+        ((["5 3 12"], 12, "10 10 -6.0 0.0", 55109), [], 3, "inconsistent model: 55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+        # no command writes a metric grid other than the square one over dlog [-6, 0]
+        ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), [], 3, "bad header: 'metric_grid 10 8 -6.0 0.0' is not the square metric grid over dlog [-6.0, 0.0]"),
+        ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "bad header: 'metric_grid 10 10 -7.0 0.0' is not the square metric grid over dlog [-6.0, 0.0]"),
+        ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "bad header: 'metric_grid 10 10 -6.0 -1.0' is not the square metric grid over dlog [-6.0, 0.0]"),
     ],
     ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "param-bins-flag",
-         "param-grid-header"],
+         "param-grid-header", "non-square-header", "dlog-min-header", "dlog-max-header"],
 )
 def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, model, argv, code, message):
     ws = Workspace(tmp_path)
@@ -359,6 +365,8 @@ def test_malformed_manifest_is_3(tmp_path, capsys, command, field, token):
     ws.result_manifest.write_text("\n".join([MANIFEST_HEADER, good, ",".join(bad)]) + "\n", encoding="ascii")
     assert main([command, "--out", str(tmp_path)]) == 3
     assert f"manifest.csv:3: {field} " in capsys.readouterr().err
+    # the manifest is read before the command makes its output directory
+    assert [p.name for p in tmp_path.iterdir()] == ["result"]
 
 
 class TestPipeline:
@@ -371,7 +379,7 @@ class TestPipeline:
         assert np.all((30 <= table["e_param"]) & (table["e_param"] <= 90))
         model = load_conditional(ws.baseline_model)
         assert model.total == 10
-        assert model.param_grid.bins == 4
+        assert (model.metric_bins, model.param_bins) == (10, 4)
 
     def test_optimize_outputs(self, pipeline):
         ws = pipeline.ws

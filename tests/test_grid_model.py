@@ -11,14 +11,16 @@ from scipy.special import betainc
 
 from graphbargain.errors import DataError
 from graphbargain.grids import (
+    DLOG_MAX,
+    DLOG_MIN,
     MAX_PARAM_BINS,
     ConditionalModel,
-    MetricGrid,
-    ParamGrid,
     _dim_masses,
     build_conditional,
     conditional_from_pairs,
     load_conditional,
+    metric_cells,
+    param_cells,
     predicted_mass,
     save_conditional,
 )
@@ -32,23 +34,19 @@ def random_records(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np
 
 
 def random_model(rng: np.random.Generator, count: int = 200, metric_bins: int = 10, param_bins: int = 5) -> ConditionalModel:
-    return build_conditional(
-        *random_records(rng, count),
-        MetricGrid(metric_bins, metric_bins),
-        ParamGrid(param_bins),
-    )
+    return build_conditional(*random_records(rng, count), metric_bins, param_bins)
 
 
 def cell_digits(model: ConditionalModel) -> np.ndarray:
     """Per observed cell, its (N, a, b, c) bins, read off ``cell_flat``."""
-    return np.column_stack(np.unravel_index(model.cell_flat, (model.param_grid.bins,) * 4))
+    return np.column_stack(np.unravel_index(model.cell_flat, (model.param_bins,) * 4))
 
 
 def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
     """Equal grids, totals and count arrays; models themselves compare by identity."""
     return (
-        a.metric_grid == b.metric_grid
-        and a.param_grid == b.param_grid
+        a.metric_bins == b.metric_bins
+        and a.param_bins == b.param_bins
         and a.total == b.total
         and all(
             np.array_equal(getattr(a, name), getattr(b, name))
@@ -57,20 +55,20 @@ def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
     )
 
 
-def scalar_metric_cell(grid: MetricGrid, clustering: float, dlog: float) -> int:
-    """Per-point metric cell, as the grid once located each point; the array locate's reference."""
-    c_bin = min(int(clustering * grid.clustering_bins), grid.clustering_bins - 1)
-    d = max(dlog, grid.dlog_min)
-    width = (grid.dlog_max - grid.dlog_min) / grid.dlog_bins
-    d_bin = max(min(int((d - grid.dlog_min) / width), grid.dlog_bins - 1), 0)
-    return c_bin * grid.dlog_bins + d_bin
+def scalar_metric_cell(bins: int, clustering: float, dlog: float) -> int:
+    """Per-point metric cell, as the grid once located each point; metric_cells's reference."""
+    c_bin = min(int(clustering * bins), bins - 1)
+    d = max(dlog, DLOG_MIN)
+    width = (DLOG_MAX - DLOG_MIN) / bins
+    d_bin = max(min(int((d - DLOG_MIN) / width), bins - 1), 0)
+    return c_bin * bins + d_bin
 
 
-def scalar_param_cell(grid: ParamGrid, u: list[float]) -> int:
-    """Per-point parameter cell id, row-major over (N, a, b, c); the array locate's reference."""
+def scalar_param_cell(bins: int, u: list[float]) -> int:
+    """Per-point parameter cell id, row-major over (N, a, b, c); param_cells's reference."""
     flat = 0
     for x in u:
-        flat = flat * grid.bins + min(int(x * grid.bins), grid.bins - 1)
+        flat = flat * bins + min(int(x * bins), bins - 1)
     return flat
 
 
@@ -81,13 +79,13 @@ def per_spec_predicted_mass(model: ConditionalModel, q: np.ndarray) -> tuple[np.
     matrix-vector product that fused its multiply-add would differ in the
     last bit and fail the == tests.
     """
-    edges = np.linspace(0.0, 1.0, model.param_grid.bins + 1)
+    edges = np.linspace(0.0, 1.0, model.param_bins + 1)
     dim = np.vstack([np.diff(betainc(alpha, beta, edges)) for alpha, beta in zip(q[0::2], q[1::2])])
     cb = cell_digits(model)
     cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
     coverage = float(cellmass.sum())
     weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
-    raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_grid.cell_count)
+    raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_bins**2)
     return raw, coverage
 
 
@@ -109,51 +107,36 @@ def bound_qs(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 
 class TestMetricGrid:
     def test_known_cells(self):
-        grid = MetricGrid(10, 10)
-        assert grid.cell_count == 100
-        cells = grid.locate([0.25, 0.0, 0.05, 0.999], [-3.0, -6.0, -5.95, -0.001])
+        cells = metric_cells([0.25, 0.0, 0.05, 0.999], [-3.0, -6.0, -5.95, -0.001], 10)
         assert cells.dtype == np.int64
         assert cells.tolist() == [25, 0, 0, 99]
 
     def test_upper_edges_fold_into_last_bins(self):
-        grid = MetricGrid(10, 10)
-        assert grid.locate([1.0, 0.25, 1.0], [-3.0, 0.0, 0.0]).tolist() == [95, 29, 99]
+        assert metric_cells([1.0, 0.25, 1.0], [-3.0, 0.0, 0.0], 10).tolist() == [95, 29, 99]
 
     def test_low_dlog_is_clamped_with_one_counting_warning(self, caplog):
-        grid = MetricGrid(10, 10)
         with caplog.at_level(logging.WARNING, logger="graphbargain.grids"):
-            assert grid.locate([0.5, 0.5, 0.5], [-7.5, -3.0, -1e9]).tolist() == [50, 55, 50]
+            assert metric_cells([0.5, 0.5, 0.5], [-7.5, -3.0, -1e9], 10).tolist() == [50, 55, 50]
         clamped = [r.getMessage() for r in caplog.records if "clamped into first bin" in r.getMessage()]
         assert len(clamped) == 1 and clamped[0].startswith("2 dlog values")
 
     def test_out_of_range_raises(self):
-        grid = MetricGrid(10, 10)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate([0.5, -0.01], [-3.0, -3.0])
+            metric_cells([0.5, -0.01], [-3.0, -3.0], 10)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate([1.01], [-3.0])
+            metric_cells([1.01], [-3.0], 10)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate([math.nan], [-3.0])
+            metric_cells([math.nan], [-3.0], 10)
         with pytest.raises(ValueError, match="nan"):
-            grid.locate([0.5], [math.nan])
+            metric_cells([0.5], [math.nan], 10)
 
     def test_empty_input(self):
-        assert MetricGrid(10, 10).locate([], []).tolist() == []
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="at least one bin"):
-            MetricGrid(0, 5)
-        with pytest.raises(ValueError, match="at least 2 cells"):
-            MetricGrid(1, 1)
-        assert MetricGrid(1, 2).cell_count == 2
-        with pytest.raises(ValueError, match="dlog_min"):
-            MetricGrid(5, 5, dlog_min=0.0, dlog_max=0.0)
+        assert metric_cells([], [], 10).tolist() == []
 
     def test_bins_partition_the_plane(self):
-        grid = MetricGrid(7, 9)
         rng = np.random.default_rng(3)
-        cells = grid.locate(rng.random(500), rng.uniform(-6.0, 0.0, 500))
-        assert cells.min() >= 0 and cells.max() < grid.cell_count
+        cells = metric_cells(rng.random(500), rng.uniform(-6.0, 0.0, 500), 7)
+        assert cells.min() >= 0 and cells.max() < 7**2
 
 
 def with_bin_edges(rng: np.random.Generator, edges: np.ndarray, lo: float, hi: float, count: int) -> np.ndarray:
@@ -165,48 +148,40 @@ def test_array_locates_match_the_scalar_reference():
     # bin edges, upper edges and dlog below (and above) the grid included
     rng = np.random.default_rng(17)
     for _ in range(200):
-        bins = (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-        mgrid = MetricGrid(
-            *(bins if bins != (1, 1) else (1, 2)),  # a metric grid needs 2 cells
-            dlog_min=float(rng.uniform(-8.0, -3.0)), dlog_max=float(rng.uniform(-2.0, 0.0)),
-        )
-        width = (mgrid.dlog_max - mgrid.dlog_min) / mgrid.dlog_bins
-        c = with_bin_edges(rng, np.arange(mgrid.clustering_bins + 1) / mgrid.clustering_bins, 0.0, 1.0, 500)
-        d_edges = mgrid.dlog_min + np.arange(mgrid.dlog_bins + 1) * width
-        d = with_bin_edges(rng, d_edges, mgrid.dlog_min - 2.0, mgrid.dlog_max + 0.5, 500)
-        expected = [scalar_metric_cell(mgrid, float(x), float(y)) for x, y in zip(c, d)]
-        assert mgrid.locate(c, d).tolist() == expected
+        bins = int(rng.integers(2, 13))
+        width = (DLOG_MAX - DLOG_MIN) / bins
+        c = with_bin_edges(rng, np.arange(bins + 1) / bins, 0.0, 1.0, 500)
+        d_edges = DLOG_MIN + np.arange(bins + 1) * width
+        d = with_bin_edges(rng, d_edges, DLOG_MIN - 2.0, DLOG_MAX + 0.5, 500)
+        expected = [scalar_metric_cell(bins, float(x), float(y)) for x, y in zip(c, d)]
+        assert metric_cells(c, d, bins).tolist() == expected
 
-        pgrid = ParamGrid(int(rng.integers(1, 25)))
-        edges = np.arange(pgrid.bins + 1) / pgrid.bins
+        bins = int(rng.integers(1, 25))
+        edges = np.arange(bins + 1) / bins
         units = np.column_stack([with_bin_edges(rng, edges, 0.0, 1.0, 500) for _ in range(4)])
-        expected = [scalar_param_cell(pgrid, list(map(float, row))) for row in units]
-        assert pgrid.locate(units).tolist() == expected
+        expected = [scalar_param_cell(bins, list(map(float, row))) for row in units]
+        assert param_cells(units, bins).tolist() == expected
 
 
 class TestParamGrid:
     def test_locate_and_upper_edge_folding(self):
-        grid = ParamGrid(20)
-        cells = grid.locate([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.05, 0.049999, 0.5, 0.951]])
+        cells = param_cells([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.05, 0.049999, 0.5, 0.951]], 20)
         assert cells.dtype == np.int64
-        assert cells.tolist() == [0, grid.cell_count - 1, ((1 * 20 + 0) * 20 + 10) * 20 + 19]
+        assert cells.tolist() == [0, 20**4 - 1, ((1 * 20 + 0) * 20 + 10) * 20 + 19]
 
     def test_locate_out_of_range(self):
-        grid = ParamGrid(20)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate([[0.5, -0.01, 0.5, 0.5]])
+            param_cells([[0.5, -0.01, 0.5, 0.5]], 20)
         with pytest.raises(ValueError, match="outside"):
-            grid.locate([[0.5, 0.5, 1.01, 0.5]])
+            param_cells([[0.5, 0.5, 1.01, 0.5]], 20)
         with pytest.raises(ValueError, match=r"\(K, 4\)"):
-            grid.locate([0.5, 0.5, 0.5, 0.5])
+            param_cells([0.5, 0.5, 0.5, 0.5], 20)
 
     def test_cell_count(self):
-        assert ParamGrid(20).cell_count == 160000
-        assert ParamGrid(1).cell_count == 1
-        assert ParamGrid(MAX_PARAM_BINS).cell_count - 1 <= np.iinfo(np.int64).max < (MAX_PARAM_BINS + 1) ** 4 - 1
-        with pytest.raises(ValueError, match=f"{MAX_PARAM_BINS + 1} bins per axis overflow the int64 cell ids"):
-            ParamGrid(MAX_PARAM_BINS + 1)
-        corner = ParamGrid(MAX_PARAM_BINS).locate([[1.0, 1.0, 1.0, 1.0]])
+        assert param_cells([[1.0, 1.0, 1.0, 1.0]], 20).tolist() == [160000 - 1]
+        assert param_cells([[1.0, 1.0, 1.0, 1.0]], 1).tolist() == [0]
+        assert MAX_PARAM_BINS**4 - 1 <= np.iinfo(np.int64).max < (MAX_PARAM_BINS + 1) ** 4 - 1
+        corner = param_cells([[1.0, 1.0, 1.0, 1.0]], MAX_PARAM_BINS)
         assert corner.tolist() == [MAX_PARAM_BINS**4 - 1]
 
 
@@ -214,18 +189,16 @@ class TestConditionalConstruction:
     def test_build_matches_manual_pair_assembly(self):
         rng = np.random.default_rng(7)
         units, clustering, dlog = random_records(rng, 400)
-        metric_grid = MetricGrid(10, 10)
-        param_grid = ParamGrid(5)
-        built = build_conditional(units, clustering, dlog, metric_grid, param_grid)
+        built = build_conditional(units, clustering, dlog, 10, 5)
 
         counts: dict[tuple[int, int], int] = {}
         for u, c, d in zip(units.tolist(), clustering.tolist(), dlog.tolist()):
-            key = (scalar_param_cell(param_grid, u), scalar_metric_cell(metric_grid, c, d))
+            key = (scalar_param_cell(5, u), scalar_metric_cell(10, c, d))
             counts[key] = counts.get(key, 0) + 1
         keys = sorted(counts)
         manual = conditional_from_pairs(
-            metric_grid,
-            param_grid,
+            10,
+            5,
             np.array([k[0] for k in keys]),
             np.array([k[1] for k in keys]),
             np.array([counts[k] for k in keys]),
@@ -235,7 +208,7 @@ class TestConditionalConstruction:
 
     def test_duplicate_pairs_merge(self):
         model = conditional_from_pairs(
-            MetricGrid(10, 10), ParamGrid(5),
+            10, 5,
             np.array([5, 5, 3]), np.array([2, 2, 7]), np.array([1, 2, 4]),
         )
         assert model.total == 7
@@ -248,14 +221,14 @@ class TestConditionalConstruction:
 
     def test_zero_counts_dropped(self):
         model = conditional_from_pairs(
-            MetricGrid(10, 10), ParamGrid(5),
+            10, 5,
             np.array([1, 2]), np.array([0, 1]), np.array([0, 3]),
         )
         assert model.total == 3
         assert model.cell_flat.tolist() == [2]
 
     def test_validation_errors(self):
-        mg, pg = MetricGrid(10, 10), ParamGrid(5)
+        mg, pg = 10, 5
         one = np.array([1])
         with pytest.raises(ValueError, match="1-d"):
             conditional_from_pairs(mg, pg, np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
@@ -266,11 +239,29 @@ class TestConditionalConstruction:
         with pytest.raises(ValueError, match="no records"):
             conditional_from_pairs(mg, pg, one, one, np.array([0]))
         with pytest.raises(ValueError, match="parameter cell id"):
-            conditional_from_pairs(mg, pg, np.array([pg.cell_count]), one, one)
+            conditional_from_pairs(mg, pg, np.array([pg**4]), one, one)
         with pytest.raises(ValueError, match="metric cell id"):
-            conditional_from_pairs(mg, pg, one, np.array([mg.cell_count]), one)
+            conditional_from_pairs(mg, pg, one, np.array([mg**2]), one)
         with pytest.raises(ValueError, match="no records"):
             build_conditional(np.zeros((0, 4)), [], [], mg, pg)
+
+    def test_bin_bounds(self):
+        one = np.array([0])
+        for metric_bins, param_bins, message in [
+            (1, 5, "metric grid needs at least 2 bins per axis, got 1"),
+            (0, 5, "metric grid needs at least 2 bins per axis, got 0"),
+            (10, 0, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
+            (10, 55_109, r"^55109 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                conditional_from_pairs(metric_bins, param_bins, one, one, one + 1)
+        for metric_bins, param_bins in [(2, 1), (2, MAX_PARAM_BINS)]:
+            model = conditional_from_pairs(metric_bins, param_bins, one, one, one + 1)
+            assert (model.metric_bins, model.param_bins, model.total) == (metric_bins, param_bins, 1)
+        corner = conditional_from_pairs(2, MAX_PARAM_BINS, [MAX_PARAM_BINS**4 - 1], [3], [1])
+        assert corner.cell_flat.tolist() == [MAX_PARAM_BINS**4 - 1]
+        with pytest.raises(ValueError, match="parameter cell id outside grid"):
+            conditional_from_pairs(2, MAX_PARAM_BINS, [MAX_PARAM_BINS**4], [3], [1])
 
     def test_equality(self):
         a = random_model(np.random.default_rng(9))
@@ -290,10 +281,10 @@ class TestPrediction:
         rng = np.random.default_rng(11)
         model = random_model(rng, count=300, param_bins=4)
         raw, coverage = predicted_mass(model, np.ones(8))
-        expected = model.cell_flat.size / model.param_grid.cell_count
+        expected = model.cell_flat.size / model.param_bins**4
         assert coverage == pytest.approx(expected, abs=1e-12)
         assert raw.sum() == pytest.approx(coverage, abs=1e-12)
-        assert raw.shape == (model.metric_grid.cell_count,)
+        assert raw.shape == (model.metric_bins**2,)
 
     def test_raw_mass_sums_to_coverage(self):
         rng = np.random.default_rng(13)
@@ -305,7 +296,7 @@ class TestPrediction:
 
     def test_single_cell_mass_is_the_box_probability(self):
         u = [[0.31, 0.62, 0.11, 0.87]]
-        model = build_conditional(u, [0.5], [-2.0], MetricGrid(10, 10), ParamGrid(5))
+        model = build_conditional(u, [0.5], [-2.0], 10, 5)
         q = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
         _, coverage = predicted_mass(model, q)
         # the box [0.2, 0.4) x [0.6, 0.8) x [0.0, 0.2) x [0.8, 1.0]
@@ -320,12 +311,11 @@ class TestPrediction:
         rng = np.random.default_rng(41)
         q = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
         u = [[0.5, 0.1, 0.7, 0.3]]
-        param_grid = ParamGrid(4)
-        model = build_conditional(u, [0.5], [-2.0], MetricGrid(10, 10), param_grid)
+        model = build_conditional(u, [0.5], [-2.0], 10, 4)
         _, coverage = predicted_mass(model, q)
         n = 200_000
         draws = np.column_stack([rng.beta(alpha, beta, n) for alpha, beta in zip(q[0::2], q[1::2])])
-        estimate = float(np.mean(param_grid.locate(draws) == model.cell_flat[0]))
+        estimate = float(np.mean(param_cells(draws, 4) == model.cell_flat[0]))
         sigma = math.sqrt(estimate * (1 - estimate) / n)
         assert coverage == pytest.approx(estimate, abs=5 * sigma)
 
@@ -349,8 +339,8 @@ class TestPrediction:
         models.append(random_model(rng, count=60, metric_bins=30, param_bins=20))
         # single-pair models: one record, and one pair holding many records
         models.append(random_model(rng, count=1, param_bins=20))
-        models.append(conditional_from_pairs(MetricGrid(10, 10), ParamGrid(20), [77_777], [42], [9]))
-        assert np.unique(models[5].pair_metric).size < models[5].metric_grid.cell_count // 10
+        models.append(conditional_from_pairs(10, 20, [77_777], [42], [9]))
+        assert np.unique(models[5].pair_metric).size < models[5].metric_bins**2 // 10
         assert models[6].pair_counts.size == models[7].pair_counts.size == 1
         qs = bound_qs(rng, 240)
         for model in models:
@@ -381,11 +371,11 @@ class TestPrediction:
         cached = ("param_edges", "cell_index", "push")
         assert all(name in vars(model) and name not in vars(twin) for name in cached)
         push = model.push
-        assert push.shape == (model.metric_grid.cell_count, model.cell_flat.size)
+        assert push.shape == (model.metric_bins**2, model.cell_flat.size)
         assert push.nnz == model.pair_counts.size
         assert np.all(push.toarray()[model.pair_metric, model.pair_cell] == model.pair_counts / model.cell_counts[model.pair_cell])
         b01, b2, b3 = model.cell_index
-        bins = model.param_grid.bins
+        bins = model.param_bins
         assert np.array_equal(b01 * bins**2 + b2 * bins + b3, model.cell_flat)
         assert same_model(model, twin) and same_model(twin, model)
         save_conditional(model, after)
@@ -450,6 +440,15 @@ class TestModelFile:
         with pytest.raises(DataError, match="cannot read"):
             load_conditional(tmp_path / "missing.txt")
 
+    @pytest.mark.parametrize(
+        "header", ["metric_grid 10 8 -6.0 0.0", "metric_grid 10 10 -7.0 0.0", "metric_grid 10 10 -6.0 -1.0"]
+    )
+    def test_only_the_square_grid_over_the_dlog_range_loads(self, tmp_path, header):
+        lines = ["graphbargain-model v1", header, "param_grid 5", "total 3", "pairs 1", "5 2 3"]
+        message = rf"bad\.txt: bad header: '{header}' is not the square metric grid over dlog \[-6\.0, 0\.0\]$"
+        with pytest.raises(DataError, match=message):
+            load_conditional(self._write(tmp_path, lines))
+
     def test_numbers_beyond_int64_or_an_inexact_total(self, tmp_path):
         # test_cli.py::test_oversized_model_numbers_are_3 covers each column and the int64 wrap through main
         head = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5"]
@@ -464,5 +463,4 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         save_conditional(model, path)
         loaded = load_conditional(path)
-        assert loaded.metric_grid == MetricGrid(3, 3)
-        assert loaded.param_grid == ParamGrid(2)
+        assert (loaded.metric_bins, loaded.param_bins) == (3, 2)

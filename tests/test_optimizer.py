@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
-from graphbargain.grids import MetricGrid, ParamGrid, build_conditional, predicted_mass
+from graphbargain.grids import build_conditional, predicted_mass
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import TRACE_DTYPE, optimize, split_model
 
@@ -33,7 +33,7 @@ def skewed_records(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np
 @pytest.fixture(scope="module")
 def skewed_split():
     records = skewed_records(np.random.default_rng(23))
-    return split_model(build_conditional(*records, MetricGrid(2, 1), ParamGrid(8)), 0.2, 3)
+    return split_model(build_conditional(*records, 2, 8), 0.2, 3)
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
@@ -47,12 +47,11 @@ def pair_dict(model) -> dict[tuple[int, int], int]:
 class TestSplitModel:
     def test_partition_totals_and_conservation(self):
         records = random_records(np.random.default_rng(9), 60)
-        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, 10, 5)
         train, hold = split_model(full, 0.25, 13)
         assert hold.total == 15
         assert train.total == 45
-        assert train.metric_grid == full.metric_grid
-        assert train.param_grid == full.param_grid
+        assert (train.metric_bins, train.param_bins) == (hold.metric_bins, hold.param_bins) == (10, 5)
         combined: dict[tuple[int, int], int] = {}
         for side in (train, hold):
             for key, count in pair_dict(side).items():
@@ -61,7 +60,7 @@ class TestSplitModel:
 
     def test_deterministic(self):
         records = random_records(np.random.default_rng(15), 60)
-        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, 10, 5)
         a = split_model(full, 0.2, 21)
         b = split_model(full, 0.2, 21)
         assert pair_dict(a[0]) == pair_dict(b[0]) and pair_dict(a[1]) == pair_dict(b[1])
@@ -70,14 +69,14 @@ class TestSplitModel:
 
     def test_too_few_records(self):
         records = random_records(np.random.default_rng(17), 12)
-        full = build_conditional(*records, MetricGrid(10, 10), ParamGrid(5))
+        full = build_conditional(*records, 10, 5)
         # one range check on the rounded holdout size refuses every bad fraction
         for fraction in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="degenerate split"):
                 split_model(full, fraction, 0)
         with pytest.raises(ValueError):
             split_model(full, float("nan"), 0)
-        small = build_conditional(*random_records(np.random.default_rng(18), 9), MetricGrid(10, 10), ParamGrid(5))
+        small = build_conditional(*random_records(np.random.default_rng(18), 9), 10, 5)
         with pytest.raises(ValueError, match="at least 10 records"):
             split_model(small, 0.2, 0)
 
@@ -91,7 +90,7 @@ class TestOptimize:
         ones = bargaining_fitness(raw / raw.sum())
         assert best <= ones
         assert best < ones - 0.025
-        f_min, f_max = fitness_bounds(train.metric_grid.cell_count)
+        f_min, f_max = fitness_bounds(train.metric_bins**2)
         assert f_min - 1e-9 <= best <= f_max + 1e-9
 
     def test_result_shape_and_bounds(self, skewed_split):
@@ -137,9 +136,9 @@ class TestOptimize:
 
     def test_mismatched_grids_rejected(self):
         records = skewed_records(np.random.default_rng(29))
-        a = build_conditional(*records, MetricGrid(2, 1), ParamGrid(4))
-        b = build_conditional(*records, MetricGrid(2, 1), ParamGrid(5))
-        c = build_conditional(*records, MetricGrid(2, 2), ParamGrid(4))
+        a = build_conditional(*records, 2, 4)
+        b = build_conditional(*records, 2, 5)
+        c = build_conditional(*records, 3, 4)
         settings = {"pop": 8, "max_gen": 4, "tol": 1e-3, "seed": 0}
         with pytest.raises(ValueError, match="different grids"):
             optimize(a, b, **settings)
