@@ -30,11 +30,13 @@ import numpy as np
 from .dataset import (
     MANIFEST_DTYPE,
     correlation,
+    csv_lines,
     key_value_lines,
     read_edge_list,
     read_manifest,
     read_matrix_market,
     read_qvector,
+    write_ascii,
     write_edge_list,
     write_manifest,
     write_qvector,
@@ -294,11 +296,8 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
     best_q, trace = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
     generations, _, holdout_fitness, coverage = trace[-1].tolist()
     extra = {"holdout_fitness": holdout_fitness, "coverage": coverage, "generations": generations, "seed": config.seed}
-    ws.optimize_dir.mkdir(parents=True, exist_ok=True)
     write_qvector(best_q, ws.best_q, extra=extra)
-    with open(ws.trace, "w", encoding="ascii") as fh:
-        fh.write(",".join(TRACE_DTYPE.names) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in trace.tolist())
+    write_ascii(ws.trace, csv_lines(TRACE_DTYPE.names, trace.tolist()))
     logger.info("optimize: holdout fitness %.6f after %d generations, wrote %s", holdout_fitness, generations, ws.best_q)
     return ws.best_q
 
@@ -325,6 +324,8 @@ def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
 
 def _read_validation_graph(path: Path) -> Graph:
     """The graph's largest component, as metric_projection assumes, whatever the file format."""
+    if not (path.name.isascii() and path.name.isprintable()) or "," in path.name:
+        raise DataError(f"{path}: a metrics.csv name must be printable ASCII without commas")
     if path.suffix.lower() == ".mtx":
         return read_matrix_market(path)
     return largest_connected_component(read_edge_list(path))
@@ -347,17 +348,10 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
             continue
         measured.append((Path(name).name, g.node_count, g.edge_count, *metric_projection(g)))
 
-    ws.validate_dir.mkdir(parents=True, exist_ok=True)
-    with open(ws.validation_csv, "w", encoding="ascii") as fh:
-        fh.write("name,n,e,clustering,dlog\n")
-        for name, n, e, clustering, dlog in measured:
-            fh.write(f"{name},{n},{e},{clustering!r},{dlog!r}\n")
-    with open(ws.scatter_csv, "w", encoding="ascii") as fh:
-        fh.write("source,clustering,dlog\n")
-        for clustering, dlog in table[["clustering", "dlog"]].tolist():
-            fh.write(f"result,{clustering!r},{dlog!r}\n")
-        for *_, clustering, dlog in measured:
-            fh.write(f"validation,{clustering!r},{dlog!r}\n")
+    write_ascii(ws.validation_csv, csv_lines(("name", "n", "e", "clustering", "dlog"), measured))
+    scatter = [("result", *point) for point in table[["clustering", "dlog"]].tolist()]
+    scatter += [("validation", clustering, dlog) for *_, clustering, dlog in measured]
+    write_ascii(ws.scatter_csv, csv_lines(("source", "clustering", "dlog"), scatter))
 
     for name, n, e, clustering, dlog in measured:
         print(f"{name}: N={n} E={e} clustering={clustering:.4f} dlog={dlog:.4f}")
@@ -378,7 +372,6 @@ def cmd_report(config: RunConfig) -> Path:
     tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
     if not tables:
         raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
-    ws.report_dir.mkdir(parents=True, exist_ok=True)
     bins = config.metric_bins
     f_min, f_max = fitness_bounds(bins**2)
     lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
@@ -389,17 +382,15 @@ def cmd_report(config: RunConfig) -> Path:
         occupied = int(np.count_nonzero(hist))
         corr = correlation(clustering, dlog)
         corr_text = "n/a" if corr is None else f"{corr:.4f}"
-        with open(ws.report_dir / f"{label}_scatter.csv", "w", encoding="ascii") as fh:
-            fh.write("clustering,dlog\n")
-            fh.writelines(f"{c!r},{d!r}\n" for c, d in table[["clustering", "dlog"]].tolist())
+        points = table[["clustering", "dlog"]].tolist()
+        write_ascii(ws.report_dir / f"{label}_scatter.csv", csv_lines(("clustering", "dlog"), points))
         lines.append(
             f"{label}: count={len(table)} occupied_cells={occupied}/{bins**2} "
             f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "
             f"mean_clustering={clustering.mean():.4f} mean_dlog={dlog.mean():.4f}"
         )
-    text = "\n".join(lines) + "\n"
-    ws.report_txt.write_text(text, encoding="ascii")
-    print(text, end="")
+    write_ascii(ws.report_txt, lines)
+    print("\n".join(lines))
     return ws.report_txt
 
 

@@ -1,12 +1,14 @@
 """File formats: edge lists, MatrixMarket adjacency input, manifests, q vectors; metric correlation.
 
 All text output is ASCII with floats rendered via repr(), so files are
-byte-identical across runs and round-trip without precision loss.
+byte-identical across runs and round-trip without precision loss. Only this
+module opens files, and write_ascii replaces each text artifact atomically.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -20,6 +22,8 @@ from .rmat import VanishedGraphError, sanitize
 __all__ = [
     "MANIFEST_DTYPE",
     "MANIFEST_HEADER",
+    "write_ascii",
+    "csv_lines",
     "write_edge_list",
     "read_edge_list",
     "read_matrix_market",
@@ -30,8 +34,6 @@ __all__ = [
     "correlation",
 ]
 
-_MM_FIELDS = {"pattern", "real", "integer", "complex"}
-_MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 _WRITE_ROWS = 65536
 _INT64 = np.iinfo(np.int64)
 
@@ -44,6 +46,30 @@ def read_ascii(path: Path, what: str, error: type[ValueError]) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not ASCII text: {exc}") from exc
+
+
+def write_ascii(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline as ASCII, creating the parent directory.
+
+    A sibling ``.<name>.partial`` replaces ``path`` once complete; a failed write removes it.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w", encoding="ascii") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def csv_lines(names: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """The header of ``names``, then each row's str() values joined by commas (a float's str is its repr)."""
+    yield ",".join(names)
+    for row in rows:
+        yield ",".join(map(str, row))
 
 
 def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[tuple[str, str, str]]:
@@ -91,16 +117,9 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 def read_edge_list(path: str | Path) -> Graph:
     """Read 'u v' lines; errors name the first bad line."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read edge list {path}: {exc}") from exc
-    pairs = int_table(data, 2)
+    text = read_ascii(path, "edge list", DataError)
+    pairs = int_table(text.encode("ascii"), 2)
     if pairs is None or np.any(pairs < 0):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not ASCII text: {exc}") from exc
         lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip())
         bad_line(path, lines, ("u", "v"), negative="negative node id")
     if len(pairs) == 0:
@@ -174,28 +193,16 @@ def read_matrix_market(path: str | Path) -> Graph:
     before any entry is read.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="ascii", errors="replace") as fh:
-            banner = fh.readline().split()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(banner) != 5 or banner[0] != "%%MatrixMarket":
-        raise DataError(f"{path}:1: not a MatrixMarket file")
-    obj, fmt, field_kind, symmetry = (tok.lower() for tok in banner[1:])
-    if obj != "matrix" or fmt != "coordinate":
-        raise DataError(f"{path}:1: need a coordinate matrix, got {obj} {fmt}")
-    if field_kind not in _MM_FIELDS:
-        raise DataError(f"{path}:1: unknown field type {field_kind!r}")
-    if symmetry not in _MM_SYMMETRIES:
-        raise DataError(f"{path}:1: unknown symmetry {symmetry!r}")
     import scipy.io
 
-    # mminfo parses the size line alone; mmread allocates its entry count before reading.
+    # mminfo parses the banner and the size line alone; mmread allocates its entry count before reading.
     try:
-        rows, cols, entries, *_ = scipy.io.mminfo(str(path))
+        rows, cols, entries, fmt, *_ = scipy.io.mminfo(str(path))
         size = path.stat().st_size
     except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if fmt != "coordinate":
+        raise DataError(f"{path}:1: need a coordinate matrix, got {fmt}")
     if rows != cols:
         raise DataError(f"{path}: adjacency matrix must be square, got {rows}x{cols}")
     # Each entry takes two indices, and entries are whitespace-separated: at least 4k - 1 bytes.
@@ -227,10 +234,7 @@ _MANIFEST_PARSERS = [(name, int if MANIFEST_DTYPE[name].kind == "i" else float) 
 
 def write_manifest(table: np.ndarray, path: str | Path) -> None:
     """One line per row of a MANIFEST_DTYPE table; tolist() gives Python scalars, so repr round-trips."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(MANIFEST_HEADER + "\n")
-        for row in table.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    write_ascii(path, csv_lines(MANIFEST_DTYPE.names, table.tolist()))
 
 
 def read_manifest(path: str | Path) -> np.ndarray:
@@ -272,7 +276,7 @@ def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object] | No
     """
     lines = [f"{key} = {value!r}" for key, value in zip(Q_KEYS, check_shapes(q).tolist())]
     lines += [f"{key} = {value!r}" for key, value in (extra or {}).items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_ascii(path, lines)
 
 
 def read_qvector(path: str | Path) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .dataset import bad_line, int_table, read_ascii
+from .dataset import bad_line, int_table, read_ascii, write_ascii
 from .errors import DataError
 from .params import check_shapes
 
@@ -272,7 +272,7 @@ def save_conditional(model: ConditionalModel, path: str | Path) -> None:
     flat = model.cell_flat[model.pair_cell]
     for i, j, c in zip(flat, model.pair_metric, model.pair_counts):
         lines.append(f"{i} {j} {c}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_ascii(path, lines)
 
 
 def _header_fields(line: str, lineno: int, name: str, count: int, path: Path) -> list[str]:

@@ -494,6 +494,19 @@ class TestPipeline:
         lines = pipeline.ws.validation_csv.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["g000001.txt"]
 
+    @pytest.mark.parametrize("name", ["grafo_\u00f1.txt", "a,b.txt"], ids=["non-ascii", "comma"])
+    def test_validate_skips_a_file_name_metrics_csv_cannot_hold(self, pipeline, tmp_path, caplog, capsys, name):
+        odd = tmp_path / name
+        shutil.copyfile(pipeline.ws.result_graphs / "g000001.txt", odd)
+        good = pipeline.ws.result_graphs / "g000002.txt"
+        with caplog.at_level(logging.ERROR, logger="graphbargain.cli"):
+            assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(odd), str(good)]) == 0
+        assert [r.getMessage().startswith(f"validate: skipping {odd}: ") for r in caplog.records] == [True]
+        assert "coverage: 1/1 = 1.000" in capsys.readouterr().out
+        rows = [line.split(",") for line in pipeline.ws.validation_csv.read_text(encoding="ascii").splitlines()]
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][0] == "g000002.txt"
+
     def test_validate_via_main(self, pipeline, capsys):
         path = pipeline.ws.result_graphs / "g000001.txt"
         assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(path)]) == 0

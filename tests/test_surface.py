@@ -134,5 +134,21 @@ def test_every_public_name_is_read_outside_the_tests():
     assert unread == []
 
 
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dataset.py"], ids=lambda p: p.name)
+def test_only_dataset_opens_files(path):
+    """Every file the package reads or writes goes through ``graphbargain.dataset``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in FILE_CALLS
+    ]
+    assert calls == []
+
+
 def test_package_root_exports_only_the_version():
     assert graphbargain.__all__ == ["__version__"]
