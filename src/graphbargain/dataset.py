@@ -263,6 +263,9 @@ def read_manifest(path: str | Path) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: {name} is {value!r}, not a finite number")
         if not 0.0 <= values["clustering"] <= 1.0:
             raise DataError(f"{path}:{lineno}: clustering {values['clustering']!r} outside [0, 1]")
+        # log10 of a simple graph's density, which is at most 1
+        if values["dlog"] > 0.0:
+            raise DataError(f"{path}:{lineno}: dlog {values['dlog']!r} above 0")
         rows.append(tuple(values.values()))
     if not rows:
         raise DataError(f"{path}: manifest has no rows")

@@ -11,7 +11,7 @@ scored by pushing its per-cell mass through the conditional rows:
 Only observed parameter cells contribute, so the total pushed mass (the
 coverage) is less than 1; predictions renormalize and report it separately.
 The push is one sparse matrix (metric cells by parameter cells) built once per
-model, so scoring a candidate costs four Beta CDFs, three gathers and one
+model, so scoring a candidate costs four Beta CDFs, five gathers and one
 matrix-vector product.
 """
 
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # scipy.sparse and scipy.special load in the functions that call them: only
-# the optimizer pushes mass through a model or takes Beta CDFs.
+# baseline and optimize build a model, and only the optimizer takes Beta CDFs.
 if TYPE_CHECKING:
     import scipy.sparse
 
@@ -53,7 +53,7 @@ logger = logging.getLogger(__name__)
 _MODEL_MAGIC = "graphbargain-model"
 _MODEL_VERSION = "v1"
 _PAIR_COLUMNS = ("cell", "metric", "count")
-# bincount sums the pair counts as float64, which holds every integer up to 2**53.
+# The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
 # Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
 MAX_PARAM_BINS = 55_108
@@ -104,23 +104,25 @@ def param_cells(units: np.ndarray, bins: int) -> np.ndarray:
 class ConditionalModel:
     """Sparse conditional counts linking parameter cells to metric cells.
 
-    Arrays are parallel: ``cell_*`` index the K observed parameter cells
-    (sorted by flat id), ``pair_*`` the P observed (cell, metric) pairs
-    (sorted by flat id, then metric id).  ``pair_cell`` holds row indices
-    into the cell arrays, not flat ids.  Models compare by identity.
+    ``cell_flat`` holds the flat ids of the K observed parameter cells in
+    ascending order. ``counts`` is a canonical int64 CSC matrix of shape
+    (metric cells, K): column i holds the counts n_ij of cell ``cell_flat[i]``,
+    its row indices sorted, without duplicates or explicit zeros, so
+    ``counts.data`` runs in (cell, metric) order. Models compare by identity.
     """
 
     metric_bins: int
     param_bins: int
-    total: int
     cell_flat: np.ndarray
-    cell_counts: np.ndarray
-    pair_cell: np.ndarray
-    pair_metric: np.ndarray
-    pair_counts: np.ndarray
+    counts: scipy.sparse.csc_matrix
 
-    # The cached arrays below derive from the count arrays, so the model file
-    # does not hold them; the arrays are not to be mutated after construction.
+    @property
+    def total(self) -> int:
+        """The number of records the model counts."""
+        return int(self.counts.data.sum())
+
+    # The cached arrays below derive from the counts, so the model file does
+    # not hold them; the arrays are not to be mutated after construction.
 
     @cached_property
     def param_edges(self) -> np.ndarray:
@@ -128,31 +130,26 @@ class ConditionalModel:
         return np.linspace(0.0, 1.0, self.param_bins + 1)
 
     @cached_property
-    def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per cell: its flat (N, a) bin, its b bin and its c bin, each contiguous."""
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell: the index of its (N, a) bin pair, its b bin and its c bin; then per pair, its N and a bins."""
         bins = self.param_bins
         b01, rest = np.divmod(self.cell_flat, bins**2)
         b2, b3 = np.divmod(rest, bins)
-        return b01, b2, b3
+        pairs, pair_of_cell = np.unique(b01, return_inverse=True)
+        n_bin, a_bin = np.divmod(pairs, bins)
+        return pair_of_cell, b2, b3, n_bin, a_bin
 
     @cached_property
     def push(self) -> scipy.sparse.csr_matrix:
         """The conditional rows as a (metric cells, parameter cells) matrix of n_ij / n_i.
 
-        Each metric row keeps its pairs in pair order, so a matrix-vector
-        product adds the terms of a metric cell in the order a ``bincount``
-        over the pairs would.
+        The conversion to CSR keeps each metric row's cells in ascending
+        order, so a matrix-vector product adds the terms of a metric cell in
+        the order a ``bincount`` over ``counts.data`` would.
         """
-        import scipy.sparse
-
-        share = self.pair_counts / self.cell_counts[self.pair_cell]
-        order = np.argsort(self.pair_metric, kind="stable")
-        rows = self.metric_bins**2
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.pair_metric, minlength=rows), out=indptr[1:])
-        return scipy.sparse.csr_matrix(
-            (share[order], self.pair_cell[order], indptr), shape=(rows, self.cell_flat.size)
-        )
+        share = self.counts.astype(np.float64)
+        share.data /= np.repeat(self.counts.sum(axis=0).A1, np.diff(share.indptr))
+        return share.tocsr()
 
 
 def conditional_from_pairs(
@@ -168,6 +165,8 @@ def conditional_from_pairs(
     fitness needs at least 2 metric cells, and the flat parameter cell ids
     must fit in int64.
     """
+    import scipy.sparse
+
     if metric_bins < 2:
         raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
     if not 1 <= param_bins <= MAX_PARAM_BINS:
@@ -193,28 +192,10 @@ def conditional_from_pairs(
     if total > _MAX_TOTAL:
         raise ValueError(f"total count {total} above 2**53, where float64 sums stop being exact")
 
-    order = np.lexsort((metric, flat))
-    flat, metric, counts = flat[order], metric[order], counts[order]
-    fresh = np.ones(flat.size, dtype=bool)
-    fresh[1:] = (flat[1:] != flat[:-1]) | (metric[1:] != metric[:-1])
-    group = np.cumsum(fresh) - 1
-    pair_counts = np.bincount(group, weights=counts).astype(np.int64)
-    pair_flat = flat[fresh]
-    pair_metric = metric[fresh]
-
-    cell_flat, pair_cell = np.unique(pair_flat, return_inverse=True)
-    cell_counts = np.bincount(pair_cell, weights=pair_counts).astype(np.int64)
-
-    return ConditionalModel(
-        metric_bins=metric_bins,
-        param_bins=param_bins,
-        total=int(pair_counts.sum()),
-        cell_flat=cell_flat,
-        cell_counts=cell_counts,
-        pair_cell=pair_cell.astype(np.int64),
-        pair_metric=pair_metric,
-        pair_counts=pair_counts,
-    )
+    cell_flat, column = np.unique(flat, return_inverse=True)
+    matrix = scipy.sparse.csc_matrix((counts, (metric, column)), shape=(metric_bins**2, cell_flat.size))
+    matrix.sum_duplicates()
+    return ConditionalModel(metric_bins=metric_bins, param_bins=param_bins, cell_flat=cell_flat, counts=matrix)
 
 
 def build_conditional(
@@ -247,14 +228,14 @@ def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndar
 
     ``shapes`` holds the eight Beta shapes in ``params.Q_KEYS`` order.
     One broadcast ``betainc`` gives the four per-axis CDFs at the bin edges;
-    the (N, a) masses are multiplied once per bin pair, then per cell by the
-    b and c masses, and the model's ``push`` matrix carries the cell masses
-    to the metric cells.
+    the (N, a) masses are multiplied once per observed bin pair, then per
+    cell by the b and c masses, and the model's ``push`` matrix carries the
+    cell masses to the metric cells.
     """
     dim = _dim_masses(check_shapes(shapes), model.param_edges)
-    b01, b2, b3 = model.cell_index
-    # outer(d0, d1).ravel()[b01] * d2[b2] * d3[b3], multiplied in place
-    cellmass = (dim[0][:, None] * dim[1]).take(b01)
+    pair_of_cell, b2, b3, n_bin, a_bin = model.cell_index
+    # d0[b0] * d1[b1] once per observed (N, a) pair, then * d2[b2] * d3[b3] per cell, in place
+    cellmass = (dim[0].take(n_bin) * dim[1].take(a_bin)).take(pair_of_cell)
     cellmass *= dim[2].take(b2)
     cellmass *= dim[3].take(b3)
     coverage = float(cellmass.sum())
@@ -267,10 +248,11 @@ def save_conditional(model: ConditionalModel, path: str | Path) -> None:
         f"metric_grid {model.metric_bins} {model.metric_bins} {DLOG_MIN!r} {DLOG_MAX!r}",
         f"param_grid {model.param_bins}",
         f"total {model.total}",
-        f"pairs {model.pair_counts.size}",
+        f"pairs {model.counts.nnz}",
     ]
-    flat = model.cell_flat[model.pair_cell]
-    for i, j, c in zip(flat, model.pair_metric, model.pair_counts):
+    counts = model.counts
+    flat = np.repeat(model.cell_flat, np.diff(counts.indptr))
+    for i, j, c in zip(flat, counts.indices, counts.data):
         lines.append(f"{i} {j} {c}")
     write_ascii(path, lines)
 

@@ -78,12 +78,13 @@ def split_model(
     n_hold = int(round(model.total * holdout_fraction))
     if not 0 < n_hold < model.total:
         raise ValueError("degenerate split: one side would be empty")
+    counts = model.counts
     rng = np.random.default_rng(seed)
-    hold_counts = rng.multivariate_hypergeometric(model.pair_counts, n_hold)
-    train_counts = model.pair_counts - hold_counts
-    flat = model.cell_flat[model.pair_cell]
-    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, model.pair_metric, train_counts)
-    hold = conditional_from_pairs(model.metric_bins, model.param_bins, flat, model.pair_metric, hold_counts)
+    hold_counts = rng.multivariate_hypergeometric(counts.data, n_hold)
+    train_counts = counts.data - hold_counts
+    flat = np.repeat(model.cell_flat, np.diff(counts.indptr))
+    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, counts.indices, train_counts)
+    hold = conditional_from_pairs(model.metric_bins, model.param_bins, flat, counts.indices, hold_counts)
     return train, hold
 
 

@@ -146,7 +146,7 @@ def test_criterion_1_fitness_values_and_bounds(announce):
 
 def empirical_push(model: ConditionalModel) -> np.ndarray:
     """predicted_mass's push with the observed cell frequencies n_i / n as the cell masses."""
-    return model.push @ (model.cell_counts / model.total)
+    return model.push @ (model.counts.sum(axis=0).A1 / model.total)
 
 
 def test_criterion_2_empirical_identity(announce):

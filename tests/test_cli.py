@@ -351,6 +351,7 @@ def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, mo
         ("dlog", "nan"),
         ("dlog", "inf"),
         ("dlog", "-inf"),
+        ("dlog", "0.5"),
         # a table cannot hold these, so the bad line is written as text
         ("id", "9223372036854775808"),
         ("seed", "-9223372036854775809"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,16 +44,20 @@ def cell_digits(model: ConditionalModel) -> np.ndarray:
 
 
 def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
-    """Equal grids, totals and count arrays; models themselves compare by identity."""
+    """Equal grids, totals, cells and count matrices; models themselves compare by identity."""
     return (
         a.metric_bins == b.metric_bins
         and a.param_bins == b.param_bins
         and a.total == b.total
-        and all(
-            np.array_equal(getattr(a, name), getattr(b, name))
-            for name in ("cell_flat", "cell_counts", "pair_cell", "pair_metric", "pair_counts")
-        )
+        and np.array_equal(a.cell_flat, b.cell_flat)
+        and a.counts.shape == b.counts.shape
+        and all(np.array_equal(getattr(a.counts, key), getattr(b.counts, key)) for key in ("indptr", "indices", "data"))
     )
+
+
+def column_sums(model: ConditionalModel) -> np.ndarray:
+    """n_i per observed cell, summed straight off the CSC data; every column holds a count."""
+    return np.add.reduceat(model.counts.data, model.counts.indptr[:-1])
 
 
 def scalar_metric_cell(bins: int, clustering: float, dlog: float) -> int:
@@ -84,8 +89,10 @@ def per_spec_predicted_mass(model: ConditionalModel, q: np.ndarray) -> tuple[np.
     cb = cell_digits(model)
     cellmass = dim[0][cb[:, 0]] * dim[1][cb[:, 1]] * dim[2][cb[:, 2]] * dim[3][cb[:, 3]]
     coverage = float(cellmass.sum())
-    weights = (model.pair_counts / model.cell_counts[model.pair_cell]) * cellmass[model.pair_cell]
-    raw = np.bincount(model.pair_metric, weights=weights, minlength=model.metric_bins**2)
+    counts = model.counts
+    pair_cell = np.repeat(np.arange(model.cell_flat.size), np.diff(counts.indptr))
+    weights = (counts.data / column_sums(model)[pair_cell]) * cellmass[pair_cell]
+    raw = np.bincount(counts.indices, weights=weights, minlength=model.metric_bins**2)
     return raw, coverage
 
 
@@ -213,11 +220,31 @@ class TestConditionalConstruction:
         )
         assert model.total == 7
         assert model.cell_flat.tolist() == [3, 5]
-        assert model.cell_counts.tolist() == [4, 3]
-        assert model.pair_metric.tolist() == [7, 2]
-        assert model.pair_counts.tolist() == [4, 3]
-        assert model.pair_cell.tolist() == [0, 1]
+        counts = model.counts
+        assert counts.format == "csc" and counts.dtype == np.int64 and counts.shape == (100, 2)
+        assert column_sums(model).tolist() == [4, 3]
+        assert counts.indices.tolist() == [7, 2]
+        assert counts.data.tolist() == [4, 3]
+        assert counts.indptr.tolist() == [0, 1, 2]
         assert cell_digits(model).tolist() == [[0, 0, 0, 3], [0, 0, 1, 0]]
+
+    def test_counts_are_canonical(self):
+        # unsorted keys, duplicates and zero counts, with several metric cells per parameter cell
+        rng = np.random.default_rng(5)
+        flat = rng.integers(0, 30, 400)
+        metric = rng.integers(0, 16, 400)
+        counts = rng.integers(0, 4, 400)
+        model = conditional_from_pairs(4, 3, flat, metric, counts)
+        matrix = model.counts
+        assert matrix.format == "csc" and matrix.dtype == np.int64 and matrix.has_canonical_format
+        assert np.all(matrix.data > 0)
+        assert model.cell_flat.tolist() == sorted(set(flat[counts > 0].tolist()))
+        expected = np.zeros((16, 30), dtype=np.int64)
+        np.add.at(expected, (metric, flat), counts)
+        assert np.array_equal(matrix.toarray(), expected[:, model.cell_flat])
+        for i in range(model.cell_flat.size):
+            rows = matrix.indices[matrix.indptr[i] : matrix.indptr[i + 1]]
+            assert rows.size > 0 and np.all(np.diff(rows) > 0)
 
     def test_zero_counts_dropped(self):
         model = conditional_from_pairs(
@@ -340,8 +367,8 @@ class TestPrediction:
         # single-pair models: one record, and one pair holding many records
         models.append(random_model(rng, count=1, param_bins=20))
         models.append(conditional_from_pairs(10, 20, [77_777], [42], [9]))
-        assert np.unique(models[5].pair_metric).size < models[5].metric_bins**2 // 10
-        assert models[6].pair_counts.size == models[7].pair_counts.size == 1
+        assert np.unique(models[5].counts.indices).size < models[5].metric_bins**2 // 10
+        assert models[6].counts.nnz == models[7].counts.nnz == 1
         qs = bound_qs(rng, 240)
         for model in models:
             for q in qs:
@@ -349,6 +376,21 @@ class TestPrediction:
                 expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
                 assert np.all(raw == expected_raw)
                 assert coverage == expected_coverage
+
+    def test_memory_follows_the_observed_cells(self):
+        # two cells in opposite corners of a 2000-bin grid: a bins**2 (N, a) table would take 30 MiB
+        predicted_mass(random_model(np.random.default_rng(49), count=20), np.ones(8))
+        model = conditional_from_pairs(10, 2000, [0, 2000**4 - 1], [0, 99], [1, 1])
+        shapes = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
+        tracemalloc.start()
+        try:
+            raw, coverage = predicted_mass(model, shapes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"predicted_mass peaked at {peak / 2**20:.2f} MiB"
+        expected_raw, expected_coverage = per_spec_predicted_mass(model, shapes)
+        assert np.all(raw == expected_raw) and coverage == expected_coverage
 
     def test_rejects_bad_shapes(self):
         model = random_model(np.random.default_rng(47), count=50)
@@ -372,11 +414,15 @@ class TestPrediction:
         assert all(name in vars(model) and name not in vars(twin) for name in cached)
         push = model.push
         assert push.shape == (model.metric_bins**2, model.cell_flat.size)
-        assert push.nnz == model.pair_counts.size
-        assert np.all(push.toarray()[model.pair_metric, model.pair_cell] == model.pair_counts / model.cell_counts[model.pair_cell])
-        b01, b2, b3 = model.cell_index
+        assert push.nnz == model.counts.nnz
+        dense = model.counts.toarray()
+        assert np.all(push.toarray() == dense / column_sums(model))
+        # each metric row adds its cells in ascending order, as a bincount over the pairs would
+        assert all(np.all(np.diff(push.indices[lo:hi]) > 0) for lo, hi in zip(push.indptr[:-1], push.indptr[1:]))
+        pair_of_cell, b2, b3, n_bin, a_bin = model.cell_index
         bins = model.param_bins
-        assert np.array_equal(b01 * bins**2 + b2 * bins + b3, model.cell_flat)
+        assert np.all(np.diff(n_bin * bins + a_bin) > 0)
+        assert np.array_equal(((n_bin * bins + a_bin)[pair_of_cell] * bins + b2) * bins + b3, model.cell_flat)
         assert same_model(model, twin) and same_model(twin, model)
         save_conditional(model, after)
         assert after.read_bytes() == before.read_bytes()
@@ -396,6 +442,26 @@ class TestModelFile:
         save_conditional(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_shuffled_and_split_pair_lines_load_and_save_canonically(self, tmp_path):
+        model = random_model(np.random.default_rng(39), count=300, metric_bins=4, param_bins=3)
+        canonical = tmp_path / "model.txt"
+        save_conditional(model, canonical)
+        lines = canonical.read_text().splitlines()
+        body = []
+        for line in lines[5:]:
+            cell, metric, count = map(int, line.split())
+            # each pair as a one-count line, the rest of its count and a zero-count line
+            body += [f"{cell} {metric} 1", f"{cell} {metric} {count - 1}", f"{cell} {metric} 0"]
+        assert any(int(line.split()[2]) > 1 for line in lines[5:])
+        body = list(np.random.default_rng(40).permutation(body))
+        messy = tmp_path / "messy.txt"
+        messy.write_text("\n".join([*lines[:4], f"pairs {len(body)}", *body]) + "\n", encoding="ascii")
+        loaded = load_conditional(messy)
+        assert same_model(loaded, model)
+        resaved = tmp_path / "resaved.txt"
+        save_conditional(loaded, resaved)
+        assert resaved.read_bytes() == canonical.read_bytes()
+
     def test_header_describes_grids(self, tmp_path):
         model = random_model(np.random.default_rng(35), metric_bins=8, param_bins=7)
         path = tmp_path / "model.txt"
@@ -405,7 +471,7 @@ class TestModelFile:
         assert lines[1] == "metric_grid 8 8 -6.0 0.0"
         assert lines[2] == "param_grid 7"
         assert lines[3] == f"total {model.total}"
-        assert lines[4] == f"pairs {model.pair_counts.size}"
+        assert lines[4] == f"pairs {model.counts.nnz}"
 
     def _write(self, tmp_path, lines):
         path = tmp_path / "bad.txt"

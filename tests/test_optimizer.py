@@ -37,10 +37,11 @@ def skewed_split():
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
-    flat = model.cell_flat[model.pair_cell]
+    """{(flat cell id, metric cell id): count} over the model's stored counts."""
+    coo = model.counts.tocoo()
     return {
-        (int(i), int(j)): int(c)
-        for i, j, c in zip(flat, model.pair_metric, model.pair_counts)
+        (int(model.cell_flat[i]), int(j)): int(c)
+        for j, i, c in zip(coo.row, coo.col, coo.data)
     }
 
 
