@@ -43,9 +43,9 @@ from .dataset import (
 )
 from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
 from .graph import Graph, largest_connected_component, metric_projection
-from .grids import MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional
+from .grids import MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional, split_model
 from .objective import bargaining_fitness, fitness_bounds
-from .optimizer import TRACE_DTYPE, optimize, split_model
+from .optimizer import TRACE_DTYPE, optimize
 from .params import E_MIN, sample_baseline, sample_from_q, unit_point
 from .rmat import DegenerateParametersError, RmatParams, generate_graph
 
@@ -218,8 +218,11 @@ def _run_tasks(tasks: list[tuple[int, RmatParams, int, str]], jobs: int) -> list
     workers = min(jobs, len(tasks))
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            return list(pool.map(_run_one, tasks, chunksize=chunk))
+            try:  # map submits every task at once, which starts the workers
+                results = pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            except OSError as exc:
+                raise GenerationError(f"worker processes could not start ({exc})") from exc
+            return list(results)
     except BrokenProcessPool as exc:
         raise GenerationError(f"a worker process died ({exc})") from exc
 

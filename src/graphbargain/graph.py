@@ -154,9 +154,9 @@ def largest_connected_component(g: Graph) -> Graph:
     return Graph(int(np.count_nonzero(keep)), relabel[pairs[keep[pairs[:, 0]]]])
 
 
-# Multiply-adds of the closing product L @ T per row block of L. A block's
-# candidate entries, and so clustering's transient memory, stay below it
-# however large the hubs; only a single row may exceed it.
+# Multiply-adds of the closing product L @ T per row block of L. It bounds
+# only P's row blocks (a single row may exceed it): the unmasked L.T @ L is
+# built whole and sets clustering's transient memory peak.
 _BLOCK_PRODUCTS = 1 << 22
 
 

@@ -1,4 +1,4 @@
-"""Histogram grids over metric and parameter space, and the conditional model.
+"""Histogram grids over metric and parameter space, the conditional model, its split and its file.
 
 The conditional model is the bridge between the two spaces.  It is built from
 a baseline sample of (unit parameter point, metric point) pairs and stores
@@ -43,6 +43,7 @@ __all__ = [
     "ConditionalModel",
     "build_conditional",
     "conditional_from_pairs",
+    "split_model",
     "predicted_mass",
     "save_conditional",
     "load_conditional",
@@ -50,8 +51,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_MODEL_MAGIC = "graphbargain-model"
-_MODEL_VERSION = "v1"
 _PAIR_COLUMNS = ("cell", "metric", "count")
 # The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
@@ -198,6 +197,34 @@ def conditional_from_pairs(
     return ConditionalModel(metric_bins=metric_bins, param_bins=param_bins, cell_flat=cell_flat, counts=matrix)
 
 
+def _pairs(model: ConditionalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model's (parameter cell, metric cell, count) triples in (cell, metric) order."""
+    counts = model.counts
+    return np.repeat(model.cell_flat, np.diff(counts.indptr)), counts.indices, counts.data
+
+
+def split_model(
+    model: ConditionalModel, holdout_fraction: float, seed: int
+) -> tuple[ConditionalModel, ConditionalModel]:
+    """Split a serialized model's counts into (train, holdout) without access to the raw records.
+
+    Draws the holdout side uniformly over the model's record tokens (a
+    multivariate hypergeometric over the (cell, metric) pair counts), which
+    matches a record-level split in distribution at the grid's resolution.
+    A fraction outside (0, 1), or one that rounds a side to no records,
+    raises ValueError.
+    """
+    if model.total < 10:
+        raise ValueError("need at least 10 records to split")
+    n_hold = int(round(model.total * holdout_fraction))
+    if not 0 < n_hold < model.total:
+        raise ValueError("degenerate split: one side would be empty")
+    flat, metric, counts = _pairs(model)
+    hold = np.random.default_rng(seed).multivariate_hypergeometric(counts, n_hold)
+    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, metric, counts - hold)
+    return train, conditional_from_pairs(model.metric_bins, model.param_bins, flat, metric, hold)
+
+
 def build_conditional(
     units: np.ndarray,
     clustering: np.ndarray,
@@ -242,26 +269,29 @@ def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndar
     return model.push @ cellmass, coverage
 
 
-def save_conditional(model: ConditionalModel, path: str | Path) -> None:
-    lines = [
-        f"{_MODEL_MAGIC} {_MODEL_VERSION}",
-        f"metric_grid {model.metric_bins} {model.metric_bins} {DLOG_MIN!r} {DLOG_MAX!r}",
-        f"param_grid {model.param_bins}",
-        f"total {model.total}",
-        f"pairs {model.counts.nnz}",
+def _header(metric_bins: object, param_bins: object, total: object, pairs: object) -> list[str]:
+    """The five header lines of a model file, the only header ``load_conditional`` accepts."""
+    return [
+        "graphbargain-model v1",
+        f"metric_grid {metric_bins} {metric_bins} {DLOG_MIN!r} {DLOG_MAX!r}",
+        f"param_grid {param_bins}",
+        f"total {total}",
+        f"pairs {pairs}",
     ]
-    counts = model.counts
-    flat = np.repeat(model.cell_flat, np.diff(counts.indptr))
-    for i, j, c in zip(flat, counts.indices, counts.data):
-        lines.append(f"{i} {j} {c}")
-    write_ascii(path, lines)
 
 
-def _header_fields(line: str, lineno: int, name: str, count: int, path: Path) -> list[str]:
-    parts = line.split()
-    if len(parts) != count + 1 or parts[0] != name:
-        raise DataError(f"{path}:{lineno}: expected '{name}' header line, got {line!r}")
-    return parts[1:]
+def save_conditional(model: ConditionalModel, path: str | Path) -> None:
+    flat, metric, counts = _pairs(model)
+    header = _header(model.metric_bins, model.param_bins, model.total, counts.size)
+    write_ascii(path, header + [f"{i} {j} {c}" for i, j, c in zip(flat, metric, counts)])
+
+
+def _header_int(line: str) -> int | str:
+    """The integer in a header line's second field, or a placeholder that no loadable header holds."""
+    try:
+        return int(line.split()[1])
+    except (IndexError, ValueError):
+        return "<integer>"
 
 
 def load_conditional(path: str | Path) -> ConditionalModel:
@@ -269,18 +299,12 @@ def load_conditional(path: str | Path) -> ConditionalModel:
     lines = read_ascii(path, "model file", DataError).splitlines()
     if len(lines) < 5:
         raise DataError(f"{path}: truncated model file")
-    if lines[0].split() != [_MODEL_MAGIC, _MODEL_VERSION]:
-        raise DataError(f"{path}:1: bad magic line {lines[0]!r}")
-    try:
-        mg = _header_fields(lines[1], 2, "metric_grid", 4, path)
-        metric_bins = int(mg[0])
-        if int(mg[1]) != metric_bins or (float(mg[2]), float(mg[3])) != (DLOG_MIN, DLOG_MAX):
-            raise ValueError(f"{lines[1]!r} is not the square metric grid over dlog [{DLOG_MIN!r}, {DLOG_MAX!r}]")
-        param_bins = int(_header_fields(lines[2], 3, "param_grid", 1, path)[0])
-        total = int(_header_fields(lines[3], 4, "total", 1, path)[0])
-        pairs = int(_header_fields(lines[4], 5, "pairs", 1, path)[0])
-    except ValueError as exc:
-        raise DataError(f"{path}: bad header: {exc}") from exc
+    # Lines 2-5 each carry one integer, and the header must be the one save_conditional renders from them.
+    values = [_header_int(line) for line in lines[1:5]]
+    for lineno, (want, got) in enumerate(zip(_header(*values), lines), start=1):
+        if got != want or "<integer>" in want:
+            raise DataError(f"{path}:{lineno}: expected {want!r}, got {got!r}")
+    metric_bins, param_bins, total, pairs = values
     body = lines[5:]
     if len(body) != pairs:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")

@@ -19,11 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoverageCollapseError
-from .grids import ConditionalModel, conditional_from_pairs, predicted_mass
+from .grids import ConditionalModel, predicted_mass
 from .objective import bargaining_fitness, fitness_bounds
 from .params import SHAPE_MAX
 
-__all__ = ["TRACE_DTYPE", "split_model", "optimize"]
+__all__ = ["TRACE_DTYPE", "optimize"]
 
 logger = logging.getLogger(__name__)
 
@@ -58,34 +58,6 @@ _CROSSOVER_RATE = 0.9
 # common long before the search is done, so the window keeps one quiet
 # generation from ending the run.
 _PATIENCE = 15
-
-
-def split_model(
-    model: ConditionalModel,
-    holdout_fraction: float,
-    seed: int,
-) -> tuple[ConditionalModel, ConditionalModel]:
-    """Split a serialized model's counts without access to the raw records.
-
-    Draws the holdout side uniformly over the model's record tokens (a
-    multivariate hypergeometric over the (cell, metric) pair counts), which
-    matches a record-level split in distribution at the grid's resolution.
-    A fraction outside (0, 1), or one that rounds a side to no records,
-    raises ValueError.
-    """
-    if model.total < 10:
-        raise ValueError("need at least 10 records to split")
-    n_hold = int(round(model.total * holdout_fraction))
-    if not 0 < n_hold < model.total:
-        raise ValueError("degenerate split: one side would be empty")
-    counts = model.counts
-    rng = np.random.default_rng(seed)
-    hold_counts = rng.multivariate_hypergeometric(counts.data, n_hold)
-    train_counts = counts.data - hold_counts
-    flat = np.repeat(model.cell_flat, np.diff(counts.indptr))
-    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, counts.indices, train_counts)
-    hold = conditional_from_pairs(model.metric_bins, model.param_bins, flat, counts.indices, hold_counts)
-    return train, hold
 
 
 def _shapes_from_log(z: np.ndarray) -> np.ndarray:

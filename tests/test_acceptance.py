@@ -39,9 +39,9 @@ from graphbargain.grids import (
     load_conditional,
     metric_cells,
     predicted_mass,
+    split_model,
 )
 from graphbargain.objective import bargaining_fitness, fitness_bounds
-from graphbargain.optimizer import split_model
 from graphbargain.params import A_MAX, A_MIN, b_range, c_range
 from graphbargain.rmat import RmatParams, generate_raw_edges
 

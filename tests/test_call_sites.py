@@ -21,8 +21,8 @@ import graphbargain.optimizer
 import graphbargain.rmat
 from graphbargain.cli import RunConfig, cmd_generate
 from graphbargain.dataset import read_manifest, write_qvector
-from graphbargain.grids import conditional_from_pairs
-from graphbargain.optimizer import optimize, split_model
+from graphbargain.grids import conditional_from_pairs, split_model
+from graphbargain.optimizer import optimize
 from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_graph
 
 

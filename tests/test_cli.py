@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import logging
 import math
@@ -30,13 +31,27 @@ from graphbargain.cli import (
     _make_parser,
     _read_config_file,
 )
-from graphbargain.dataset import MANIFEST_HEADER, read_edge_list, read_manifest, read_qvector
+from graphbargain.dataset import (
+    MANIFEST_HEADER,
+    read_edge_list,
+    read_manifest,
+    read_qvector,
+    write_edge_list,
+    write_qvector,
+)
 from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, metric_projection
 from graphbargain.grids import load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
-from graphbargain.rmat import DegenerateParametersError, generate_graph
+from graphbargain.rmat import (
+    DegenerateParametersError,
+    RmatParams,
+    VanishedGraphError,
+    generate_graph,
+    generate_raw_edges,
+    sanitize,
+)
 
 TINY_FLAGS = [
     "--n", "10", "--e-min", "30", "--e-max", "90",
@@ -315,9 +330,9 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
         (None, ["--param-bins", "60000"], 2, "param_bins must lie in [1, 55108]"),
         ((["5 3 12"], 12, "10 10 -6.0 0.0", 55109), [], 3, "inconsistent model: 55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
         # no command writes a metric grid other than the square one over dlog [-6, 0]
-        ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), [], 3, "bad header: 'metric_grid 10 8 -6.0 0.0' is not the square metric grid over dlog [-6.0, 0.0]"),
-        ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "bad header: 'metric_grid 10 10 -7.0 0.0' is not the square metric grid over dlog [-6.0, 0.0]"),
-        ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "bad header: 'metric_grid 10 10 -6.0 -1.0' is not the square metric grid over dlog [-6.0, 0.0]"),
+        ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 8 -6.0 0.0'"),
+        ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -7.0 0.0'"),
+        ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -6.0 -1.0'"),
     ],
     ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "param-bins-flag",
          "param-grid-header", "non-square-header", "dlog-min-header", "dlog-max-header"],
@@ -338,7 +353,7 @@ def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, mo
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     if model is not None:
-        assert err.startswith(f"error: {ws.baseline_model}: ")
+        assert err.startswith(f"error: {ws.baseline_model}:")
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -600,6 +615,26 @@ def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monk
     assert [k for k, (a, b) in enumerate(zip(unchanged[1:], redrawn[1:])) if a != b] == list(doomed)
 
 
+def test_each_manifest_row_rebuilds_its_graph_file(tmp_path):
+    """A row's parameters and seed rebuild its graph byte for byte, vanished first samples included."""
+    ws = Workspace(tmp_path)
+    # u_a near 1 sends almost every edge to one corner, so some first samples vanish
+    write_qvector(np.array([1.0, 1.0, 50.0, 0.5, 1.0, 1.0, 1.0, 1.0]), tmp_path / "q.txt")
+    cmd_generate(tiny_config(tmp_path), tmp_path / "q.txt")
+    vanished = 0
+    for row in read_manifest(ws.result_manifest):
+        params = RmatParams(*(row[name].item() for name in ("n_param", "e_param", "a", "b", "c", "d")))
+        seed = int(row["seed"])
+        write_edge_list(generate_graph(params, seed)[0], tmp_path / "rebuilt.txt")
+        graph_file = ws.result_graphs / f"g{int(row['id']):06d}.txt"
+        assert (tmp_path / "rebuilt.txt").read_bytes() == graph_file.read_bytes()
+        try:
+            sanitize(generate_raw_edges(params, seed), params.n_param)
+        except VanishedGraphError:
+            vanished += 1  # generate_graph went on to seed + 1, seed + 2, ...
+    assert vanished >= 1
+
+
 def test_slots_that_stay_degenerate_exit_5(tmp_path, monkeypatch, capsys):
     def degenerate(params, seed):
         raise DegenerateParametersError("forced")
@@ -624,6 +659,32 @@ def test_a_worker_that_dies_exits_5(tmp_path, monkeypatch, capsys):
     assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(tmp_path / "run")]) == 5
     err = capsys.readouterr().err
     assert "error: a worker process died" in err
+    assert "Traceback" not in err
+
+
+def test_workers_that_cannot_start_exit_5(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # as when the process limit is reached
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(tmp_path / "run")]) == 5
+    err = capsys.readouterr().err
+    assert "error: worker processes could not start ([Errno 11]" in err
+    assert "Traceback" not in err
+
+
+def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def disk_full(graph, path):
+        assert os.getpid() != parent, "at --jobs 2 every graph is written in a worker"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    # Forked workers inherit the patched module global.
+    monkeypatch.setattr(graphbargain.cli, "write_edge_list", disk_full)
+    assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(tmp_path / "run")]) == 6
+    err = capsys.readouterr().err
+    assert "error: [Errno 28]" in err
     assert "Traceback" not in err
 
 

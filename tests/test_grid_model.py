@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -482,11 +483,11 @@ class TestModelFile:
         good = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5", "total 3", "pairs 1", "5 2 3"]
         with pytest.raises(DataError, match="truncated"):
             load_conditional(self._write(tmp_path, good[:3]))
-        with pytest.raises(DataError, match="bad magic"):
+        with pytest.raises(DataError, match=r"bad\.txt:1: expected 'graphbargain-model v1', got 'other-format v1'$"):
             load_conditional(self._write(tmp_path, ["other-format v1"] + good[1:]))
-        with pytest.raises(DataError, match="expected 'metric_grid'"):
+        with pytest.raises(DataError, match=r"bad\.txt:2: expected 'metric_grid 10 10 -6\.0 0\.0', got 'metric_grid 10 10 -6\.0'$"):
             load_conditional(self._write(tmp_path, [good[0], "metric_grid 10 10 -6.0", *good[2:]]))
-        with pytest.raises(DataError, match="bad header"):
+        with pytest.raises(DataError, match=r"bad\.txt:2: expected 'metric_grid <integer> <integer> -6\.0 0\.0', got 'metric_grid ten"):
             load_conditional(self._write(tmp_path, [good[0], "metric_grid ten 10 -6.0 0.0", *good[2:]]))
         with pytest.raises(DataError, match="expected 1 pair lines, found 2"):
             load_conditional(self._write(tmp_path, good + ["5 3 1"]))
@@ -511,8 +512,36 @@ class TestModelFile:
     )
     def test_only_the_square_grid_over_the_dlog_range_loads(self, tmp_path, header):
         lines = ["graphbargain-model v1", header, "param_grid 5", "total 3", "pairs 1", "5 2 3"]
-        message = rf"bad\.txt: bad header: '{header}' is not the square metric grid over dlog \[-6\.0, 0\.0\]$"
+        message = rf"bad\.txt:2: expected 'metric_grid 10 10 -6\.0 0\.0', got '{re.escape(header)}'$"
         with pytest.raises(DataError, match=message):
+            load_conditional(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        ("lineno", "line", "expected"),
+        [
+            (1, "graphbargain-model  v1", "graphbargain-model v1"),
+            (1, "graphbargain-model v2", "graphbargain-model v1"),
+            (2, "metric_grid 10 10 -6 0", "metric_grid 10 10 -6.0 0.0"),
+            (2, " metric_grid 10 10 -6.0 0.0", "metric_grid 10 10 -6.0 0.0"),
+            (3, "param_grid 05", "param_grid 5"),
+            (3, "param_grid +5", "param_grid 5"),
+            (3, "param_grid 5_0", "param_grid 50"),
+            (3, "param_grid <integer>", "param_grid <integer>"),
+            (4, "total 3 ", "total 3"),
+            (4, "totals 3", "total 3"),
+            (5, "pairs", "pairs <integer>"),
+        ],
+    )
+    def test_only_the_rendered_header_loads(self, tmp_path, lineno, line, expected):
+        lines = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5", "total 3", "pairs 1", "5 2 3"]
+        lines[lineno - 1] = line
+        message = rf"bad\.txt:{lineno}: expected {re.escape(repr(expected))}, got {re.escape(repr(line))}$"
+        with pytest.raises(DataError, match=message):
+            load_conditional(self._write(tmp_path, lines))
+
+    def test_the_first_differing_header_line_is_named(self, tmp_path):
+        lines = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid x", "total 03", "pairs", "5 2 3"]
+        with pytest.raises(DataError, match=r"bad\.txt:3: expected 'param_grid <integer>', got 'param_grid x'$"):
             load_conditional(self._write(tmp_path, lines))
 
     def test_numbers_beyond_int64_or_an_inexact_total(self, tmp_path):

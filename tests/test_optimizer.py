@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
-from graphbargain.grids import build_conditional, predicted_mass
+from graphbargain.grids import build_conditional, predicted_mass, split_model
 from graphbargain.objective import bargaining_fitness, fitness_bounds
-from graphbargain.optimizer import TRACE_DTYPE, optimize, split_model
+from graphbargain.optimizer import TRACE_DTYPE, optimize
 
 
 def random_records(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
