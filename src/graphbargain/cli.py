@@ -43,11 +43,11 @@ from .dataset import (
 )
 from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
 from .graph import Graph, largest_connected_component, metric_projection
-from .grids import MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional, split_model
+from .grids import MAX_METRIC_BINS, MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional, split_model
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import TRACE_DTYPE, optimize
 from .params import E_MIN, sample_baseline, sample_from_q, unit_point
-from .rmat import DegenerateParametersError, RmatParams, generate_graph
+from .rmat import MAX_ATTEMPTS, DegenerateParametersError, RmatParams, generate_graph
 
 __all__ = [
     "RunConfig",
@@ -71,8 +71,20 @@ _TAG_SPLIT = 3
 _TAG_GENERATE_PARAMS = 4
 _TAG_GENERATE_GRAPHS = 5
 
-# Graph seeds leave headroom for the retry window inside generate_graph.
-_SEED_SPAN = 2**63 - 16
+# Graph seeds leave headroom for the retry window inside generate_graph, which
+# tries seed, seed + 1, ..., seed + MAX_ATTEMPTS - 1.
+_SEED_SPAN = 2**63 - MAX_ATTEMPTS
+
+# Consecutive slots are measured together, as one disjoint union, while their
+# requested edges (the sum of e_param) stay within this budget: at desk scale a
+# clustering pass costs mostly its fixed per-call overhead. A slot above the
+# budget forms a batch of its own.
+_BATCH_EDGES = 1 << 16
+
+# A slot's task (slot, params, seed, graph path) and its outcome (n_final,
+# e_final, clustering, dlog), None when its parameters proved degenerate.
+_Task = tuple[int, RmatParams, int, str]
+_Outcome = tuple[int, int, float, float] | None
 
 _MAX_ROUNDS = 50
 
@@ -108,6 +120,8 @@ class RunConfig:
             raise ConfigError("e_max must exceed e_min")
         if self.metric_bins < 2:
             raise ConfigError("metric_bins must be at least 2")
+        if self.metric_bins > MAX_METRIC_BINS:
+            raise ConfigError(f"metric_bins must be at most {MAX_METRIC_BINS}, where the cell ids fit in int64")
         if not 1 <= self.param_bins <= MAX_PARAM_BINS:
             raise ConfigError(f"param_bins must lie in [1, {MAX_PARAM_BINS}]")
         if self.seed < 0:
@@ -195,34 +209,62 @@ def _workspace(config: RunConfig) -> Workspace:
     return Workspace(Path(config.out))
 
 
-def _run_one(task: tuple[int, RmatParams, int, str]) -> tuple[int, int, float, float] | None:
-    """Generate one graph, write its edge list, return its measurements."""
-    _, params, seed, path = task
-    try:
-        g, (clustering, dlog) = generate_graph(params, seed)
-    except DegenerateParametersError:
-        return None
-    write_edge_list(g, path)
-    return g.node_count, g.edge_count, clustering, dlog
+def _run_batch(batch: list[_Task]) -> list[_Outcome]:
+    """Generate a batch's graphs, measure them in one call, write each edge list."""
+    graphs: dict[int, Graph] = {}
+    for k, (_, params, seed, _) in enumerate(batch):
+        try:
+            graphs[k] = generate_graph(params, seed)
+        except DegenerateParametersError:
+            pass
+    outcomes: list[_Outcome] = [None] * len(batch)
+    if graphs:
+        for (k, g), point in zip(graphs.items(), metric_projection(*graphs.values())):
+            write_edge_list(g, batch[k][3])
+            outcomes[k] = (g.node_count, g.edge_count, *point)
+    return outcomes
 
 
-def _run_tasks(tasks: list[tuple[int, RmatParams, int, str]], jobs: int) -> list[tuple[int, int, float, float] | None]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_one(t) for t in tasks]
+def _batches(tasks: list[_Task], size: int) -> list[list[_Task]]:
+    """Consecutive tasks, at most ``size`` and _BATCH_EDGES requested edges per batch; a larger slot stands alone."""
+    batches: list[list[_Task]] = []
+    edges = 0
+    for task in tasks:
+        e_param = task[1].e_param
+        if not batches or len(batches[-1]) == size or edges + e_param > _BATCH_EDGES:
+            batches.append([])
+            edges = 0
+        batches[-1].append(task)
+        edges += e_param
+    return batches
+
+
+def _run_tasks(tasks: list[_Task], jobs: int) -> list[_Outcome]:
+    """Each task's outcome, in order; the tasks run in batches, one batch per pool task."""
+    workers = max(1, min(jobs, len(tasks)))
+    batches = _batches(tasks, max(1, len(tasks) // (4 * workers)))
+    if workers == 1 or len(batches) == 1:
+        return [outcome for batch in batches for outcome in _run_batch(batch)]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import active_children
 
     # Load the scipy modules that every graph needs once, here, so forked
     # workers inherit them instead of each importing them again.
     importlib.import_module("scipy.sparse.csgraph")
-    workers = min(jobs, len(tasks))
+    earlier = set(active_children())
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:  # map submits every task at once, which starts the workers
-                results = pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+            try:  # map submits every batch at once, which starts the workers
+                results = pool.map(_run_batch, batches)
             except OSError as exc:
+                # The workers that did start would wait for tasks forever, and
+                # the interpreter waits for its child processes before it exits.
+                for worker in set(active_children()) - earlier:
+                    worker.terminate()
+                    worker.join()
                 raise GenerationError(f"worker processes could not start ({exc})") from exc
-            return list(results)
+            return [outcome for batch in results for outcome in batch]
     except BrokenProcessPool as exc:
         raise GenerationError(f"a worker process died ({exc})") from exc
 
@@ -349,7 +391,8 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
         except DataError as exc:
             logger.error("validate: skipping %s: %s", name, exc)
             continue
-        measured.append((Path(name).name, g.node_count, g.edge_count, *metric_projection(g)))
+        (point,) = metric_projection(g)
+        measured.append((Path(name).name, g.node_count, g.edge_count, *point))
 
     write_ascii(ws.validation_csv, csv_lines(("name", "n", "e", "clustering", "dlog"), measured))
     scatter = [("result", *point) for point in table[["clustering", "dlog"]].tolist()]

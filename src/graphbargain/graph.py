@@ -185,11 +185,16 @@ def _forward_dag(g: Graph, deg: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (np.where(up, u, v), np.where(up, v, u))), shape=(n, n))
 
 
-def mean_local_clustering(g: Graph) -> float:
-    """Mean of local clustering coefficients.
+def mean_local_clustering(g: Graph, sizes: Sequence[int] | None = None) -> np.ndarray:
+    """Means of local clustering coefficients, one per block of consecutive nodes.
 
-    c_v = 2 T(v) / (deg(v) (deg(v)-1)) for deg(v) >= 2, else 0, where T(v)
-    counts triangles through v. Edges point up the (degree, id) rank to form
+    ``sizes`` splits the nodes 0..n-1, in order, into blocks of those sizes
+    (default: one block of all n). c_v = 2 T(v) / (deg(v) (deg(v)-1)) for
+    deg(v) >= 2, else 0, where T(v) counts triangles through v. A block that
+    holds whole components, as one graph of a disjoint union does, gets the
+    mean its graph alone would get, bit for bit: T(v) is an exact integer
+    count inside v's component, and each mean is ``np.mean`` of its own
+    slice of coefficients. Edges point up the (degree, id) rank to form
     the DAG L, so each triangle is a path low -> middle -> top closed by the
     edge low -> top. Q = (L.T @ L) * L counts, at each edge middle -> top,
     the low vertices closing it: its row sums count each triangle at its
@@ -210,6 +215,9 @@ def mean_local_clustering(g: Graph) -> float:
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")
+    bounds = np.cumsum([n] if sizes is None else sizes)
+    if bounds[-1] != n or np.any(np.diff(bounds, prepend=0) < 1):
+        raise ValueError(f"block sizes must be positive and sum to the {n} nodes")
     deg = g.degrees
     dag = _forward_dag(g, deg)
     q = (dag.T.tocsr() @ dag).multiply(dag)
@@ -230,17 +238,37 @@ def mean_local_clustering(g: Graph) -> float:
     coeff = np.zeros(n, dtype=np.float64)
     mask = deg >= 2
     coeff[mask] = common[mask] / (deg[mask] * (deg[mask] - 1.0))
-    return float(coeff.mean())
+    return np.array([part.mean() for part in np.split(coeff, bounds[:-1])])
 
 
-def metric_projection(g: Graph) -> tuple[float, float]:
-    """Metric-space coordinates (clustering, dlog) of a connected graph with at least 2 nodes.
+def _disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    """The graphs side by side: each one's ids shifted past the nodes of those before it.
+
+    The shifted pairs of each graph lie above those of the graphs before, so
+    their concatenation stays sorted.
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    offsets = np.cumsum([0] + [h.node_count for h in graphs[:-1]])
+    pairs = np.concatenate([h.edge_array() + offset for h, offset in zip(graphs, offsets)])
+    return Graph(int(offsets[-1]) + graphs[-1].node_count, pairs)
+
+
+def metric_projection(*graphs: Graph) -> list[tuple[float, float]]:
+    """Metric-space coordinates (clustering, dlog) of each connected graph with at least 2 nodes.
 
     clustering is the mean local clustering coefficient, in [0, 1]; dlog is
-    log10 of the density 2E / (N(N-1)), <= 0 for any simple graph.
+    log10 of the density 2E / (N(N-1)), <= 0 for any simple graph. All the
+    graphs are measured by one clustering pass over their disjoint union,
+    which gives each graph the coordinates it gets when measured alone.
     """
-    n = g.node_count
-    if n < 2:
+    if not graphs:
+        raise ValueError("no graph to measure")
+    sizes = [g.node_count for g in graphs]
+    if min(sizes) < 2:
         raise ValueError("degenerate graph")
-    density = 2.0 * g.edge_count / (n * (n - 1.0))
-    return mean_local_clustering(g), math.log10(density)
+    clustering = mean_local_clustering(_disjoint_union(graphs), sizes)
+    return [
+        (float(c), math.log10(2.0 * g.edge_count / (n * (n - 1.0))))
+        for c, g, n in zip(clustering, graphs, sizes)
+    ]

@@ -37,6 +37,7 @@ from .params import check_shapes
 __all__ = [
     "DLOG_MIN",
     "DLOG_MAX",
+    "MAX_METRIC_BINS",
     "MAX_PARAM_BINS",
     "metric_cells",
     "param_cells",
@@ -54,6 +55,8 @@ logger = logging.getLogger(__name__)
 _PAIR_COLUMNS = ("cell", "metric", "count")
 # The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
+# Largest bins per axis for which bins**2 - 1, the largest metric cell id, fits in int64.
+MAX_METRIC_BINS = 3_037_000_499
 # Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
 MAX_PARAM_BINS = 55_108
 # The dlog axis of the metric grid; the clustering axis is [0, 1].
@@ -168,6 +171,10 @@ def conditional_from_pairs(
 
     if metric_bins < 2:
         raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
+    if metric_bins > MAX_METRIC_BINS:
+        raise ValueError(
+            f"{metric_bins} bins per metric axis above {MAX_METRIC_BINS}, where the cell ids fit in int64"
+        )
     if not 1 <= param_bins <= MAX_PARAM_BINS:
         raise ValueError(
             f"{param_bins} bins per parameter axis outside [1, {MAX_PARAM_BINS}], where the cell ids fit in int64"

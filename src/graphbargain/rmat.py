@@ -15,6 +15,9 @@ __all__ = [
     "generate_raw_edges",
     "sanitize",
     "generate_graph",
+    # Nothing here measures a graph any more (the CLI measures each batch of
+    # graphs in one call), but perfbench/tracing.py still patches this name.
+    "metric_projection",
 ]
 
 MAX_ATTEMPTS = 16
@@ -125,8 +128,8 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     return largest_connected_component(g)
 
 
-def generate_graph(p: RmatParams, seed: int) -> tuple[Graph, tuple[float, float]]:
-    """Sanitized graph plus its metric projection (clustering, dlog).
+def generate_graph(p: RmatParams, seed: int) -> Graph:
+    """The sanitized graph of one parameter set and seed.
 
     Resamples with seed+1, seed+2, ... when sanitization vanishes; gives up
     after MAX_ATTEMPTS consecutive vanished graphs.
@@ -137,5 +140,5 @@ def generate_graph(p: RmatParams, seed: int) -> tuple[Graph, tuple[float, float]
             g = sanitize(edges, p.n_param)
         except VanishedGraphError:
             continue
-        return g, metric_projection(g)
+        return g
     raise DegenerateParametersError("degenerate parameters")

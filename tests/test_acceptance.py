@@ -263,7 +263,7 @@ def test_criterion_4_clustering_against_brute_force(announce):
         if not edges:
             continue
         cases.append(Graph.from_edge_list(edges, n))
-    worst = max(abs(mean_local_clustering(g) - clustering_oracle(g)) for g in cases)
+    worst = max(abs(mean_local_clustering(g)[0] - clustering_oracle(g)) for g in cases)
     ok = worst <= 1e-12
     detail = f"{len(cases)} graphs up to 8 nodes, max |fast - brute force| = {worst:.2e}"
     announce(4, "PASS" if ok else "FAIL", detail)
@@ -424,7 +424,7 @@ def test_criterion_8_validation_graph_measurements(announce):
     failures = []
     for name, n, e, c, dlog, path in matched:
         g = read_matrix_market(path)
-        clustering, measured_dlog = metric_projection(g)
+        [(clustering, measured_dlog)] = metric_projection(g)
         if g.node_count != n or g.edge_count != e:
             failures.append(f"{name}: N={g.node_count} E={g.edge_count}, table says N={n} E={e}")
         elif abs(clustering - c) > 0.01 or abs(measured_dlog - dlog) > 0.02:

@@ -2,10 +2,11 @@
 
 ``perfbench/tracing.py`` times a layer by replacing a module attribute, for
 example ``graphbargain.optimizer.predicted_mass``, with a wrapper. A refactor
-that calls the function some other way (a local alias, a batched twin, a
-direct import into another module) leaves the wrapper idle, and the traced
-benchmark then reports wrong self times and counts. These tests wrap the same
-attributes with counters and pin the call counts of small fixed runs.
+that calls the function some other way (a local alias, a second copy beside
+the batched one, a direct import into another module) leaves the wrapper idle,
+and the traced benchmark then reports wrong self times and counts. These tests
+wrap the same attributes with counters and pin the call counts of small fixed
+runs.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from graphbargain.rmat import DegenerateParametersError, RmatParams, generate_gr
 @pytest.fixture
 def calls(monkeypatch):
     counts: Counter = Counter()
+    counts.args = {}  # name -> the positional arguments of each call
 
     def counting(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            counts.args.setdefault(name, []).append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -83,8 +86,13 @@ def test_generate_measures_and_writes_each_graph_through_its_module(calls, tmp_p
     config = RunConfig(n=12, e_min=30, e_max=90, seed=5, out=str(tmp_path / "run"))
     rows = read_manifest(cmd_generate(config, q_path))
     assert len(rows) == 12
-    # every slot's graph is measured once (metric_projection) and written once
-    assert calls["mean_local_clustering"] == 12
+    # the 12 slots run in batches of len(tasks) // 4 = 3, each measured by one
+    # clustering pass over its disjoint union; every graph is written once
+    assert calls["mean_local_clustering"] == 4
     assert calls["write_edge_list"] == 12
+    # the unions cover every slot's nodes exactly once, in slot order
+    measured = calls.args["mean_local_clustering"]
+    assert [union.node_count for union, sizes in measured] == [sum(sizes) for _, sizes in measured]
+    assert [n for _, sizes in measured for n in sizes] == rows["n_final"].tolist()
     assert calls["generate_raw_edges"] == 12
     assert calls["predicted_mass"] == calls["bargaining_fitness"] == 0

@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -79,7 +80,7 @@ def check_manifest_against_graphs(manifest_path, graphs_dir):
         g = read_edge_list(graphs_dir / f"g{row['id']:06d}.txt")
         assert g.node_count == row["n_final"]
         assert g.edge_count == row["e_final"]
-        assert metric_projection(g) == (row["clustering"], row["dlog"])
+        assert metric_projection(g) == [(row["clustering"], row["dlog"])]
     return table
 
 
@@ -110,6 +111,7 @@ class TestRunConfig:
             ({"e_min": 18}, "e_min must be at least 19"),
             ({"e_min": 100, "e_max": 100}, "e_max must exceed"),
             ({"metric_bins": 0}, "metric_bins"),
+            ({"metric_bins": 10**15}, r"^metric_bins must be at most 3037000499, where the cell ids fit in int64$"),
             ({"param_bins": 0}, "param_bins"),
             ({"seed": -1}, "seed"),
             ({"jobs": 0}, "jobs"),
@@ -326,6 +328,10 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
         # one metric cell leaves the bargaining fitness undefined
         (None, ["--metric-bins", "1"], 2, "metric_bins must be at least 2"),
         ((["5 0 12"], 12, "1 1 -6.0 0.0", 20), [], 3, "inconsistent model: metric grid needs at least 2 bins per axis"),
+        # 3037000500**2 - 1, the largest metric cell id, overflows int64
+        (None, ["--metric-bins", "1000000000000000"], 2, "metric_bins must be at most 3037000499"),
+        ((["5 0 12"], 12, "3037000500 3037000500 -6.0 0.0", 20), [], 3, "inconsistent model: 3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64"),
+        ((["5 0 12"], 12, f"{10**30} {10**30} -6.0 0.0", 20), [], 3, f"inconsistent model: {10**30} bins per metric axis above 3037000499"),
         # 55109**4 - 1, the largest flat parameter cell id, overflows int64
         (None, ["--param-bins", "60000"], 2, "param_bins must lie in [1, 55108]"),
         ((["5 3 12"], 12, "10 10 -6.0 0.0", 55109), [], 3, "inconsistent model: 55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
@@ -334,8 +340,9 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
         ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -7.0 0.0'"),
         ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -6.0 -1.0'"),
     ],
-    ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "param-bins-flag",
-         "param-grid-header", "non-square-header", "dlog-min-header", "dlog-max-header"],
+    ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "huge-metric-bins-flag",
+         "huge-metric-grid-header", "overflowing-metric-grid-header", "param-bins-flag", "param-grid-header",
+         "non-square-header", "dlog-min-header", "dlog-max-header"],
 )
 def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, model, argv, code, message):
     ws = Workspace(tmp_path)
@@ -625,7 +632,7 @@ def test_each_manifest_row_rebuilds_its_graph_file(tmp_path):
     for row in read_manifest(ws.result_manifest):
         params = RmatParams(*(row[name].item() for name in ("n_param", "e_param", "a", "b", "c", "d")))
         seed = int(row["seed"])
-        write_edge_list(generate_graph(params, seed)[0], tmp_path / "rebuilt.txt")
+        write_edge_list(generate_graph(params, seed), tmp_path / "rebuilt.txt")
         graph_file = ws.result_graphs / f"g{int(row['id']):06d}.txt"
         assert (tmp_path / "rebuilt.txt").read_bytes() == graph_file.read_bytes()
         try:
@@ -671,6 +678,63 @@ def test_workers_that_cannot_start_exit_5(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: worker processes could not start ([Errno 11]" in err
     assert "Traceback" not in err
+
+
+_PARTIAL_START = """
+import errno, os, sys
+sys.path.insert(0, sys.argv[1])
+from graphbargain.cli import main
+
+def refuse():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+def fork_once(fork=os.fork):
+    os.fork = refuse  # the first worker starts, and the process limit stops the second
+    return fork()
+
+os.fork = fork_once
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_workers_that_start_in_part_are_stopped(tmp_path):
+    """When only some workers start, the run exits 5 instead of waiting for the started ones forever."""
+    src = Path(graphbargain.cli.__file__).resolve().parents[1]
+    argv = ["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(tmp_path / "run")]
+    # a session of its own, so that a hung run and its worker can be killed together
+    run = subprocess.Popen(
+        [sys.executable, "-c", _PARTIAL_START, str(src), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _, err = run.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+        pytest.fail("the run did not exit after its second worker failed to start")
+    assert run.returncode == 5, err
+    assert "error: worker processes could not start ([Errno 11]" in err
+    assert "Traceback" not in err
+
+
+def test_a_slot_above_the_edge_budget_is_measured_alone(monkeypatch, tmp_path):
+    cli = graphbargain.cli
+    monkeypatch.setattr(cli, "_BATCH_EDGES", 200)
+    sizes = [60, 70, 250, 40, 50, 90, 30, 30, 30, 30, 30, 30, 300, 20, 20, 20]
+    tasks = [(k, RmatParams(16, e, 0.45, 0.2, 0.2, 0.15), k, str(tmp_path / f"g{k}.txt")) for k, e in enumerate(sizes)]
+    batches = []
+
+    def recording(*graphs):
+        batches.append([g.edge_count for g in graphs])
+        return metric_projection(*graphs)
+
+    monkeypatch.setattr(cli, "metric_projection", recording)
+    outcomes = cli._run_tasks(tasks, jobs=1)
+    # 16 tasks make batches of at most 4 slots, each within 200 requested edges but the two larger slots
+    assert [len(batch) for batch in batches] == [2, 1, 3, 4, 2, 1, 3]
+    graphs = [generate_graph(params, seed) for _, params, seed, _ in tasks]
+    assert [edges for batch in batches for edges in batch] == [g.edge_count for g in graphs]
+    assert outcomes == [(g.node_count, g.edge_count, *metric_projection(g)[0]) for g in graphs]
 
 
 def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys):

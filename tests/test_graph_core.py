@@ -372,15 +372,15 @@ class TestLargestConnectedComponent:
 class TestMeanLocalClustering:
     def test_triangle_is_fully_clustered(self):
         g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2)])
-        assert mean_local_clustering(g) == pytest.approx(1.0, abs=1e-12)
+        assert mean_local_clustering(g).tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_star_has_no_triangles(self):
         g = Graph.from_edge_list([(0, 1), (0, 2), (0, 3)])
-        assert mean_local_clustering(g) == pytest.approx(0.0, abs=1e-12)
+        assert mean_local_clustering(g).tolist() == pytest.approx([0.0], abs=1e-12)
 
     def test_k4_minus_one_edge(self):
         g = Graph.from_edge_list([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert mean_local_clustering(g) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert mean_local_clustering(g).tolist() == pytest.approx([5.0 / 6.0], abs=1e-12)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -389,18 +389,18 @@ class TestMeanLocalClustering:
             edges = random_edges(rng, n, 0.4)
             g = Graph.from_edge_list(edges, node_count=n)
             expected = brute_force_mean_clustering(edges, n)
-            assert mean_local_clustering(g) == pytest.approx(expected, abs=1e-12)
+            assert mean_local_clustering(g).tolist() == pytest.approx([expected], abs=1e-12)
 
     def test_forward_counting_equals_unoriented_product(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             n = int(rng.integers(200, 400))
             g = Graph.from_edge_list(hub_and_tie_edges(rng, n), node_count=n)
-            assert mean_local_clustering(g) == unoriented_mean_clustering(g)
+            assert mean_local_clustering(g).tolist() == [unoriented_mean_clustering(g)]
         complete = [(u, v) for u in range(12) for v in range(u + 1, 12)]
         for edges, n in [(random_edges(rng, 60, 0.2), 60), (complete, 12)]:
             g = Graph.from_edge_list(edges, node_count=n)
-            assert mean_local_clustering(g) == unoriented_mean_clustering(g)
+            assert mean_local_clustering(g).tolist() == [unoriented_mean_clustering(g)]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -417,7 +417,7 @@ class TestMeanLocalClustering:
             perm = rng.permutation(n + 3)
             edges = [(int(perm[u]), int(perm[v])) for u, v in hub_and_tie_edges(rng, n)]
             g = Graph.from_edge_list(edges, node_count=n + 3)
-            assert mean_local_clustering(g) == full_product_mean_clustering(g)
+            assert mean_local_clustering(g).tolist() == [full_product_mean_clustering(g)]
             work = closing_products(g)
             over += int(np.sum(work > budget))
             empty += int(np.sum(work == 0))
@@ -442,13 +442,13 @@ class TestMeanLocalClustering:
 class TestMetricProjection:
     def test_triangle_density_is_one(self):
         g = Graph.from_edge_list([(0, 1), (1, 2), (0, 2)])
-        clustering, dlog = metric_projection(g)
+        [(clustering, dlog)] = metric_projection(g)
         assert clustering == pytest.approx(1.0, abs=1e-12)
         assert dlog == pytest.approx(0.0, abs=1e-12)
 
     def test_path_density(self):
         g = Graph.from_edge_list([(0, 1), (1, 2)])
-        _, dlog = metric_projection(g)
+        [(_, dlog)] = metric_projection(g)
         assert dlog == pytest.approx(math.log10(2.0 / 3.0), abs=1e-12)
 
     def test_density_formula_on_random_graphs(self):
@@ -459,10 +459,84 @@ class TestMetricProjection:
             if not edges:
                 continue
             g = Graph.from_edge_list(edges, node_count=n)
-            _, dlog = metric_projection(g)
+            [(_, dlog)] = metric_projection(g)
             expected = math.log10(2.0 * len(edges) / (n * (n - 1)))
             assert dlog == pytest.approx(expected, abs=1e-12)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             metric_projection(Graph.from_edge_list([], node_count=1))
+
+
+def batch_member(rng: np.random.Generator, kind: str) -> tuple[list[tuple[int, int]], int]:
+    """(edges, node count) of one graph of the given kind, for the batched projection tests."""
+    n = int(rng.integers(2, 40))
+    if kind == "complete":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif kind == "single-edge":
+        edges = [(0, 1)]
+        n = 2
+    elif kind == "star":
+        n = int(rng.integers(2, 300))  # past numpy's 128-term blocks of pairwise summation
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "triangle-free":
+        # a random bipartite graph: every cycle is even
+        half = n // 2
+        edges = [(u, v) for u in range(half) for v in range(half, n) if rng.random() < 0.3] or [(0, n - 1)]
+    elif kind == "small-world":
+        # a ring lattice with random shortcuts: hundreds of distinct nonzero coefficients
+        n = int(rng.integers(100, 1000))
+        ring = {(min(u, (u + k) % n), max(u, (u + k) % n)) for u in range(n) for k in (1, 2, 3)}
+        shortcuts = {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, size=(n // 10, 2)) if u != v}
+        edges = sorted((int(u), int(v)) for u, v in ring | shortcuts)
+    elif kind == "tied":
+        # two copies of one component, so the pair holds tied degrees, sizes and triangle counts
+        size = n // 2 + 1
+        shape = random_edges(rng, size, 0.5) or [(0, 1)]
+        edges = shape + [(u + size, v + size) for u, v in shape]
+        n = 2 * size
+    else:
+        # ids that touch no edge: shuffled labels, and spare nodes past the largest id
+        n = int(rng.integers(2, 300))
+        labels = rng.permutation(n)
+        drawn = random_edges(rng, n, min(0.5, 4.0 / n))
+        edges = sorted((min(labels[u], labels[v]), max(labels[u], labels[v])) for u, v in drawn)
+        edges = [(int(u), int(v)) for u, v in edges] or [(0, 1)]
+        n += int(rng.integers(0, 4))
+    return edges, n
+
+
+BATCH_KINDS = ["complete", "single-edge", "star", "triangle-free", "small-world", "tied", "sparse-ids"]
+
+
+class TestBatchedProjection:
+    def test_a_batch_equals_its_graphs_measured_alone(self):
+        rng = np.random.default_rng(2005)
+        seen = set()
+        for _ in range(60):
+            kinds = rng.choice(BATCH_KINDS, size=int(rng.integers(1, 9)))
+            members = [batch_member(rng, str(kind)) for kind in kinds]
+            graphs = [Graph.from_edge_list(edges, node_count=n) for edges, n in members]
+            batch = metric_projection(*graphs)
+            # bit for bit, as each graph measured alone
+            assert batch == [point for g in graphs for point in metric_projection(g)]
+            for (edges, n), (clustering, dlog) in zip(members, batch):
+                assert clustering == pytest.approx(brute_force_mean_clustering(edges, n), abs=1e-12)
+                assert dlog == math.log10(2.0 * len(edges) / (n * (n - 1.0)))
+            seen.update(str(kind) for kind in kinds)
+        assert seen == set(BATCH_KINDS)
+
+    def test_block_means_split_the_coefficients(self):
+        # a triangle beside a star: coefficients 1, 1, 1 and 0, 0, 0, 0
+        g = Graph.from_edge_list([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
+        assert mean_local_clustering(g, [3, 4]).tolist() == [1.0, 0.0]
+        assert mean_local_clustering(g).tolist() == [3.0 / 7.0]
+        for sizes in ([3, 3], [3, 5], [0, 7], [7, -1, 1]):
+            with pytest.raises(ValueError, match="block sizes must be positive and sum to the 7 nodes"):
+                mean_local_clustering(g, sizes)
+
+    def test_nothing_to_measure_rejected(self):
+        with pytest.raises(ValueError, match="no graph"):
+            metric_projection()
+        with pytest.raises(ValueError, match="degenerate"):
+            metric_projection(Graph.from_edge_list([(0, 1)]), Graph.from_edge_list([], node_count=1))

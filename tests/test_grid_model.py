@@ -15,6 +15,7 @@ from graphbargain.errors import DataError
 from graphbargain.grids import (
     DLOG_MAX,
     DLOG_MIN,
+    MAX_METRIC_BINS,
     MAX_PARAM_BINS,
     ConditionalModel,
     _dim_masses,
@@ -278,6 +279,8 @@ class TestConditionalConstruction:
         for metric_bins, param_bins, message in [
             (1, 5, "metric grid needs at least 2 bins per axis, got 1"),
             (0, 5, "metric grid needs at least 2 bins per axis, got 0"),
+            (3_037_000_500, 5, r"^3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64$"),
+            (10**30, 5, rf"^{10**30} bins per metric axis above 3037000499, where the cell ids fit in int64$"),
             (10, 0, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
             (10, 55_109, r"^55109 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
         ]:
@@ -286,6 +289,9 @@ class TestConditionalConstruction:
         for metric_bins, param_bins in [(2, 1), (2, MAX_PARAM_BINS)]:
             model = conditional_from_pairs(metric_bins, param_bins, one, one, one + 1)
             assert (model.metric_bins, model.param_bins, model.total) == (metric_bins, param_bins, 1)
+        assert MAX_METRIC_BINS**2 - 1 <= np.iinfo(np.int64).max < (MAX_METRIC_BINS + 1) ** 2 - 1
+        corner = conditional_from_pairs(MAX_METRIC_BINS, 1, one, [MAX_METRIC_BINS**2 - 1], [1])
+        assert corner.counts.indices.tolist() == [MAX_METRIC_BINS**2 - 1]
         corner = conditional_from_pairs(2, MAX_PARAM_BINS, [MAX_PARAM_BINS**4 - 1], [3], [1])
         assert corner.cell_flat.tolist() == [MAX_PARAM_BINS**4 - 1]
         with pytest.raises(ValueError, match="parameter cell id outside grid"):

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse, stats
 from scipy.sparse import csgraph
 
-from graphbargain.graph import Graph, metric_projection
+from graphbargain.graph import Graph
 from graphbargain.rmat import (
     MAX_ATTEMPTS,
     DegenerateParametersError,
@@ -260,13 +260,12 @@ class TestSanitize:
 
 
 class TestGenerateGraph:
-    def test_deterministic_and_consistent_with_projection(self):
+    def test_deterministic(self):
         p = RmatParams(n_param=200, e_param=900, a=0.5, b=0.2, c=0.2, d=0.1)
-        g1, m1 = generate_graph(p, seed=4)
-        g2, m2 = generate_graph(p, seed=4)
+        g1 = generate_graph(p, seed=4)
+        g2 = generate_graph(p, seed=4)
         assert g1 == g2
-        assert m1 == m2
-        assert m1 == metric_projection(g1)
+        assert g1 == sanitize(generate_raw_edges(p, 4), p.n_param)
 
     def test_degenerate_parameters_raise_after_retries(self):
         p = RmatParams(n_param=2, e_param=10, a=1.0, b=0.0, c=0.0, d=0.0)
@@ -280,6 +279,6 @@ class TestGenerateGraph:
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = RmatParams(n_param=64, e_param=256, a=0.6, b=0.15, c=0.15, d=0.1)
-            g, _ = generate_graph(p, int(rng.integers(2**32)))
+            g = generate_graph(p, int(rng.integers(2**32)))
             pairs = g.edge_array()
             assert np.all(pairs[:, 0] != pairs[:, 1])
