@@ -145,3 +145,104 @@ class TestOptimize:
             optimize(a, b, **settings)
         with pytest.raises(ValueError, match="different grids"):
             optimize(a, c, **settings)
+
+
+def reference_optimize(train, hold, *, pop, max_gen, tol, seed):
+    """The synchronous rand/1/bin loop that ``optimize`` must reproduce byte for byte.
+
+    Every trial of a generation mutates the previous generation's population,
+    and accepted trials are scored on the holdout after the generation. Also
+    returns how many trials fell below the train coverage floor.
+    """
+    opt = graphbargain.optimizer
+    below_floor = 0
+
+    def scorer(model, count_floor):
+        _, f_max = fitness_bounds(model.metric_bins**2)
+        floor = opt._COVERAGE_FLOOR_RATIO * predicted_mass(model, np.ones(8))[1]
+
+        def score(z):
+            nonlocal below_floor
+            raw, cov = predicted_mass(model, np.clip(np.exp(z), opt._BOUND_LOW, opt._BOUND_HIGH))
+            if not np.isfinite(cov) or cov < floor or cov <= 0.0:
+                below_floor += count_floor
+                return f_max, cov
+            return bargaining_fitness(raw / raw.sum()), cov
+
+        return score, floor
+
+    score_train, _ = scorer(train, 1)
+    score_hold, floor_hold = scorer(hold, 0)
+    z_low, z_high = np.log(opt._BOUND_LOW), np.log(opt._BOUND_HIGH)
+    z = np.zeros((pop, 8))
+    for i in range(1, pop):
+        z[i] = np.random.default_rng([seed, 0, i]).uniform(opt._JITTER_LOW, opt._JITTER_HIGH, size=8)
+    z = np.clip(z, z_low, z_high)
+    f_train = np.array([score_train(row)[0] for row in z])
+    hold_scores = [score_hold(row) for row in z]
+    f_hold = np.array([f for f, _ in hold_scores])
+    cov_hold = np.array([c for _, c in hold_scores])
+
+    best_z, best, best_cov, stagnant, trace = z[0], np.inf, 0.0, 0, []
+    for gen in range(max_gen + 1):
+        if gen > 0:
+            new_z, new_f, accepted = z.copy(), f_train.copy(), []
+            for i in range(pop):
+                rng = np.random.default_rng([seed, gen, i])
+                r1, r2, r3 = (int(j) + (j >= i) for j in rng.choice(pop - 1, size=3, replace=False))
+                mutant = z[r1] + opt._MUTATION_FACTOR * (z[r2] - z[r3])
+                mask = rng.random(8) < opt._CROSSOVER_RATE
+                mask[rng.integers(8)] = True
+                trial = np.clip(np.where(mask, mutant, z[i]), z_low, z_high)
+                ft, _ = score_train(trial)
+                if ft <= f_train[i]:
+                    new_z[i], new_f[i] = trial, ft
+                    accepted.append(i)
+            z, f_train = new_z, new_f
+            for i in accepted:
+                f_hold[i], cov_hold[i] = score_hold(z[i])
+        previous = best
+        cand = int(np.argmin(f_hold))
+        if f_hold[cand] < best:
+            best, best_cov, best_z = float(f_hold[cand]), float(cov_hold[cand]), z[cand].copy()
+        trace.append((gen, float(f_train.min()), best, best_cov))
+        stagnant = stagnant + 1 if previous - best < tol else 0
+        if stagnant >= opt._PATIENCE:
+            break
+    assert best_cov >= floor_hold
+    best_q = np.clip(np.exp(best_z), opt._BOUND_LOW, opt._BOUND_HIGH)
+    return best_q, np.array(trace, dtype=TRACE_DTYPE), below_floor
+
+
+@pytest.mark.parametrize(
+    "records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen",
+    [
+        (41, 200, 4, 3, 8, 8, 1e-3, 0, 8),
+        (42, 400, 5, 4, 6, 12, 1e-3, 7, 12),
+        (43, 120, 3, 2, 10, 6, 1e-3, 2, 6),
+        (44, 300, 6, 5, 5, 10, 1e-4, 11, 10),
+        (45, 250, 4, 6, 12, 40, 10.0, 3, 15),  # stagnant from generation 1: patience ends the run
+        (46, 500, 8, 8, 8, 10, 1e-3, 5, 10),
+    ],
+)
+def test_optimize_matches_the_synchronous_reference(
+    records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen
+):
+    model = build_conditional(*random_records(np.random.default_rng(records_seed), count), metric_bins, param_bins)
+    train, hold = split_model(model, 0.25, records_seed)
+    settings = {"pop": pop, "max_gen": max_gen, "tol": tol, "seed": seed}
+    best_q, trace = optimize(train, hold, **settings)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, **settings)
+    assert trace["generation"][-1] == last_gen
+    assert best_q.tobytes() == ref_q.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(skewed_split):
+    train, hold = skewed_split
+    settings = {"pop": 12, "max_gen": 10, "tol": 1e-3, "seed": 4}
+    best_q, trace = optimize(train, hold, **settings)
+    ref_q, ref_trace, below_floor = reference_optimize(train, hold, **settings)
+    assert below_floor > 0
+    assert best_q.tobytes() == ref_q.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
