@@ -270,28 +270,30 @@ def _run_tasks(tasks: list[_Task], jobs: int) -> list[_Outcome]:
 
 
 def _generate_dataset(
-    count: int,
-    draw_params: Callable[[], RmatParams],
-    seed_rng: np.random.Generator,
-    graphs_dir: Path,
-    jobs: int,
+    config: RunConfig,
     label: str,
+    tags: tuple[int, int],
+    draw: Callable[[np.random.Generator], RmatParams],
+    graphs_dir: Path,
+    manifest: Path,
 ) -> np.ndarray:
-    """The MANIFEST_DTYPE table of `count` slots; degenerate draws are logged and resampled.
+    """Sample config.n graphs, write their files and manifest, and return the MANIFEST_DTYPE table.
 
-    Parameters and seeds are drawn serially between rounds, so the output
-    does not depend on the worker count.
+    ``draw(rng)`` gives a slot's parameters from the stream tagged tags[0], and
+    graph seeds come from tags[1]. Both streams advance serially between rounds,
+    so output does not depend on --jobs. Degenerate draws are logged and resampled.
     """
+    rng_params, rng_seeds = (np.random.default_rng([config.seed, tag]) for tag in tags)
     graphs_dir.mkdir(parents=True, exist_ok=True)
-    table = np.zeros(count, MANIFEST_DTYPE)
-    pending = list(range(count))
+    table = np.zeros(config.n, MANIFEST_DTYPE)
+    pending = list(range(config.n))
     for _ in range(_MAX_ROUNDS):
         tasks = []
         for slot in pending:
-            params = draw_params()
-            seed = int(seed_rng.integers(0, _SEED_SPAN))
+            params = draw(rng_params)
+            seed = int(rng_seeds.integers(0, _SEED_SPAN))
             tasks.append((slot, params, seed, str(graphs_dir / f"g{slot:06d}.txt")))
-        outcomes = _run_tasks(tasks, jobs)
+        outcomes = _run_tasks(tasks, config.jobs)
         pending = []
         for (slot, params, seed, _), outcome in zip(tasks, outcomes):
             if outcome is None:
@@ -304,25 +306,25 @@ def _generate_dataset(
             break
     else:
         raise GenerationError(f"{label}: {len(pending)} graphs still degenerate after {_MAX_ROUNDS} rounds")
+    write_manifest(table, manifest)
+    short = int(np.count_nonzero(table["e_final"] < config.e_min))
+    logger.info("%s: wrote %s; %d of %d graphs end below e_min = %d edges", label, manifest, short, config.n, config.e_min)
     return table
 
 
 def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
     """Generate the naive baseline dataset and build its conditional model."""
     ws = _workspace(config)
-    rng_params = np.random.default_rng([config.seed, _TAG_BASELINE_PARAMS])
-    rng_seeds = np.random.default_rng([config.seed, _TAG_BASELINE_GRAPHS])
-
-    def draw() -> RmatParams:
-        return sample_baseline(config.e_min, config.e_max, rng_params)
-
     logger.info("baseline: generating %d graphs with E in [%d, %d]", config.n, config.e_min, config.e_max)
-    table = _generate_dataset(config.n, draw, rng_seeds, ws.baseline_graphs, config.jobs, "baseline")
-    write_manifest(table, ws.baseline_manifest)
+    table = _generate_dataset(
+        config, "baseline", (_TAG_BASELINE_PARAMS, _TAG_BASELINE_GRAPHS),
+        lambda rng: sample_baseline(config.e_min, config.e_max, rng),
+        ws.baseline_graphs, ws.baseline_manifest,
+    )
     units = np.column_stack([table[name] for name in ("u_n", "u_a", "u_b", "u_c")])
     model = build_conditional(units, table["clustering"], table["dlog"], config.metric_bins, config.param_bins)
     save_conditional(model, ws.baseline_model)
-    logger.info("baseline: wrote %s and %s", ws.baseline_manifest, ws.baseline_model)
+    logger.info("baseline: wrote %s", ws.baseline_model)
     return ws.baseline_manifest, ws.baseline_model
 
 
@@ -354,16 +356,12 @@ def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
     if not path.exists():
         raise DataError(f"q vector file {path} not found; run optimize first")
     q = read_qvector(path)
-    rng_params = np.random.default_rng([config.seed, _TAG_GENERATE_PARAMS])
-    rng_seeds = np.random.default_rng([config.seed, _TAG_GENERATE_GRAPHS])
-
-    def draw() -> RmatParams:
-        return sample_from_q(q, config.e_min, config.e_max, rng_params)
-
     logger.info("generate: sampling %d graphs from %s", config.n, path)
-    table = _generate_dataset(config.n, draw, rng_seeds, ws.result_graphs, config.jobs, "result")
-    write_manifest(table, ws.result_manifest)
-    logger.info("generate: wrote %s", ws.result_manifest)
+    _generate_dataset(
+        config, "result", (_TAG_GENERATE_PARAMS, _TAG_GENERATE_GRAPHS),
+        lambda rng: sample_from_q(q, config.e_min, config.e_max, rng),
+        ws.result_graphs, ws.result_manifest,
+    )
     return ws.result_manifest
 
 

@@ -22,7 +22,7 @@ __all__ = [
 
 
 # Largest n for which n * n - 1, above every edge key u * n + v, fits in int64.
-MAX_KEYED_NODES = 3_037_000_499
+MAX_KEYED_NODES = math.isqrt(2**63)
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

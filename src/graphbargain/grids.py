@@ -18,6 +18,7 @@ matrix-vector product.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,6 +33,7 @@ if TYPE_CHECKING:
 
 from .dataset import bad_line, int_table, read_ascii, write_ascii
 from .errors import DataError
+from .graph import MAX_KEYED_NODES
 from .params import check_shapes
 
 __all__ = [
@@ -55,10 +57,10 @@ logger = logging.getLogger(__name__)
 _PAIR_COLUMNS = ("cell", "metric", "count")
 # The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
-# Largest bins per axis for which bins**2 - 1, the largest metric cell id, fits in int64.
-MAX_METRIC_BINS = 3_037_000_499
+# Largest bins per axis for which bins**2 - 1 fits in int64: a metric cell id is laid out as an edge key.
+MAX_METRIC_BINS = MAX_KEYED_NODES
 # Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
-MAX_PARAM_BINS = 55_108
+MAX_PARAM_BINS = math.isqrt(MAX_METRIC_BINS)
 # The dlog axis of the metric grid; the clustering axis is [0, 1].
 DLOG_MIN = -6.0
 DLOG_MAX = 0.0

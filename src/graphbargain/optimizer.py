@@ -104,46 +104,37 @@ def optimize(
     eval_train, _ = _make_evaluator(train)
     eval_hold, floor_hold = _make_evaluator(holdout)
 
-    # Candidate 0 is the uniform vector; the rest jitter around it.
+    # One population, updated in place: a trial that scores no worse on the
+    # train model replaces its target and is scored on the holdout at once.
+    # Generation 0's trials, which beat the infinite fitness they start from,
+    # are the uniform vector and candidates jittered around it.
     z = np.zeros((pop, 8))
-    for i in range(1, pop):
-        rng = np.random.default_rng([seed, 0, i])
-        z[i] = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8)
-    np.clip(z, _Z_LOW, _Z_HIGH, out=z)
-
-    f_train = np.empty(pop)
-    f_hold = np.empty(pop)
-    cov_hold = np.empty(pop)
-    for i in range(pop):
-        f_train[i], _ = eval_train(z[i])
-        f_hold[i], cov_hold[i] = eval_hold(z[i])
-
-    best_z, best_fitness, best_coverage = z[0], np.inf, 0.0
+    f_train = np.full(pop, np.inf)
+    f_hold = np.full(pop, np.inf)
+    cov_hold = np.zeros(pop)
+    best_z, best_fitness, best_coverage = np.zeros(8), np.inf, 0.0
     trace = []
     stagnant = 0
     for gen in range(max_gen + 1):
-        if gen > 0:
-            new_z = z.copy()
-            new_f = f_train.copy()
-            accepted = []
-            for i in range(pop):
-                rng = np.random.default_rng([seed, gen, i])
+        # Every trial of a generation mutates the previous generation.
+        parents = z.copy()
+        for i in range(pop):
+            rng = np.random.default_rng([seed, gen, i])
+            if gen == 0:
+                trial = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8) if i else np.zeros(8)
+            else:
                 picks = rng.choice(pop - 1, size=3, replace=False)
                 # skip over i so the three partners are distinct from the target
                 r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
-                mutant = z[r1] + _MUTATION_FACTOR * (z[r2] - z[r3])
+                mutant = parents[r1] + _MUTATION_FACTOR * (parents[r2] - parents[r3])
                 mask = rng.random(8) < _CROSSOVER_RATE
                 mask[rng.integers(8)] = True
-                trial = np.where(mask, mutant, z[i])
-                np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
-                ft, _ = eval_train(trial)
-                if ft <= f_train[i]:
-                    new_z[i] = trial
-                    new_f[i] = ft
-                    accepted.append(i)
-            z, f_train = new_z, new_f
-            for i in accepted:
-                f_hold[i], cov_hold[i] = eval_hold(z[i])
+                trial = np.where(mask, mutant, parents[i])
+            np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
+            ft, _ = eval_train(trial)
+            if ft <= f_train[i]:
+                z[i], f_train[i] = trial, ft
+                f_hold[i], cov_hold[i] = eval_hold(trial)
 
         prev_best = best_fitness
         cand = int(np.argmin(f_hold))

@@ -64,7 +64,7 @@ def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):
     _, trace = optimize(train, hold, pop=6, max_gen=5, tol=1e-3, seed=9)
     assert trace["generation"][-1] == 5
     # 2 uniform coverage probes, 12 initial evaluations, 30 trials and 12
-    # accepted trials re-scored on the holdout; no candidate fell below the
+    # accepted trials scored on the holdout; no candidate fell below the
     # coverage floor, so every evaluation but the probes reached the fitness.
     assert calls["predicted_mass"] == 56
     assert calls["bargaining_fitness"] == 54

@@ -24,6 +24,7 @@ from graphbargain.cli import (
     RunConfig,
     Workspace,
     build_config,
+    cmd_baseline,
     cmd_generate,
     cmd_optimize,
     cmd_report,
@@ -620,6 +621,21 @@ def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monk
     unchanged = pipeline.ws.baseline_manifest.read_text().splitlines()
     redrawn = manifests[0].decode("ascii").splitlines()
     assert [k for k, (a, b) in enumerate(zip(unchanged[1:], redrawn[1:])) if a != b] == list(doomed)
+
+
+def test_each_stage_logs_how_many_graphs_end_below_e_min(tmp_path, caplog):
+    config, ws = tiny_config(tmp_path), Workspace(tmp_path)
+    with caplog.at_level(logging.INFO, logger="graphbargain.cli"):
+        cmd_baseline(config)
+        cmd_optimize(config)
+        cmd_generate(config)
+    shorts = []
+    for label, manifest in (("baseline", ws.baseline_manifest), ("result", ws.result_manifest)):
+        short = int((read_manifest(manifest)["e_final"] < config.e_min).sum())
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith(f"{label}: wrote {manifest};")]
+        assert logged == [f"{label}: wrote {manifest}; {short} of 10 graphs end below e_min = 30 edges"]
+        shorts.append(short)
+    assert 0 < max(shorts) < 10
 
 
 def test_each_manifest_row_rebuilds_its_graph_file(tmp_path):
