@@ -284,7 +284,6 @@ def _generate_dataset(
     so output does not depend on --jobs. Degenerate draws are logged and resampled.
     """
     rng_params, rng_seeds = (np.random.default_rng([config.seed, tag]) for tag in tags)
-    graphs_dir.mkdir(parents=True, exist_ok=True)
     table = np.zeros(config.n, MANIFEST_DTYPE)
     pending = list(range(config.n))
     for _ in range(_MAX_ROUNDS):
@@ -421,9 +420,9 @@ def cmd_report(config: RunConfig) -> Path:
     lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
     for label, table in tables:
         clustering, dlog = table["clustering"], table["dlog"]
-        hist = np.bincount(metric_cells(clustering, dlog, bins), minlength=bins**2) / len(table)
-        fitness = bargaining_fitness(hist)
-        occupied = int(np.count_nonzero(hist))
+        _, counts = np.unique(metric_cells(clustering, dlog, bins), return_counts=True)
+        fitness = bargaining_fitness(counts / len(table), bins**2)
+        occupied = len(counts)
         corr = correlation(clustering, dlog)
         corr_text = "n/a" if corr is None else f"{corr:.4f}"
         points = table[["clustering", "dlog"]].tolist()

@@ -2,15 +2,17 @@
 
 All text output is ASCII with floats rendered via repr(), so files are
 byte-identical across runs and round-trip without precision loss. Only this
-module opens files, and write_ascii replaces each text artifact atomically.
+module opens files or makes directories, and every file it writes, graph edge
+lists included, replaces its path atomically through _replacing.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,21 +50,28 @@ def read_ascii(path: Path, what: str, error: type[ValueError]) -> str:
         raise error(f"{path}: not ASCII text: {exc}") from exc
 
 
-def write_ascii(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line and a newline as ASCII, creating the parent directory.
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle whose bytes replace ``path`` when the block completes; the package's only write path.
 
-    A sibling ``.<name>.partial`` replaces ``path`` once complete; a failed write removes it.
+    It creates the parent directory and fills a sibling ``.<name>.partial``, which an exception removes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.partial")
     try:
-        with open(partial, "w", encoding="ascii") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        with open(partial, "wb") as fh:
+            yield fh
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def write_ascii(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline as ASCII through _replacing."""
+    with _replacing(path) as fh:
+        fh.writelines((line + "\n").encode("ascii") for line in lines)
 
 
 def csv_lines(names: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
@@ -89,14 +98,14 @@ def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
-    """One 'u v' pair per line, u < v, lexicographically sorted."""
+    """One 'u v' pair per line, u < v, lexicographically sorted, written through _replacing."""
     # n <= MAX_KEYED_NODES < 2**32, so every id fits in uint32.
     ids = g.edge_array().astype(np.uint32).ravel()
     width = len(str(max(g.node_count - 1, 0)))
     powers = 10 ** np.arange(1, width, dtype=np.uint32)
     cols = np.arange(width + 1)
     keep = cols >= cols[:, None]  # keep[s]: the bytes of an id with s leading zeros
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         # Fixed-size chunks keep the digit matrix small at 1e6 edges.
         for start in range(0, len(ids), 2 * _WRITE_ROWS):
             chunk = ids[start : start + 2 * _WRITE_ROWS]

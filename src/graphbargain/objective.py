@@ -20,11 +20,17 @@ __all__ = ["bargaining_fitness", "fitness_bounds"]
 _SUM_TOL = 1e-6
 
 
-def bargaining_fitness(probabilities: np.ndarray) -> float:
-    """Fitness of a probability vector over M >= 2 metric cells."""
+def bargaining_fitness(probabilities: np.ndarray, cells: int | None = None) -> float:
+    """Fitness of a probability vector over M >= 2 metric cells.
+
+    M is ``cells`` if given, else the vector's length; the cells the vector leaves out hold no mass.
+    """
     p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
+    m = p.size if cells is None else cells
+    if p.ndim != 1 or m < 2:
         raise ValueError("invalid distribution: need a 1-d vector with at least 2 cells")
+    if p.size > m:
+        raise ValueError(f"invalid distribution: lists {p.size} cells, more than its {m}")
     if np.any(p < 0.0):
         raise ValueError("invalid distribution: negative probability")
     total = float(p.sum())
@@ -32,8 +38,7 @@ def bargaining_fitness(probabilities: np.ndarray) -> float:
     if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"invalid distribution: sums to {total!r}, not 1")
     p = p / total
-    m = p.size
-    return float(-np.mean(np.log2(1.0 + (m - 1) * p)))
+    return float(-(np.sum(np.log2(1.0 + (m - 1) * p)) / m))
 
 
 def fitness_bounds(m: int) -> tuple[float, float]:

@@ -1,0 +1,40 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+import errno
+import os
+
+import pytest
+
+import graphbargain.dataset
+
+
+class DiskFullAfterOneWrite:
+    """A file handle whose second write raises ENOSPC, like a disk that fills up mid-file."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+@pytest.fixture
+def disk_full_after_one_write(monkeypatch):
+    """Every edge list the package writes fails at its second write, and it writes one edge per write.
+
+    Forked workers inherit the patched module globals.
+    """
+    monkeypatch.setattr(graphbargain.dataset, "_WRITE_ROWS", 1)
+    monkeypatch.setattr(graphbargain.dataset, "open", DiskFullAfterOneWrite, raising=False)

@@ -43,7 +43,7 @@ from graphbargain.dataset import (
 )
 from graphbargain.errors import ConfigError, CoverageCollapseError
 from graphbargain.graph import Graph, metric_projection
-from graphbargain.grids import load_conditional, metric_cells, param_cells
+from graphbargain.grids import MAX_METRIC_BINS, load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
 from graphbargain.rmat import (
@@ -546,6 +546,22 @@ class TestPipeline:
         assert (pipeline.ws.report_dir / "baseline_scatter.csv").exists()
         assert (pipeline.ws.report_dir / "result_scatter.csv").exists()
 
+    def test_report_at_the_largest_metric_grid_counts_only_occupied_cells(self, pipeline, tmp_path):
+        out = tmp_path / "run"
+        for ws_name in ("baseline_manifest", "result_manifest"):
+            target = getattr(Workspace(out), ws_name)
+            target.parent.mkdir(parents=True)
+            shutil.copyfile(getattr(pipeline.ws, ws_name), target)
+        bins = MAX_METRIC_BINS
+        assert main(["report", *TINY_FLAGS, "--metric-bins", str(bins), "--out", str(out)]) == 0
+        lines = (out / "report" / "report.txt").read_text().splitlines()
+        assert lines[0].startswith(f"metric grid: {bins}x{bins}, ")
+        for label, manifest in (("baseline", pipeline.ws.baseline_manifest), ("result", pipeline.ws.result_manifest)):
+            table = read_manifest(manifest)
+            occupied = len(set(metric_cells(table["clustering"], table["dlog"], bins).tolist()))
+            (line,) = [line for line in lines if line.startswith(f"{label}: ")]
+            assert f" occupied_cells={occupied}/{bins**2} " in line
+
     def test_report_lines_and_scatter_files_follow_the_manifests(self, pipeline, capsys):
         lines = cmd_report(pipeline.config).read_text().splitlines()
         capsys.readouterr()
@@ -766,6 +782,26 @@ def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: [Errno 28]" in err
     assert "Traceback" not in err
+
+
+def test_an_edge_list_write_that_fails_in_a_worker_leaves_no_partial_and_no_truncated_file(
+    tmp_path, monkeypatch, capsys, disk_full_after_one_write
+):
+    parent = os.getpid()
+    disk_full = graphbargain.dataset.open
+
+    def in_a_worker(*args, **kwargs):
+        assert os.getpid() != parent, "at --jobs 2 every graph is written in a worker"
+        return disk_full(*args, **kwargs)
+
+    monkeypatch.setattr(graphbargain.dataset, "open", in_a_worker)
+    out = tmp_path / "run"
+    assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert "error: [Errno 28]" in err
+    assert "Traceback" not in err
+    # Every graph spans several writes, so each slot's write failed and left nothing behind.
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == ["baseline", "baseline/graphs"]
 
 
 _SCIPY_PROBE = """

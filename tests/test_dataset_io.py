@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 import tracemalloc
 
@@ -98,6 +100,16 @@ class TestEdgeLists:
             path = tmp_path / f"g{n}.txt"
             write_edge_list(g, path)
             assert path.read_bytes() == b"".join(b"%d %d\n" % (a, b) for a, b in g.edge_array().tolist())
+
+    def test_a_write_that_fails_after_its_first_chunk_keeps_the_old_bytes_and_leaves_no_partial(
+        self, tmp_path, disk_full_after_one_write
+    ):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"5 6\n")
+        with pytest.raises(OSError, match=re.escape(os.strerror(errno.ENOSPC))):
+            write_edge_list(small_graph(), path)
+        assert path.read_bytes() == b"5 6\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
     @pytest.mark.parametrize("edges,n,text", [([(0, 1)], 2, b"0 1\n"), ([(7, 123456)], None, b"7 123456\n"), ([], 3, b"")])
     def test_written_format_of_one_edge_and_none(self, tmp_path, edges, n, text):

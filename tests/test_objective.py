@@ -43,6 +43,32 @@ class TestKnownValues:
         assert bargaining_fitness(uniform) < bargaining_fitness(tilted)
 
 
+class TestListedCells:
+    def test_dense_score_is_the_negated_mean_bit_for_bit(self):
+        # The optimizer scores dense vectors, and best_q.txt pins its fitness to the last bit.
+        p = np.random.default_rng(11).dirichlet(np.ones(400))
+        assert bargaining_fitness(p) == float(-np.mean(np.log2(1.0 + 399 * (p / p.sum()))))
+
+    def test_listing_the_occupied_cells_scores_as_the_dense_vector(self):
+        rng = np.random.default_rng(7)
+        dense = np.zeros(400)
+        dense[rng.choice(400, size=30, replace=False)] = rng.dirichlet(np.ones(30))
+        listed = dense[dense > 0.0]
+        assert abs(bargaining_fitness(listed, cells=400) - bargaining_fitness(dense)) <= 1e-15
+        assert bargaining_fitness(dense, cells=400) == bargaining_fitness(dense)
+
+    def test_one_listed_cell_is_the_one_hot_bound(self):
+        assert bargaining_fitness(np.array([1.0]), cells=10) == pytest.approx(fitness_bounds(10)[1], abs=1e-15)
+
+    def test_cells_below_two_or_below_the_listing_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            bargaining_fitness(np.array([1.0]), cells=1)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            bargaining_fitness(np.array([0.5, 0.5]), cells=0)
+        with pytest.raises(ValueError, match="lists 3 cells, more than its 2"):
+            bargaining_fitness(np.full(3, 1.0 / 3.0), cells=2)
+
+
 class TestBounds:
     def test_bounds_formulae(self):
         f_min, f_max = fitness_bounds(100)

@@ -134,12 +134,14 @@ def test_every_public_name_is_read_outside_the_tests():
     assert unread == []
 
 
-FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+FILE_CALLS = {
+    "open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir", "unlink", "rename", "touch",
+}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dataset.py"], ids=lambda p: p.name)
 def test_only_dataset_opens_files(path):
-    """Every file the package reads or writes goes through ``graphbargain.dataset``."""
+    """Every file the package reads or writes, and every directory it makes, goes through ``graphbargain.dataset``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     calls = [
         f"{path.name}:{node.lineno}"
