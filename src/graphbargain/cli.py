@@ -41,12 +41,12 @@ from .dataset import (
     write_manifest,
     write_qvector,
 )
-from .errors import ConfigError, CoverageCollapseError, DataError, GenerationError
+from .errors import ConfigError, DataError, GenerationError
 from .graph import Graph, largest_connected_component, metric_projection
-from .grids import MAX_METRIC_BINS, MAX_PARAM_BINS, build_conditional, load_conditional, metric_cells, save_conditional, split_model
+from .grids import build_conditional, check_bins, load_conditional, metric_cells, save_conditional, split_model
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import TRACE_DTYPE, optimize
-from .params import E_MIN, sample_baseline, sample_from_q, unit_point
+from .params import check_edge_interval, sample_baseline, sample_from_q, unit_point
 from .rmat import MAX_ATTEMPTS, DegenerateParametersError, RmatParams, generate_graph
 
 __all__ = [
@@ -114,16 +114,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        if self.e_min < E_MIN:
-            raise ConfigError(f"e_min must be at least {E_MIN}; smaller edge targets leave no feasible node count")
-        if self.e_max <= self.e_min:
-            raise ConfigError("e_max must exceed e_min")
-        if self.metric_bins < 2:
-            raise ConfigError("metric_bins must be at least 2")
-        if self.metric_bins > MAX_METRIC_BINS:
-            raise ConfigError(f"metric_bins must be at most {MAX_METRIC_BINS}, where the cell ids fit in int64")
-        if not 1 <= self.param_bins <= MAX_PARAM_BINS:
-            raise ConfigError(f"param_bins must lie in [1, {MAX_PARAM_BINS}]")
+        try:
+            check_edge_interval(self.e_min, self.e_max)
+            check_bins(self.metric_bins, self.param_bins)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
@@ -511,7 +506,7 @@ _COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], object]] = {
 # The documented exit code of each error a run reports without a traceback.
 # Readers turn OSError into DataError, so an OSError here is a failed write.
 _EXIT_CODES: dict[type[Exception], int] = {
-    ConfigError: 2, DataError: 3, CoverageCollapseError: 4, GenerationError: 5, OSError: 6,
+    ConfigError: 2, DataError: 3, GenerationError: 5, OSError: 6, MemoryError: 7,
 }
 
 

@@ -1,6 +1,6 @@
 """Exception types shared across modules (CLI maps these to exit codes)."""
 
-__all__ = ["ConfigError", "DataError", "CoverageCollapseError", "GenerationError"]
+__all__ = ["ConfigError", "DataError", "GenerationError"]
 
 
 class ConfigError(ValueError):
@@ -9,10 +9,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed or unreadable input data (exit code 3)."""
-
-
-class CoverageCollapseError(RuntimeError):
-    """Optimization ended with all probability mass outside the observed region (exit code 4)."""
 
 
 class GenerationError(RuntimeError):

@@ -43,6 +43,7 @@ __all__ = [
     "MAX_PARAM_BINS",
     "metric_cells",
     "param_cells",
+    "check_bins",
     "ConditionalModel",
     "build_conditional",
     "conditional_from_pairs",
@@ -102,6 +103,18 @@ def param_cells(units: np.ndarray, bins: int) -> np.ndarray:
         raise ValueError(f"unit coordinate {u[~inside][0]} outside [0, 1]")
     bins4 = np.minimum((u * bins).astype(np.int64), bins - 1)
     return bins4 @ bins ** np.arange(3, -1, -1, dtype=np.int64)
+
+
+def check_bins(metric_bins: int, param_bins: int) -> None:
+    """Raise ValueError unless the fitness has at least 2 metric cells and every cell id fits in int64."""
+    if metric_bins < 2:
+        raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
+    if metric_bins > MAX_METRIC_BINS:
+        raise ValueError(f"{metric_bins} bins per metric axis above {MAX_METRIC_BINS}, where the cell ids fit in int64")
+    if not 1 <= param_bins <= MAX_PARAM_BINS:
+        raise ValueError(
+            f"{param_bins} bins per parameter axis outside [1, {MAX_PARAM_BINS}], where the cell ids fit in int64"
+        )
 
 
 @dataclass(eq=False)
@@ -165,22 +178,12 @@ def conditional_from_pairs(
 ) -> ConditionalModel:
     """Assemble a model from raw (flat cell id, metric cell id, count) triples.
 
-    Duplicate (cell, metric) keys are merged, zero counts dropped. The
-    fitness needs at least 2 metric cells, and the flat parameter cell ids
-    must fit in int64.
+    Duplicate (cell, metric) keys are merged, zero counts dropped; the grid
+    sizes must pass ``check_bins``.
     """
     import scipy.sparse
 
-    if metric_bins < 2:
-        raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
-    if metric_bins > MAX_METRIC_BINS:
-        raise ValueError(
-            f"{metric_bins} bins per metric axis above {MAX_METRIC_BINS}, where the cell ids fit in int64"
-        )
-    if not 1 <= param_bins <= MAX_PARAM_BINS:
-        raise ValueError(
-            f"{param_bins} bins per parameter axis outside [1, {MAX_PARAM_BINS}], where the cell ids fit in int64"
-        )
+    check_bins(metric_bins, param_bins)
     flat = np.asarray(flat, dtype=np.int64)
     metric = np.asarray(metric, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)

@@ -5,7 +5,9 @@ evolution scheme (rand/1/bin).  Selection uses fitness on the train model;
 the holdout model decides what gets reported and when to stop.  Candidates
 whose pushed mass (coverage) falls below a floor relative to the uniform
 candidate are assigned the worst possible fitness, which keeps the search
-away from regions the baseline sample never visited.
+away from regions the baseline sample never visited.  The uniform candidate is
+the first trial, and only a strictly better fitness replaces the best, so the
+best always keeps at least the floor's coverage.
 
 Every random draw comes from a generator seeded with (seed, generation,
 candidate index), so runs are reproducible regardless of evaluation order.
@@ -18,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageCollapseError
 from .grids import ConditionalModel, predicted_mass
 from .objective import bargaining_fitness, fitness_bounds
 from .params import SHAPE_MAX
@@ -65,19 +66,18 @@ def _shapes_from_log(z: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(z), _BOUND_LOW, _BOUND_HIGH)
 
 
-def _make_evaluator(model: ConditionalModel) -> tuple[Callable[[np.ndarray], tuple[float, float]], float]:
-    """Fitness of a log-space vector on one model, with its coverage floor."""
+def _make_evaluator(model: ConditionalModel) -> Callable[[np.ndarray], tuple[float, float]]:
+    """Fitness and coverage of a log-space vector on one model; f_max below the (positive) coverage floor."""
     _, f_max = fitness_bounds(model.metric_bins**2)
-    _, uniform_cov = predicted_mass(model, np.ones(8))
-    floor = _COVERAGE_FLOOR_RATIO * uniform_cov
+    floor = _COVERAGE_FLOOR_RATIO * predicted_mass(model, np.ones(8))[1]
 
     def evaluate(z: np.ndarray) -> tuple[float, float]:
         raw, cov = predicted_mass(model, _shapes_from_log(z))
-        if not np.isfinite(cov) or cov < floor or cov <= 0.0:
+        if not np.isfinite(cov) or cov < floor:
             return f_max, cov
         return bargaining_fitness(raw / raw.sum()), cov
 
-    return evaluate, floor
+    return evaluate
 
 
 def optimize(
@@ -101,8 +101,8 @@ def optimize(
     if (train.metric_bins, train.param_bins) != (holdout.metric_bins, holdout.param_bins):
         raise ValueError("train and holdout models use different grids")
 
-    eval_train, _ = _make_evaluator(train)
-    eval_hold, floor_hold = _make_evaluator(holdout)
+    eval_train = _make_evaluator(train)
+    eval_hold = _make_evaluator(holdout)
 
     # One population, updated in place: a trial that scores no worse on the
     # train model replaces its target and is scored on the holdout at once.
@@ -151,8 +151,4 @@ def optimize(
         else:
             stagnant = 0
 
-    if best_coverage < floor_hold:
-        raise CoverageCollapseError(
-            f"best candidate keeps only {best_coverage:.3g} mass on the holdout model (floor {floor_hold:.3g})"
-        )
     return _shapes_from_log(best_z), np.array(trace, dtype=TRACE_DTYPE)

@@ -24,6 +24,7 @@ __all__ = [
     "b_range",
     "c_range",
     "check_shapes",
+    "check_edge_interval",
     "sample_baseline",
     "sample_from_q",
     "unit_point",
@@ -96,8 +97,6 @@ def check_shapes(values: object) -> np.ndarray:
 
 
 def _affine(u: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return lo
     return min(lo + u * (hi - lo), hi)
 
 
@@ -120,39 +119,37 @@ def unit_point(p: RmatParams) -> tuple[float, float, float, float]:
     )
 
 
-def params_from_unit(e_param: int, u: Sequence[float]) -> RmatParams:
-    """Recover a raw configuration from unit coordinates (u_n, u_a, u_b, u_c); N is rounded to int."""
-    u_n, u_a, u_b, u_c = u
-    n_min, n_max = node_range(e_param)
-    n = round(_affine(u_n, float(n_min), float(n_max)))
-    n = min(max(n, n_min), n_max)
+def _probabilities(u_a: float, u_b: float, u_c: float) -> tuple[float, float, float, float]:
+    """The quadrant probabilities (a, b, c, d) at unit coordinates (u_a, u_b, u_c)."""
     a = _affine(u_a, A_MIN, A_MAX)
     b = _affine(u_b, *b_range(a))
     c = _affine(u_c, *c_range(a, b))
-    d = min(max(1.0 - a - b - c, 0.0), a)
-    return RmatParams(n_param=n, e_param=e_param, a=a, b=b, c=c, d=d)
+    return a, b, c, min(max(1.0 - a - b - c, 0.0), a)
 
 
-def _check_edge_interval(e_min: int, e_max: int) -> None:
+def params_from_unit(e_param: int, u: Sequence[float]) -> RmatParams:
+    """Recover a raw configuration from unit coordinates (u_n, u_a, u_b, u_c); N is rounded to int."""
+    u_n, *u_abc = u
+    n_min, n_max = node_range(e_param)
+    n = round(_affine(u_n, float(n_min), float(n_max)))
+    return RmatParams(min(max(n, n_min), n_max), e_param, *_probabilities(*u_abc))
+
+
+def check_edge_interval(e_min: int, e_max: int) -> None:
+    """Raise ValueError unless E_MIN <= e_min < e_max."""
     if e_min < E_MIN:
-        raise ValueError(f"e_min must be at least {E_MIN}")
+        raise ValueError(f"e_min must be at least {E_MIN}; smaller edge targets leave no feasible node count")
     if e_max <= e_min:
         raise ValueError("e_max must exceed e_min")
 
 
 def sample_baseline(e_min: int, e_max: int, rng: np.random.Generator) -> RmatParams:
-    """One naive draw: uniform E and N, then uniform a, b, c on their nested intervals."""
-    _check_edge_interval(e_min, e_max)
+    """One naive draw: uniform E and N, then a, b, c uniform on their nested intervals, by params_from_unit's map."""
+    check_edge_interval(e_min, e_max)
     e = int(rng.integers(e_min, e_max + 1))
     n_min, n_max = node_range(e)
     n = int(rng.integers(n_min, n_max + 1))
-    a = float(rng.uniform(A_MIN, A_MAX))
-    b_lo, b_hi = b_range(a)
-    b = min(float(rng.uniform(b_lo, b_hi)), b_hi)
-    c_lo, c_hi = c_range(a, b)
-    c = min(float(rng.uniform(c_lo, c_hi)), c_hi)
-    d = min(max(1.0 - a - b - c, 0.0), a)
-    return RmatParams(n_param=n, e_param=e, a=a, b=b, c=c, d=d)
+    return RmatParams(n, e, *_probabilities(*rng.random(3).tolist()))
 
 
 def sample_from_q(q: np.ndarray, e_min: int, e_max: int, rng: np.random.Generator) -> RmatParams:
@@ -163,7 +160,7 @@ def sample_from_q(q: np.ndarray, e_min: int, e_max: int, rng: np.random.Generato
     from the stream as four calls in (N, a, b, c) order.
     """
     shapes = check_shapes(q)
-    _check_edge_interval(e_min, e_max)
+    check_edge_interval(e_min, e_max)
     e = int(rng.integers(e_min, e_max + 1))
     return params_from_unit(e, rng.beta(shapes[0::2], shapes[1::2]).tolist())
 

@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -41,7 +42,7 @@ from graphbargain.dataset import (
     write_edge_list,
     write_qvector,
 )
-from graphbargain.errors import ConfigError, CoverageCollapseError
+from graphbargain.errors import ConfigError
 from graphbargain.graph import Graph, metric_projection
 from graphbargain.grids import MAX_METRIC_BINS, load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
@@ -109,11 +110,11 @@ class TestRunConfig:
         "kwargs,message",
         [
             ({"n": 0}, "n must be"),
-            ({"e_min": 18}, "e_min must be at least 19"),
-            ({"e_min": 100, "e_max": 100}, "e_max must exceed"),
-            ({"metric_bins": 0}, "metric_bins"),
-            ({"metric_bins": 10**15}, r"^metric_bins must be at most 3037000499, where the cell ids fit in int64$"),
-            ({"param_bins": 0}, "param_bins"),
+            ({"e_min": 18}, "^e_min must be at least 19; smaller edge targets leave no feasible node count$"),
+            ({"e_min": 100, "e_max": 100}, "^e_max must exceed e_min$"),
+            ({"metric_bins": 0}, "^metric grid needs at least 2 bins per axis, got 0$"),
+            ({"metric_bins": 10**15}, r"^1000000000000000 bins per metric axis above 3037000499, where the cell ids fit in int64$"),
+            ({"param_bins": 0}, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
             ({"seed": -1}, "seed"),
             ({"jobs": 0}, "jobs"),
             ({"pop": 3}, "^pop must be at least 4$"),
@@ -327,14 +328,14 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
         ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), [], 3, "cannot split 6 records at holdout 0.2: need at least 10 records"),
         ((["5 3 20"], 20, "10 10 -6.0 0.0", 20), ["--holdout", "0.01"], 3, "at holdout 0.01: degenerate split"),
         # one metric cell leaves the bargaining fitness undefined
-        (None, ["--metric-bins", "1"], 2, "metric_bins must be at least 2"),
+        (None, ["--metric-bins", "1"], 2, "metric grid needs at least 2 bins per axis, got 1"),
         ((["5 0 12"], 12, "1 1 -6.0 0.0", 20), [], 3, "inconsistent model: metric grid needs at least 2 bins per axis"),
         # 3037000500**2 - 1, the largest metric cell id, overflows int64
-        (None, ["--metric-bins", "1000000000000000"], 2, "metric_bins must be at most 3037000499"),
+        (None, ["--metric-bins", "1000000000000000"], 2, "1000000000000000 bins per metric axis above 3037000499, where the cell ids fit in int64"),
         ((["5 0 12"], 12, "3037000500 3037000500 -6.0 0.0", 20), [], 3, "inconsistent model: 3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64"),
         ((["5 0 12"], 12, f"{10**30} {10**30} -6.0 0.0", 20), [], 3, f"inconsistent model: {10**30} bins per metric axis above 3037000499"),
         # 55109**4 - 1, the largest flat parameter cell id, overflows int64
-        (None, ["--param-bins", "60000"], 2, "param_bins must lie in [1, 55108]"),
+        (None, ["--param-bins", "60000"], 2, "60000 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
         ((["5 3 12"], 12, "10 10 -6.0 0.0", 55109), [], 3, "inconsistent model: 55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
         # no command writes a metric grid other than the square one over dlog [-6, 0]
         ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 8 -6.0 0.0'"),
@@ -362,6 +363,48 @@ def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, mo
     assert "Traceback" not in err
     if model is not None:
         assert err.startswith(f"error: {ws.baseline_model}:")
+
+
+@pytest.mark.parametrize(
+    ("metric_bins", "param_bins", "message"),
+    [
+        (1, 20, "metric grid needs at least 2 bins per axis, got 1"),
+        (0, 20, "metric grid needs at least 2 bins per axis, got 0"),
+        (3037000500, 20, "3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64"),
+        (10**30, 20, f"{10**30} bins per metric axis above 3037000499, where the cell ids fit in int64"),
+        (10, 0, "0 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+        (10, 55109, "55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+        (10, 10**30, f"{10**30} bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+    ],
+)
+def test_a_bad_grid_is_refused_alike_as_a_flag_and_as_a_model_header(tmp_path, capsys, metric_bins, param_bins, message):
+    flags = ["--metric-bins", str(metric_bins), "--param-bins", str(param_bins), "--out", str(tmp_path)]
+    assert main(["report", *flags]) == 2
+    flag_err = capsys.readouterr().err
+    ws = Workspace(tmp_path)
+    write_model(ws.baseline_model, ["5 0 12"], 12, f"{metric_bins} {metric_bins} -6.0 0.0", param_bins)
+    assert main(["optimize", "--out", str(tmp_path)]) == 3
+    header_err = capsys.readouterr().err
+    assert flag_err.startswith("error: ") and header_err.startswith(f"error: {ws.baseline_model}: inconsistent model: ")
+    assert flag_err.removeprefix("error: ") == header_err.split(": inconsistent model: ", 1)[1] == message + "\n"
+
+
+_OPTIMIZE = "import sys; sys.path.insert(0, sys.argv[1]); from graphbargain.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def test_an_allocation_that_fails_exits_7(tmp_path):
+    """At 100000 metric bins the push matrix's row pointers alone take 74.5 GiB, beyond a 4 GiB address space."""
+    write_model(Workspace(tmp_path).baseline_model, ["5 3 12"], 12, "100000 100000 -6.0 0.0")
+    src = Path(graphbargain.cli.__file__).resolve().parents[1]
+    limit = 4 << 30
+    done = subprocess.run(
+        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 7, done.stderr
+    assert any(line.startswith("error: Unable to allocate ") for line in done.stderr.splitlines())
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -453,17 +496,20 @@ class TestPipeline:
         ws2 = Workspace(out2)
         assert sorted(p.name for p in ws2.result_graphs.iterdir()) == [f"g{k:06d}.txt" for k in range(3)]
 
-    def test_coverage_collapse_is_4(self, pipeline, monkeypatch, capsys):
+    def test_optimize_is_given_the_search_settings(self, pipeline, tmp_path, monkeypatch):
         settings = {}
 
-        def collapse(train, hold, **kwargs):
+        def recording(train, hold, **kwargs):
             settings.update(kwargs)
-            raise CoverageCollapseError("best candidate keeps no mass")
+            return optimize(train, hold, **kwargs)
 
-        monkeypatch.setattr(graphbargain.cli, "optimize", collapse)
-        assert main(["optimize", *TINY_FLAGS, "--out", str(pipeline.out)]) == 4
-        assert capsys.readouterr().err.startswith("error: best candidate keeps no mass")
+        monkeypatch.setattr(graphbargain.cli, "optimize", recording)
+        ws = Workspace(tmp_path)
+        ws.baseline_dir.mkdir()
+        shutil.copyfile(pipeline.ws.baseline_model, ws.baseline_model)
+        assert main(["optimize", *TINY_FLAGS, "--out", str(tmp_path)]) == 0
         assert settings == {"pop": 6, "max_gen": 4, "tol": 1e-3, "seed": 5}
+        assert ws.best_q.read_bytes() == pipeline.ws.best_q.read_bytes()
 
     def test_validate_with_matching_graphs(self, pipeline, tmp_path, capsys):
         ws = pipeline.ws

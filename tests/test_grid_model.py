@@ -277,8 +277,8 @@ class TestConditionalConstruction:
     def test_bin_bounds(self):
         one = np.array([0])
         for metric_bins, param_bins, message in [
-            (1, 5, "metric grid needs at least 2 bins per axis, got 1"),
-            (0, 5, "metric grid needs at least 2 bins per axis, got 0"),
+            (1, 5, "^metric grid needs at least 2 bins per axis, got 1$"),
+            (0, 5, "^metric grid needs at least 2 bins per axis, got 0$"),
             (3_037_000_500, 5, r"^3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64$"),
             (10**30, 5, rf"^{10**30} bins per metric axis above 3037000499, where the cell ids fit in int64$"),
             (10, 0, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),

@@ -246,3 +246,38 @@ def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(ske
     assert below_floor > 0
     assert best_q.tobytes() == ref_q.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
+
+
+def holdout_floor(hold) -> float:
+    return graphbargain.optimizer._COVERAGE_FLOOR_RATIO * predicted_mass(hold, np.ones(8))[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_the_best_keeps_the_coverage_floor_while_holdout_trials_fall_below_it(skewed_split, monkeypatch, seed):
+    train, hold = skewed_split
+    floor = holdout_floor(hold)
+    holdout_coverages = []
+
+    def recording(model, shapes):
+        raw, coverage = predicted_mass(model, shapes)
+        if model is hold:
+            holdout_coverages.append(coverage)
+        return raw, coverage
+
+    monkeypatch.setattr(graphbargain.optimizer, "predicted_mass", recording)
+    _, trace = optimize(train, hold, pop=12, max_gen=10, tol=1e-3, seed=seed)
+    assert min(holdout_coverages) < floor
+    assert trace["coverage"][-1] >= floor
+    assert trace["coverage"].min() >= floor
+
+
+def test_the_uniform_q_stays_best_when_every_candidate_scores_the_worst_fitness():
+    # every record in one metric cell: each candidate above the floor predicts all mass there
+    units = np.random.default_rng(5).random((300, 4))
+    train, hold = split_model(build_conditional(units, np.full(300, 0.25), np.full(300, -3.0), 2, 5), 0.2, 1)
+    _, f_max = fitness_bounds(4)
+    best_q, trace = optimize(train, hold, pop=8, max_gen=6, tol=1e-3, seed=0)
+    assert trace["best_train"].tolist() == trace["best_holdout"].tolist() == [f_max] * len(trace)
+    assert best_q.tolist() == [1.0] * 8
+    assert trace["coverage"].tolist() == [predicted_mass(hold, np.ones(8))[1]] * len(trace)
+    assert trace["coverage"][-1] >= holdout_floor(hold)

@@ -21,6 +21,21 @@ from graphbargain.params import (
     sample_from_q,
     unit_point,
 )
+from graphbargain.rmat import RmatParams
+
+
+def baseline_by_three_uniform_calls(e_min: int, e_max: int, rng: np.random.Generator) -> RmatParams:
+    """sample_baseline written out with one ``rng.uniform`` call per nested interval."""
+    e = int(rng.integers(e_min, e_max + 1))
+    n_min, n_max = node_range(e)
+    n = int(rng.integers(n_min, n_max + 1))
+    a = float(rng.uniform(A_MIN, A_MAX))
+    b_lo, b_hi = b_range(a)
+    b = min(float(rng.uniform(b_lo, b_hi)), b_hi)
+    c_lo, c_hi = c_range(a, b)
+    c = min(float(rng.uniform(c_lo, c_hi)), c_hi)
+    d = min(max(1.0 - a - b - c, 0.0), a)
+    return RmatParams(n_param=n, e_param=e, a=a, b=b, c=c, d=d)
 
 
 class TestParamBounds:
@@ -159,6 +174,17 @@ class TestSampling:
             assert 19 <= p.e_param <= 400
             n_min, n_max = node_range(p.e_param)
             assert n_min <= p.n_param <= n_max
+
+    @pytest.mark.parametrize("e_min, e_max", [(19, 25), (1000, 10_000), (100_000, 1_000_000)])
+    def test_baseline_draws_what_three_uniform_calls_drew(self, e_min, e_max):
+        # a, b, c come from rng.random(3) through params_from_unit's map, bit for bit
+        # the floats and the stream position of three rng.uniform calls on the intervals
+        rng, twin = np.random.default_rng(e_min), np.random.default_rng(e_min)
+        for _ in range(10_000):
+            p, ref = sample_baseline(e_min, e_max, rng), baseline_by_three_uniform_calls(e_min, e_max, twin)
+            assert (p.n_param, p.e_param) == (ref.n_param, ref.e_param)
+            assert np.array([p.a, p.b, p.c, p.d]).tobytes() == np.array([ref.a, ref.b, ref.c, ref.d]).tobytes()
+        assert rng.random() == twin.random()
 
     def test_sampling_is_deterministic_per_rng_state(self):
         a = sample_baseline(50, 500, np.random.default_rng(5))
