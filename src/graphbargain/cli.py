@@ -200,10 +200,6 @@ class Workspace:
         return self.report_dir / "report.txt"
 
 
-def _workspace(config: RunConfig) -> Workspace:
-    return Workspace(Path(config.out))
-
-
 def _run_batch(batch: list[_Task]) -> list[_Outcome]:
     """Generate a batch's graphs, measure them in one call, write each edge list."""
     graphs: dict[int, Graph] = {}
@@ -308,7 +304,7 @@ def _generate_dataset(
 
 def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
     """Generate the naive baseline dataset and build its conditional model."""
-    ws = _workspace(config)
+    ws = Workspace(Path(config.out))
     logger.info("baseline: generating %d graphs with E in [%d, %d]", config.n, config.e_min, config.e_max)
     table = _generate_dataset(
         config, "baseline", (_TAG_BASELINE_PARAMS, _TAG_BASELINE_GRAPHS),
@@ -324,7 +320,7 @@ def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
 
 def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Path:
     """Fit the Beta parameter vector against the stored conditional model."""
-    ws = _workspace(config)
+    ws = Workspace(Path(config.out))
     path = Path(model_path) if model_path is not None else ws.baseline_model
     if not path.exists():
         raise DataError(f"model file {path} not found; run baseline first")
@@ -345,7 +341,7 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
 
 def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
     """Sample the result dataset from the optimized parameter distributions."""
-    ws = _workspace(config)
+    ws = Workspace(Path(config.out))
     path = Path(q_path) if q_path is not None else ws.best_q
     if not path.exists():
         raise DataError(f"q vector file {path} not found; run optimize first")
@@ -370,7 +366,7 @@ def _read_validation_graph(path: Path) -> Graph:
 
 def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     """Measure real graphs and check how many land in occupied metric cells."""
-    ws = _workspace(config)
+    ws = Workspace(Path(config.out))
     if not ws.result_manifest.exists():
         raise DataError(f"result manifest {ws.result_manifest} not found; run generate first")
     table = read_manifest(ws.result_manifest)
@@ -405,7 +401,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
 
 def cmd_report(config: RunConfig) -> Path:
     """Summarize the manifests present under the output directory."""
-    ws = _workspace(config)
+    ws = Workspace(Path(config.out))
     sources = (("baseline", ws.baseline_manifest), ("result", ws.result_manifest))
     tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
     if not tables:

@@ -8,7 +8,6 @@ lists included, replaces its path atomically through _replacing.
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -130,7 +129,7 @@ def read_edge_list(path: str | Path) -> Graph:
     pairs = int_table(text.encode("ascii"), 2)
     if pairs is None or np.any(pairs < 0):
         lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip())
-        bad_line(path, lines, ("u", "v"), negative="negative node id")
+        bad_line(path, lines, np.dtype([("u", np.int64), ("v", np.int64)]), negative="negative node id")
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
     try:
@@ -165,31 +164,32 @@ def int_table(data: bytes, columns: int) -> np.ndarray | None:
 
 
 def bad_line(
-    path: Path, lines: Iterable[tuple[int, str]], columns: Sequence[str], negative: str | None = None
+    path: Path, lines: Iterable[tuple[int, str]], dtype: np.dtype, delimiter: str | None = None, negative: str | None = None
 ) -> NoReturn:
-    """Raise a DataError naming the first bad one of the numbered lines of a table int_table refused.
+    """Raise a DataError naming the first bad one of the numbered lines of a table numpy refused.
 
-    A line is bad when it does not hold one integer per column, when a value
-    is negative (only if ``negative`` gives the message for it) or when a
-    value lies beyond int64; each line is checked in that order.
+    A line splits at ``delimiter`` (whitespace when None) into one value per field of ``dtype``, parsed
+    with int or float by the field's kind. It is bad when its value count is wrong, a value does not parse,
+    a value is negative (if ``negative`` gives that message) or an int lies beyond int64, checked in order.
     """
-    layout = " ".join(columns)
+    layout = (delimiter or " ").join(dtype.names)
+    parsers = [int if dtype[name].kind == "i" else float for name in dtype.names]
     for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != len(columns):
+        parts = line.split(delimiter)
+        if len(parts) != len(parsers):
             raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
         try:
-            values = [int(part) for part in parts]
+            values = [parse(part) for parse, part in zip(parsers, parts)]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if negative is not None and min(values) < 0:
             raise DataError(f"{path}:{lineno}: {negative}")
-        for name, value in zip(columns, values):
-            if not _INT64.min <= value <= _INT64.max:
+        for name, value in zip(dtype.names, values):
+            if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
                 raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
-    # Every line holds its integers, so only separators that str.split() knows
-    # and bytes.split() does not (the control bytes \x1c-\x1f) are left.
-    raise DataError(f"{path}: expected '{layout}' lines separated by ASCII whitespace")
+    # Every line parses, so numpy refused \x1c-\x1f as separators or digits grouped by underscores.
+    why = "separated by ASCII whitespace" if delimiter is None else "without digits grouped by underscores"
+    raise DataError(f"{path}: expected '{layout}' lines {why}")
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -238,7 +238,6 @@ MANIFEST_DTYPE = np.dtype(
 )
 
 MANIFEST_HEADER = ",".join(MANIFEST_DTYPE.names)
-_MANIFEST_PARSERS = [(name, int if MANIFEST_DTYPE[name].kind == "i" else float) for name in MANIFEST_DTYPE.names]
 
 
 def write_manifest(table: np.ndarray, path: str | Path) -> None:
@@ -254,31 +253,31 @@ def read_manifest(path: str | Path) -> np.ndarray:
         raise DataError(f"{path}: empty manifest")
     if lines[0] != MANIFEST_HEADER:
         raise DataError(f"{path}:1: bad header {lines[0]!r}")
-    rows: list[tuple[int | float, ...]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_MANIFEST_PARSERS):
-            raise DataError(f"{path}:{lineno}: expected {len(_MANIFEST_PARSERS)} fields, got {len(parts)}")
-        try:
-            values = {name: parse(token) for (name, parse), token in zip(_MANIFEST_PARSERS, parts)}
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        for name, value in values.items():
-            if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
-                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: {name} is {value!r}, not a finite number")
-        if not 0.0 <= values["clustering"] <= 1.0:
-            raise DataError(f"{path}:{lineno}: clustering {values['clustering']!r} outside [0, 1]")
-        # log10 of a simple graph's density, which is at most 1
-        if values["dlog"] > 0.0:
-            raise DataError(f"{path}:{lineno}: dlog {values['dlog']!r} above 0")
-        rows.append(tuple(values.values()))
-    if not rows:
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not numbered:
         raise DataError(f"{path}: manifest has no rows")
-    return np.array(rows, dtype=MANIFEST_DTYPE)
+    try:
+        table = np.loadtxt([line for _, line in numbered], MANIFEST_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        table = None
+    # numpy strips \x1f around a field like a space; int() and float() refuse it.
+    if table is None or any("\x1f" in line for _, line in numbered):
+        bad_line(path, numbered, MANIFEST_DTYPE, delimiter=",")
+    floats = [name for name in MANIFEST_DTYPE.names if MANIFEST_DTYPE[name].kind == "f"]
+    finite = np.isfinite(np.column_stack([table[name] for name in floats]))
+    # dlog is log10 of a simple graph's density, which is at most 1
+    good = finite.all(axis=1) & (table["clustering"] >= 0.0) & (table["clustering"] <= 1.0) & (table["dlog"] <= 0.0)
+    if not good.all():
+        row = int(np.argmin(good))
+        where = f"{path}:{numbered[row][0]}"
+        values = dict(zip(MANIFEST_DTYPE.names, table[row].item()))
+        if not finite[row].all():
+            name = floats[int(np.argmin(finite[row]))]
+            raise DataError(f"{where}: {name} is {values[name]!r}, not a finite number")
+        if not 0.0 <= values["clustering"] <= 1.0:
+            raise DataError(f"{where}: clustering {values['clustering']!r} outside [0, 1]")
+        raise DataError(f"{where}: dlog {values['dlog']!r} above 0")
+    return table
 
 
 def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object] | None = None) -> None:

@@ -55,7 +55,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_PAIR_COLUMNS = ("cell", "metric", "count")
+_PAIR_DTYPE = np.dtype([(name, np.int64) for name in ("cell", "metric", "count")])
 # The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
 # Largest bins per axis for which bins**2 - 1 fits in int64: a metric cell id is laid out as an edge key.
@@ -205,7 +205,6 @@ def conditional_from_pairs(
 
     cell_flat, column = np.unique(flat, return_inverse=True)
     matrix = scipy.sparse.csc_matrix((counts, (metric, column)), shape=(metric_bins**2, cell_flat.size))
-    matrix.sum_duplicates()
     return ConditionalModel(metric_bins=metric_bins, param_bins=param_bins, cell_flat=cell_flat, counts=matrix)
 
 
@@ -320,9 +319,9 @@ def load_conditional(path: str | Path) -> ConditionalModel:
     body = lines[5:]
     if len(body) != pairs:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
-    table = int_table("\n".join(body).encode("ascii"), len(_PAIR_COLUMNS))
+    table = int_table("\n".join(body).encode("ascii"), len(_PAIR_DTYPE))
     if table is None or len(table) != pairs:
-        bad_line(path, enumerate(body, start=6), _PAIR_COLUMNS)
+        bad_line(path, enumerate(body, start=6), _PAIR_DTYPE)
     flat, metric, counts = table.T
     try:
         model = conditional_from_pairs(metric_bins, param_bins, flat, metric, counts)

@@ -436,6 +436,18 @@ def test_malformed_manifest_is_3(tmp_path, capsys, command, field, token):
     assert [p.name for p in tmp_path.iterdir()] == ["result"]
 
 
+def test_digits_grouped_by_underscores_in_a_manifest_are_3(tmp_path, capsys):
+    # int() and float() accept 1_0, numpy's parser does not; no line is at fault, so the error names the file
+    ws = Workspace(tmp_path)
+    ws.result_dir.mkdir()
+    row = "1_0,1000,140,150,0.5,0.25,0.15,0.1,0.5,0.5,0.5,0.5,138,140,0.1,-2.0"
+    ws.result_manifest.write_text(f"{MANIFEST_HEADER}\n{row}\n", encoding="ascii")
+    assert main(["report", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {ws.result_manifest}: expected '{MANIFEST_HEADER}' lines without digits grouped by underscores" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
 class TestPipeline:
     def test_baseline_outputs(self, pipeline):
         ws = pipeline.ws

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import math
 import os
 import re
 import tracemalloc
@@ -58,6 +59,40 @@ def reference_line_parse(path, data: bytes) -> np.ndarray:
         us.append(u)
         vs.append(v)
     return np.column_stack([us, vs]) if us else np.zeros((0, 2), dtype=np.int64)
+
+
+def reference_manifest_parse(path, text: str) -> np.ndarray:
+    """The field-by-field manifest parser the single np.loadtxt parse replaced."""
+    parsers = [(name, int if MANIFEST_DTYPE[name].kind == "i" else float) for name in MANIFEST_DTYPE.names]
+    lines = text.splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty manifest")
+    if lines[0] != MANIFEST_HEADER:
+        raise DataError(f"{path}:1: bad header {lines[0]!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(parsers):
+            raise DataError(f"{path}:{lineno}: expected {len(parsers)} fields, got {len(parts)}")
+        try:
+            values = {name: parse(token) for (name, parse), token in zip(parsers, parts)}
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in values.items():
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: {name} is {value!r}, not a finite number")
+        if not 0.0 <= values["clustering"] <= 1.0:
+            raise DataError(f"{path}:{lineno}: clustering {values['clustering']!r} outside [0, 1]")
+        if values["dlog"] > 0.0:
+            raise DataError(f"{path}:{lineno}: dlog {values['dlog']!r} above 0")
+        rows.append(tuple(values.values()))
+    if not rows:
+        raise DataError(f"{path}: manifest has no rows")
+    return np.array(rows, dtype=MANIFEST_DTYPE)
 
 
 def small_graph() -> Graph:
@@ -432,7 +467,7 @@ class TestManifest:
         with pytest.raises(DataError, match="manifest has no rows"):
             read_manifest(path)
         path.write_text(MANIFEST_HEADER + "\n1,2,3\n")
-        with pytest.raises(DataError, match="expected 16 fields, got 3"):
+        with pytest.raises(DataError, match=r"manifest\.csv:2: expected 'id,seed,.*,dlog', got '1,2,3'$"):
             read_manifest(path)
         write_manifest(sample_table(), path)
         broken = path.read_text().replace("0.5", "zero.five", 1)
@@ -450,6 +485,85 @@ class TestManifest:
         lines = path.read_text().splitlines()
         padded.write_text("\n".join([lines[0], "", lines[1], "  ", *lines[2:]]) + "\n")
         assert read_manifest(padded).tolist() == table.tolist()
+
+    def test_whole_file_parse_agrees_with_the_field_parser(self, tmp_path):
+        # random manifests with extreme values, blank and space-only lines, \r\n
+        # endings and padded fields, about half of them with one bad line
+        rng = np.random.default_rng(24)
+        ints = [0, 1, -1, 7, 2**63 - 1, -(2**63 - 1), -(2**63)]
+        floats = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 2.5e-7]
+        units = [0.0, -0.0, 5e-324, 0.3, 1.0 - 2**-53, 1.0]
+        dlogs = [0.0, -0.0, -5e-324, -2.3, -1.7976931348623157e308]
+        bad_tokens = {
+            "i": ["x", "", "1.0", "1e3", "9223372036854775808", "-9223372036854775809", "\x1f1", "+7", " 3 "],
+            "f": ["x", "", "nan", "-nan", "inf", "-inf", "1e400", "1.5", "0.5", "-0.1", "1d3", "2\x1f", "+.5"],
+        }
+        names = MANIFEST_DTYPE.names
+        path = tmp_path / "manifest.csv"
+        accepted = refused = 0
+        for _ in range(400):
+            table = np.zeros(int(rng.integers(1, 6)), MANIFEST_DTYPE)
+            for name in names:
+                pool = {"clustering": units, "dlog": dlogs}.get(name, ints if MANIFEST_DTYPE[name].kind == "i" else floats)
+                table[name] = [pool[k] for k in rng.integers(0, len(pool), len(table))]
+            write_manifest(table, path)
+            lines = path.read_text(encoding="ascii").splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            if rng.random() < 0.3:
+                rows = [[f"{' ' * int(rng.integers(0, 2))}{t}{chr(9) * int(rng.integers(0, 2))}" for t in r] for r in rows]
+            if rng.random() < 0.6:
+                row, field = int(rng.integers(len(rows))), int(rng.integers(len(names)))
+                if rng.random() < 0.1:
+                    rows[row] = rows[row][:field] if rng.random() < 0.5 else rows[row] + ["0"]
+                else:
+                    kind_tokens = bad_tokens[MANIFEST_DTYPE[names[field]].kind]
+                    rows[row][field] = kind_tokens[int(rng.integers(len(kind_tokens)))]
+            body = [lines[0]]
+            for r in rows:
+                body += [""] * int(rng.random() < 0.2) + ["  "] * int(rng.random() < 0.2) + [",".join(r)]
+            ending = "\r\n" if rng.random() < 0.3 else "\n"
+            text = ending.join(body) + ending
+            path.write_bytes(text.encode("ascii"))
+            try:
+                expected = reference_manifest_parse(path, text)
+            except DataError as exc:
+                refused += 1
+                with pytest.raises(DataError) as caught:
+                    read_manifest(path)
+                where, message = str(exc).split(": ", 1)
+                if re.fullmatch(r"expected 16 fields, got \d+", message):
+                    # the one reworded message: bad_line's, which shows the line
+                    lineno = int(where.rsplit(":", 1)[1])
+                    message = f"expected '{MANIFEST_HEADER}', got {text.splitlines()[lineno - 1]!r}"
+                assert str(caught.value) == f"{where}: {message}", text
+                continue
+            accepted += 1
+            assert read_manifest(path).tobytes() == expected.tobytes(), text
+        assert accepted > 150 and refused > 150
+
+    def test_a_line_numpy_refuses_is_named_before_an_earlier_out_of_range_value(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        table = np.concatenate([sample_table(), sample_table()[:1]])
+        write_manifest(table, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",0.2,-2.3", ",nan,-2.3")
+        lines[4] = "x" + lines[4][1:]
+        path.write_text("\n".join(lines) + "\n")
+        # the field-by-field parser named line 3, the first line with a bad value
+        with pytest.raises(DataError, match=r"manifest\.csv:3: clustering is nan, not a finite number$"):
+            reference_manifest_parse(path, path.read_text())
+        with pytest.raises(DataError, match=r"manifest\.csv:5: invalid literal for int\(\) with base 10: 'x'$"):
+            read_manifest(path)
+
+    def test_the_first_out_of_range_line_is_named(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(sample_table(), path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace(",-2.0", ",0.5")
+        lines[2] = lines[2].replace(",0.2,-2.3", ",nan,-2.3")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"manifest\.csv:2: dlog 0\.5 above 0$"):
+            read_manifest(path)
 
     def test_columns(self, tmp_path):
         path = tmp_path / "manifest.csv"

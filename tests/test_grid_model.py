@@ -224,6 +224,7 @@ class TestConditionalConstruction:
         assert model.cell_flat.tolist() == [3, 5]
         counts = model.counts
         assert counts.format == "csc" and counts.dtype == np.int64 and counts.shape == (100, 2)
+        assert counts.has_canonical_format
         assert column_sums(model).tolist() == [4, 3]
         assert counts.indices.tolist() == [7, 2]
         assert counts.data.tolist() == [4, 3]
