@@ -9,6 +9,7 @@ lists included, replaces its path atomically through _replacing.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
@@ -129,7 +130,8 @@ def read_edge_list(path: str | Path) -> Graph:
     pairs = int_table(text.encode("ascii"), 2)
     if pairs is None or np.any(pairs < 0):
         lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip())
-        bad_line(path, lines, np.dtype([("u", np.int64), ("v", np.int64)]), negative="negative node id")
+        edge = np.dtype([("u", np.int64), ("v", np.int64)])
+        bad_line(path, lines, edge, "separated by ASCII whitespace", negative="negative node id")
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
     try:
@@ -164,31 +166,30 @@ def int_table(data: bytes, columns: int) -> np.ndarray | None:
 
 
 def bad_line(
-    path: Path, lines: Iterable[tuple[int, str]], dtype: np.dtype, delimiter: str | None = None, negative: str | None = None
+    path: Path, lines: Iterable[tuple[int, str]], dtype: np.dtype, why: str, sep: str | None = None, negative: str = ""
 ) -> NoReturn:
     """Raise a DataError naming the first bad one of the numbered lines of a table numpy refused.
 
-    A line splits at ``delimiter`` (whitespace when None) into one value per field of ``dtype``, parsed
-    with int or float by the field's kind. It is bad when its value count is wrong, a value does not parse,
-    a value is negative (if ``negative`` gives that message) or an int lies beyond int64, checked in order.
+    A line splits at ``sep`` (whitespace when None) into one value per field of ``dtype``, parsed with int or
+    float by the field's kind. It is bad when its value count is wrong, a value does not parse, a value is negative
+    (if ``negative`` gives that message) or an int lies beyond int64, checked in order. When every line passes,
+    numpy refused a form that int() and float() accept, and the error names the file and says ``why``.
     """
-    layout = (delimiter or " ").join(dtype.names)
+    layout = (sep or " ").join(dtype.names)
     parsers = [int if dtype[name].kind == "i" else float for name in dtype.names]
     for lineno, line in lines:
-        parts = line.split(delimiter)
+        parts = line.split(sep)
         if len(parts) != len(parsers):
             raise DataError(f"{path}:{lineno}: expected '{layout}', got {line!r}")
         try:
             values = [parse(part) for parse, part in zip(parsers, parts)]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if negative is not None and min(values) < 0:
+        if negative and min(values) < 0:
             raise DataError(f"{path}:{lineno}: {negative}")
         for name, value in zip(dtype.names, values):
             if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
                 raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
-    # Every line parses, so numpy refused \x1c-\x1f as separators or digits grouped by underscores.
-    why = "separated by ASCII whitespace" if delimiter is None else "without digits grouped by underscores"
     raise DataError(f"{path}: expected '{layout}' lines {why}")
 
 
@@ -256,27 +257,25 @@ def read_manifest(path: str | Path) -> np.ndarray:
     numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if not numbered:
         raise DataError(f"{path}: manifest has no rows")
-    try:
-        table = np.loadtxt([line for _, line in numbered], MANIFEST_DTYPE, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        table = None
-    # numpy strips \x1f around a field like a space; int() and float() refuse it.
-    if table is None or any("\x1f" in line for _, line in numbered):
-        bad_line(path, numbered, MANIFEST_DTYPE, delimiter=",")
+    rows = [line for _, line in numbered]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x parses an int field such as 1.5 via a float
+        try:
+            table = np.loadtxt(rows, MANIFEST_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            table = None
+    # numpy strips \x1f around a field like a space, where int() and float() refuse it; it refuses 1_0, they accept it.
+    if table is None or "\x1f" in "".join(rows):
+        bad_line(path, numbered, MANIFEST_DTYPE, "without digits grouped by underscores", sep=",")
     floats = [name for name in MANIFEST_DTYPE.names if MANIFEST_DTYPE[name].kind == "f"]
-    finite = np.isfinite(np.column_stack([table[name] for name in floats]))
-    # dlog is log10 of a simple graph's density, which is at most 1
-    good = finite.all(axis=1) & (table["clustering"] >= 0.0) & (table["clustering"] <= 1.0) & (table["dlog"] <= 0.0)
-    if not good.all():
-        row = int(np.argmin(good))
-        where = f"{path}:{numbered[row][0]}"
-        values = dict(zip(MANIFEST_DTYPE.names, table[row].item()))
-        if not finite[row].all():
-            name = floats[int(np.argmin(finite[row]))]
-            raise DataError(f"{where}: {name} is {values[name]!r}, not a finite number")
-        if not 0.0 <= values["clustering"] <= 1.0:
-            raise DataError(f"{where}: clustering {values['clustering']!r} outside [0, 1]")
-        raise DataError(f"{where}: dlog {values['dlog']!r} above 0")
+    # One row per check, in the order a line is checked; dlog is log10 of a simple graph's density, at most 1.
+    clustering, dlog = table["clustering"], table["dlog"]
+    failed = np.array([~np.isfinite(table[name]) for name in floats] + [(clustering < 0) | (clustering > 1), dlog > 0])
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        why = [f"{name} is {table[name][row].item()!r}, not a finite number" for name in floats]
+        why += [f"clustering {clustering[row].item()!r} outside [0, 1]", f"dlog {dlog[row].item()!r} above 0"]
+        raise DataError(f"{path}:{numbered[row][0]}: {why[int(np.argmax(failed[:, row]))]}")
     return table
 
 

@@ -321,7 +321,8 @@ def load_conditional(path: str | Path) -> ConditionalModel:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
     table = int_table("\n".join(body).encode("ascii"), len(_PAIR_DTYPE))
     if table is None or len(table) != pairs:
-        bad_line(path, enumerate(body, start=6), _PAIR_DTYPE)
+        # Each line holds its integers, so str.split() separated at \x1f, which bytes.split() does not.
+        bad_line(path, enumerate(body, start=6), _PAIR_DTYPE, "separated by ASCII whitespace")
     flat, metric, counts = table.T
     try:
         model = conditional_from_pairs(metric_bins, param_bins, flat, metric, counts)

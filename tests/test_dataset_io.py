@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -495,7 +496,7 @@ class TestManifest:
         units = [0.0, -0.0, 5e-324, 0.3, 1.0 - 2**-53, 1.0]
         dlogs = [0.0, -0.0, -5e-324, -2.3, -1.7976931348623157e308]
         bad_tokens = {
-            "i": ["x", "", "1.0", "1e3", "9223372036854775808", "-9223372036854775809", "\x1f1", "+7", " 3 "],
+            "i": ["x", "", "1.0", "1.5", "1e3", "9223372036854775808", "-9223372036854775809", "\x1f1", "+7", " 3 "],
             "f": ["x", "", "nan", "-nan", "inf", "-inf", "1e400", "1.5", "0.5", "-0.1", "1d3", "2\x1f", "+.5"],
         }
         names = MANIFEST_DTYPE.names
@@ -554,6 +555,34 @@ class TestManifest:
             reference_manifest_parse(path, path.read_text())
         with pytest.raises(DataError, match=r"manifest\.csv:5: invalid literal for int\(\) with base 10: 'x'$"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("token", ["1.5", "1.0", "1e3"])
+    def test_an_id_written_as_a_float_is_named(self, tmp_path, token):
+        path = tmp_path / "manifest.csv"
+        write_manifest(sample_table(), path)
+        lines = path.read_text().splitlines()
+        lines[2] = token + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"manifest\.csv:3: invalid literal for int\(\) with base 10: '{re.escape(token)}'$"):
+            read_manifest(path)
+
+    def test_an_int_that_numpy_reads_through_a_float_with_a_deprecation_warning_is_named(self, tmp_path, monkeypatch):
+        # numpy 1.23 to 1.x parses an int field such as 1.5 through a float, warns and returns a table
+        path = tmp_path / "manifest.csv"
+        write_manifest(sample_table(), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "1.5" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+
+        def loadtxt(rows, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+            return np.zeros(len(rows), dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        filters = list(warnings.filters)
+        with pytest.raises(DataError, match=r"manifest\.csv:3: invalid literal for int\(\) with base 10: '1\.5'$"):
+            read_manifest(path)
+        assert warnings.filters == filters
 
     def test_the_first_out_of_range_line_is_named(self, tmp_path):
         path = tmp_path / "manifest.csv"
