@@ -12,7 +12,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,11 +127,9 @@ def read_edge_list(path: str | Path) -> Graph:
     """Read 'u v' lines; errors name the first bad line."""
     path = Path(path)
     text = read_ascii(path, "edge list", DataError)
-    pairs = int_table(text.encode("ascii"), 2)
-    if pairs is None or np.any(pairs < 0):
-        lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line.strip())
-        edge = np.dtype([("u", np.int64), ("v", np.int64)])
-        bad_line(path, lines, edge, "separated by ASCII whitespace", negative="negative node id")
+    edge = np.dtype([("u", np.int64), ("v", np.int64)])
+    table = read_table(path, text, text.splitlines(), 1, edge, negative="negative node id")
+    pairs = table.view(np.int64).reshape(-1, 2)
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
     try:
@@ -140,42 +138,51 @@ def read_edge_list(path: str | Path) -> Graph:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def int_table(data: bytes, columns: int) -> np.ndarray | None:
-    """(rows, columns) int64 when every non-blank line holds ``columns`` integers within int64, else None."""
-    tokens = data.split()
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if len(values) % columns:
-        return None
-    if len(values) == 0:
-        return values.reshape(0, columns)
-    # The tokens parsed as integers, so every byte <= 32 is one of bytes.split()'s
-    # separators, and 10..13 (\n \v \f \r) are those str.splitlines() breaks at.
-    raw = np.frombuffer(data, dtype=np.uint8)
-    space = np.concatenate(([True], raw <= 32))
-    starts = np.flatnonzero(space[:-1] & ~space[1:])
-    # broken[i]: a line break lies after token i (the last token counts as broken)
-    broken = np.logical_or.reduceat((raw >= 10) & (raw <= 13), starts)
-    broken[-1] = True
-    rows = broken.reshape(-1, columns)
-    if np.any(rows[:, :-1]) or not np.all(rows[:, -1]):
-        return None
-    return values.reshape(-1, columns)
+def read_table(
+    path: Path,
+    text: str,
+    lines: list[str],
+    first: int,
+    dtype: np.dtype,
+    sep: str | None = None,
+    negative: str = "",
+    blank_lines: bool = True,
+) -> np.ndarray:
+    """The ``dtype`` rows of the number table ``lines`` of ``text``, numbered from ``first``, in one np.loadtxt parse.
+
+    Each line splits at ``sep`` (ASCII whitespace when None) into one value per field. Blank lines are skipped
+    when ``blank_lines`` holds, else refused; numpy skips an empty line, and a whitespace-only one only when
+    ``sep`` is None. The table is refused when numpy refuses it, when a value is negative and ``negative`` gives
+    that message, or when ``text`` holds a byte in \\x1c-\\x1f: str.splitlines() breaks a line there and numpy
+    sees a space. The error names the first line _bad_line finds bad, or the file alone when every line passes,
+    as one with digits grouped by underscores does: int() and float() accept 1_0, numpy does not.
+    """
+    layout = (sep or " ").join(dtype.names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x parses an int field such as 1.5 via a float
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(lines, dtype, delimiter=sep, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            table = None
+    refused = table is None or (not blank_lines and len(table) != len(lines))
+    if not refused and not any(byte in text for byte in "\x1c\x1d\x1e\x1f"):
+        if not (negative and any(np.any(table[name] < 0) for name in dtype.names)):
+            return table
+    numbered = ((lineno, line) for lineno, line in enumerate(lines, start=first) if line.strip() or not blank_lines)
+    _bad_line(path, numbered, dtype, layout, sep, negative)
+    raise DataError(f"{path}: expected '{layout}' lines without digits grouped by underscores or bytes \\x1c-\\x1f")
 
 
-def bad_line(
-    path: Path, lines: Iterable[tuple[int, str]], dtype: np.dtype, why: str, sep: str | None = None, negative: str = ""
-) -> NoReturn:
-    """Raise a DataError naming the first bad one of the numbered lines of a table numpy refused.
+def _bad_line(
+    path: Path, lines: Iterable[tuple[int, str]], dtype: np.dtype, layout: str, sep: str | None, negative: str
+) -> None:
+    """Raise a DataError naming the first bad one of the numbered lines of a table numpy refused, if one is bad.
 
     A line splits at ``sep`` (whitespace when None) into one value per field of ``dtype``, parsed with int or
     float by the field's kind. It is bad when its value count is wrong, a value does not parse, a value is negative
-    (if ``negative`` gives that message) or an int lies beyond int64, checked in order. When every line passes,
-    numpy refused a form that int() and float() accept, and the error names the file and says ``why``.
+    (if ``negative`` gives that message) or an int lies beyond int64, checked in order.
     """
-    layout = (sep or " ").join(dtype.names)
     parsers = [int if dtype[name].kind == "i" else float for name in dtype.names]
     for lineno, line in lines:
         parts = line.split(sep)
@@ -190,7 +197,6 @@ def bad_line(
         for name, value in zip(dtype.names, values):
             if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
                 raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
-    raise DataError(f"{path}: expected '{layout}' lines {why}")
 
 
 def read_matrix_market(path: str | Path) -> Graph:
@@ -249,24 +255,17 @@ def write_manifest(table: np.ndarray, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> np.ndarray:
     """The MANIFEST_DTYPE table of a manifest file; errors name the first bad line."""
     path = Path(path)
-    lines = read_ascii(path, "manifest", DataError).splitlines()
+    text = read_ascii(path, "manifest", DataError)
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty manifest")
     if lines[0] != MANIFEST_HEADER:
         raise DataError(f"{path}:1: bad header {lines[0]!r}")
-    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    if not numbered:
+    # With a comma separator numpy skips an empty line but refuses a whitespace-only one.
+    rows = [line if line.strip() else "" for line in lines[1:]]
+    table = read_table(path, text, rows, 2, MANIFEST_DTYPE, sep=",")
+    if len(table) == 0:
         raise DataError(f"{path}: manifest has no rows")
-    rows = [line for _, line in numbered]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x parses an int field such as 1.5 via a float
-        try:
-            table = np.loadtxt(rows, MANIFEST_DTYPE, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            table = None
-    # numpy strips \x1f around a field like a space, where int() and float() refuse it; it refuses 1_0, they accept it.
-    if table is None or "\x1f" in "".join(rows):
-        bad_line(path, numbered, MANIFEST_DTYPE, "without digits grouped by underscores", sep=",")
     floats = [name for name in MANIFEST_DTYPE.names if MANIFEST_DTYPE[name].kind == "f"]
     # One row per check, in the order a line is checked; dlog is log10 of a simple graph's density, at most 1.
     clustering, dlog = table["clustering"], table["dlog"]
@@ -275,7 +274,8 @@ def read_manifest(path: str | Path) -> np.ndarray:
         row = int(np.argmax(failed.any(axis=0)))
         why = [f"{name} is {table[name][row].item()!r}, not a finite number" for name in floats]
         why += [f"clustering {clustering[row].item()!r} outside [0, 1]", f"dlog {dlog[row].item()!r} above 0"]
-        raise DataError(f"{path}:{numbered[row][0]}: {why[int(np.argmax(failed[:, row]))]}")
+        lineno = [n for n, line in enumerate(rows, start=2) if line][row]
+        raise DataError(f"{path}:{lineno}: {why[int(np.argmax(failed[:, row]))]}")
     return table
 
 

@@ -31,7 +31,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-from .dataset import bad_line, int_table, read_ascii, write_ascii
+from .dataset import read_ascii, read_table, write_ascii
 from .errors import DataError
 from .graph import MAX_KEYED_NODES
 from .params import check_shapes
@@ -307,7 +307,8 @@ def _header_int(line: str) -> int | str:
 
 def load_conditional(path: str | Path) -> ConditionalModel:
     path = Path(path)
-    lines = read_ascii(path, "model file", DataError).splitlines()
+    text = read_ascii(path, "model file", DataError)
+    lines = text.splitlines()
     if len(lines) < 5:
         raise DataError(f"{path}: truncated model file")
     # Lines 2-5 each carry one integer, and the header must be the one save_conditional renders from them.
@@ -319,11 +320,8 @@ def load_conditional(path: str | Path) -> ConditionalModel:
     body = lines[5:]
     if len(body) != pairs:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
-    table = int_table("\n".join(body).encode("ascii"), len(_PAIR_DTYPE))
-    if table is None or len(table) != pairs:
-        # Each line holds its integers, so str.split() separated at \x1f, which bytes.split() does not.
-        bad_line(path, enumerate(body, start=6), _PAIR_DTYPE, "separated by ASCII whitespace")
-    flat, metric, counts = table.T
+    table = read_table(path, text, body, 6, _PAIR_DTYPE, blank_lines=False)
+    flat, metric, counts = (table[name] for name in _PAIR_DTYPE.names)
     try:
         model = conditional_from_pairs(metric_bins, param_bins, flat, metric, counts)
     except ValueError as exc:

@@ -436,6 +436,10 @@ def test_malformed_manifest_is_3(tmp_path, capsys, command, field, token):
     assert [p.name for p in tmp_path.iterdir()] == ["result"]
 
 
+# The end of the message that names a number table's file and no line.
+GROUPED_OR_CONTROL = "without digits grouped by underscores or bytes \\x1c-\\x1f"
+
+
 def test_digits_grouped_by_underscores_in_a_manifest_are_3(tmp_path, capsys):
     # int() and float() accept 1_0, numpy's parser does not; no line is at fault, so the error names the file
     ws = Workspace(tmp_path)
@@ -444,8 +448,16 @@ def test_digits_grouped_by_underscores_in_a_manifest_are_3(tmp_path, capsys):
     ws.result_manifest.write_text(f"{MANIFEST_HEADER}\n{row}\n", encoding="ascii")
     assert main(["report", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert f"error: {ws.result_manifest}: expected '{MANIFEST_HEADER}' lines without digits grouped by underscores" in err
+    assert f"error: {ws.result_manifest}: expected '{MANIFEST_HEADER}' lines {GROUPED_OR_CONTROL}\n" in err
     assert [p.name for p in tmp_path.iterdir()] == ["result"]
+
+
+def test_digits_grouped_by_underscores_in_a_model_body_are_3(tmp_path, capsys):
+    # int() reads 1_0 as 10 and numpy's parser refuses it; no line is at fault, so the error names the file
+    ws = Workspace(tmp_path)
+    write_model(ws.baseline_model, ["5 3 1_0"], 10)
+    assert main(["optimize", "--out", str(tmp_path)]) == 3
+    assert f"error: {ws.baseline_model}: expected 'cell metric count' lines {GROUPED_OR_CONTROL}\n" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -572,6 +584,18 @@ class TestPipeline:
         with caplog.at_level(logging.ERROR, logger="graphbargain.cli"):
             assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(bad), str(good)]) == 0
         assert [r.getMessage().startswith(f"validate: skipping {bad}: ") for r in caplog.records] == [True]
+        assert "coverage: 1/1 = 1.000" in capsys.readouterr().out
+        lines = pipeline.ws.validation_csv.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["g000001.txt"]
+
+    def test_validate_skips_an_edge_list_with_digits_grouped_by_underscores(self, pipeline, tmp_path, caplog, capsys):
+        grouped = tmp_path / "grouped.txt"
+        grouped.write_text("0 1\n1_0 2\n", encoding="ascii")
+        good = pipeline.ws.result_graphs / "g000001.txt"
+        with caplog.at_level(logging.ERROR, logger="graphbargain.cli"):
+            assert main(["validate", *TINY_FLAGS, "--out", str(pipeline.out), str(grouped), str(good)]) == 0
+        message = f"validate: skipping {grouped}: {grouped}: expected 'u v' lines {GROUPED_OR_CONTROL}"
+        assert [r.getMessage() for r in caplog.records] == [message]
         assert "coverage: 1/1 = 1.000" in capsys.readouterr().out
         lines = pipeline.ws.validation_csv.read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["g000001.txt"]

@@ -18,7 +18,6 @@ from graphbargain.dataset import (
     MANIFEST_HEADER,
     correlation,
     csv_lines,
-    int_table,
     read_edge_list,
     read_manifest,
     read_matrix_market,
@@ -204,51 +203,70 @@ class TestEdgeLists:
             read_edge_list(path)
 
     def test_whole_file_parse_agrees_with_the_line_parser(self, tmp_path):
-        # random files of integer-like tokens and separators, including the
-        # line breaks \r, \v, \f and \x1c that str.splitlines() also splits at
+        # random files of lines of one to three integer-like tokens, separated within a line by spaces, tabs or
+        # \x1f, which str.split() separates at, and ended by blank lines, \r\n or a break that str.splitlines()
+        # also splits at: \r, \v, \f and \x1c-\x1e
         rng = np.random.default_rng(8)
-        tokens = ["0", "1", "2", "12", "+3", "1_0", "-2", "x", "007"]
-        seps = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\n\n", " \n"]
+        tokens = [*map(str, range(10)), "+3", "007", "-2", str(2**63 - 1), str(-(2**63 - 1)), str(2**63), "1_0", "x"]
+        weights = np.array([8] * 10 + [3, 3, 1, 1, 1, 1, 3, 1]) / 94
+        spaces, space_weights = [" ", "\t", "  ", "\x1f"], [0.6, 0.2, 0.1, 0.1]
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", "\n \n", "\x1c", "\x1d", "\x1e"]
+        break_weights = np.array([8, 3, 2, 2, 2, 2, 2, 1, 1, 1]) / 24
         path = tmp_path / "g.txt"
-        accepted = read = 0
-        for _ in range(400):
-            words = rng.choice(tokens, size=int(rng.integers(0, 7)), p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.04, 0.03, 0.03])
-            body = "".join(w + str(rng.choice(seps)) for w in words).encode("ascii")
-            path.write_bytes(body)
+        closing = f"{path}: expected 'u v' lines without digits grouped by underscores or bytes \\x1c-\\x1f"
+
+        def expected(body: str) -> Graph | str:
+            """The line parser's graph or message; a body it accepts that holds \\x1c-\\x1f or 1_0 names the file."""
             try:
-                expected = reference_line_parse(path, body)
+                pairs = reference_line_parse(path, body.encode("ascii"))
             except DataError as exc:
-                # a bad line: the same message, line number included
-                with pytest.raises(DataError) as caught:
-                    read_edge_list(path)
-                assert str(caught.value) == str(exc), body
-                continue
-            pairs = int_table(body, 2)
-            if b"\x1c" in body:
-                assert pairs is None, body
-                with pytest.raises(DataError):
-                    read_edge_list(path)
-                continue
-            accepted += 1
-            assert pairs.tolist() == expected.tolist(), body
+                return str(exc)
+            if "1_0" in body or any(byte in body for byte in "\x1c\x1d\x1e\x1f"):
+                return closing
+            if len(pairs) == 0:
+                return f"{path}: no edges"
             try:
-                g = read_edge_list(path)
-            except DataError:
-                continue  # no edges, a self-loop or a duplicate edge
-            read += 1
-            assert g == Graph.from_edge_list(expected), body
-        assert accepted > 40
-        assert read > 5
+                return Graph.from_edge_list(pairs)
+            except ValueError as exc:
+                return f"{path}: {exc}"
+
+        kinds = {"graph": 0, "error": 0, "closing": 0}
+        for _ in range(600):
+            body = ""
+            for _ in range(int(rng.integers(0, 5))):
+                words = rng.choice(tokens, size=int(rng.choice([1, 2, 2, 2, 2, 2, 3])), p=weights)
+                body += str(rng.choice(spaces, p=space_weights)).join(words) + str(rng.choice(breaks, p=break_weights))
+            path.write_bytes(body.encode("ascii"))
+            want = expected(body)
+            try:
+                got = read_edge_list(path)
+            except DataError as exc:
+                got = str(exc)
+            if isinstance(want, Graph):
+                assert isinstance(got, Graph) and got == want, body
+                kinds["graph"] += 1
+            else:
+                assert got == want, body
+                kinds["closing" if want == closing else "error"] += 1
+        assert min(kinds.values()) > 40, kinds
+
+    def test_digits_grouped_by_underscores_are_refused_without_a_line(self, tmp_path):
+        # int() reads 1_0 as 10 and numpy's parser refuses it; no line is at fault
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1_0 2\n")
+        assert reference_line_parse(path, path.read_bytes()).tolist() == [[0, 1], [10, 2]]
+        with pytest.raises(DataError, match=r"g\.txt: expected 'u v' lines without digits grouped by underscores or bytes \\x1c-\\x1f$"):
+            read_edge_list(path)
 
     def test_control_byte_separators_rejected_without_a_line(self, tmp_path):
         # str.splitlines() breaks at \x1c-\x1e and str.split() separates at
-        # \x1c-\x1f, but bytes.split() does neither; the line loop finds every
+        # \x1c-\x1f, where numpy sees a space; the line loop finds every
         # line good, so the error names the file alone
         path = tmp_path / "g.txt"
         for body in (b"0 1\x1c1 2\n", b"0 1\x1d1 2\n", b"0 1\x1e1 2\n", b"0 1\n1\x1f2\n", b"0\x1f1\x1c1 2"):
             path.write_bytes(body)
             assert len(reference_line_parse(path, body)) == 2
-            with pytest.raises(DataError, match=r"g\.txt: expected 'u v' lines separated by ASCII whitespace$"):
+            with pytest.raises(DataError, match=r"g\.txt: expected 'u v' lines without digits grouped by underscores or bytes \\x1c-\\x1f$"):
                 read_edge_list(path)
 
     def test_empty_file(self, tmp_path):
@@ -256,6 +274,15 @@ class TestEdgeLists:
         path.write_text("\n\n")
         with pytest.raises(DataError, match="no edges"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("body", [b"", b"\n \t\n"])
+    def test_an_empty_file_raises_no_edges_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "g.txt"
+        path.write_bytes(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"g\.txt: no edges$"):
+                read_edge_list(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -487,6 +514,19 @@ class TestManifest:
         padded.write_text("\n".join([lines[0], "", lines[1], "  ", *lines[2:]]) + "\n")
         assert read_manifest(padded).tolist() == table.tolist()
 
+    @pytest.mark.parametrize("byte", ["\x1c", "\x1d", "\x1e"])
+    def test_a_line_break_at_a_control_byte_is_refused_without_a_line(self, tmp_path, byte):
+        # str.splitlines() breaks at \x1c-\x1e, so the row and the empty rest after it pass the line check
+        table = sample_table()
+        path = tmp_path / "manifest.csv"
+        write_manifest(table, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[1] + byte, *lines[2:]]) + "\n")
+        assert reference_manifest_parse(path, path.read_text()).tolist() == table.tolist()
+        message = rf"manifest\.csv: expected '{MANIFEST_HEADER}' lines without digits grouped by underscores or bytes \\x1c-\\x1f$"
+        with pytest.raises(DataError, match=message):
+            read_manifest(path)
+
     def test_whole_file_parse_agrees_with_the_field_parser(self, tmp_path):
         # random manifests with extreme values, blank and space-only lines, \r\n
         # endings and padded fields, about half of them with one bad line
@@ -533,7 +573,7 @@ class TestManifest:
                     read_manifest(path)
                 where, message = str(exc).split(": ", 1)
                 if re.fullmatch(r"expected 16 fields, got \d+", message):
-                    # the one reworded message: bad_line's, which shows the line
+                    # the one reworded message: _bad_line's, which shows the line
                     lineno = int(where.rsplit(":", 1)[1])
                     message = f"expected '{MANIFEST_HEADER}', got {text.splitlines()[lineno - 1]!r}"
                 assert str(caught.value) == f"{where}: {message}", text

@@ -57,6 +57,50 @@ def same_model(a: ConditionalModel, b: ConditionalModel) -> bool:
     )
 
 
+def reference_int_table(data: bytes, columns: int) -> np.ndarray | None:
+    """The whole-file integer parse model bodies had before np.loadtxt: (rows, columns) int64, or None."""
+    tokens = data.split()
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if len(values) % columns:
+        return None
+    if len(values) == 0:
+        return values.reshape(0, columns)
+    # The tokens parsed as integers, so every byte <= 32 is one of bytes.split()'s
+    # separators, and 10..13 (\n \v \f \r) are those str.splitlines() breaks at.
+    raw = np.frombuffer(data, dtype=np.uint8)
+    space = np.concatenate(([True], raw <= 32))
+    starts = np.flatnonzero(space[:-1] & ~space[1:])
+    # broken[i]: a line break lies after token i (the last token counts as broken)
+    broken = np.logical_or.reduceat((raw >= 10) & (raw <= 13), starts)
+    broken[-1] = True
+    rows = broken.reshape(-1, columns)
+    if np.any(rows[:, :-1]) or not np.all(rows[:, -1]):
+        return None
+    return values.reshape(-1, columns)
+
+
+def reference_body_parse(path, body: list[str]) -> np.ndarray:
+    """The model body parse np.loadtxt replaced: reference_int_table, then the line check of each numbered line."""
+    table = reference_int_table("\n".join(body).encode("ascii"), 3)
+    if table is not None and len(table) == len(body):
+        return table
+    for lineno, line in enumerate(body, start=6):
+        parts = line.split()
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'cell metric count', got {line!r}")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in zip(("cell", "metric", "count"), values):
+            if not -(2**63) <= value < 2**63:
+                raise DataError(f"{path}:{lineno}: {name} {value} beyond int64")
+    raise DataError(f"{path}: expected 'cell metric count' lines separated by ASCII whitespace")
+
+
 def column_sums(model: ConditionalModel) -> np.ndarray:
     """n_i per observed cell, summed straight off the CSC data; every column holds a count."""
     return np.add.reduceat(model.counts.data, model.counts.indptr[:-1])
@@ -502,8 +546,8 @@ class TestModelFile:
             load_conditional(self._write(tmp_path, good[:5] + ["5 2"]))
         with pytest.raises(DataError, match=r"bad\.txt:7: expected 'cell metric count', got ''$"):
             load_conditional(self._write(tmp_path, [*good[:4], "pairs 2", "5 2 3", ""]))
-        # str.split() separates at \x1f and bytes.split() does not, so no line is to blame
-        with pytest.raises(DataError, match=r"bad\.txt: expected 'cell metric count' lines separated by ASCII whitespace$"):
+        # str.split() separates at \x1f and numpy sees a space there, so no line is to blame
+        with pytest.raises(DataError, match=r"bad\.txt: expected 'cell metric count' lines without digits grouped by underscores or bytes \\x1c-\\x1f$"):
             load_conditional(self._write(tmp_path, good[:5] + ["5\x1f2 3"]))
         with pytest.raises(DataError, match="bad.txt:6"):
             load_conditional(self._write(tmp_path, good[:5] + ["5 x 3"]))
@@ -513,6 +557,62 @@ class TestModelFile:
             load_conditional(self._write(tmp_path, [*good[:3], "total 4", *good[4:]]))
         with pytest.raises(DataError, match="cannot read"):
             load_conditional(tmp_path / "missing.txt")
+
+    def test_body_parse_agrees_with_the_parse_it_replaced(self, tmp_path):
+        # random bodies of lines of one to four integer-like tokens, separated within a line by spaces, tabs or
+        # \x1f and ended by blank lines, \r\n or a break that str.splitlines() also splits at: \r, \v, \f and \x1c-\x1e
+        rng = np.random.default_rng(25)
+        tokens = [*map(str, range(10)), "+3", "007", "-2", str(2**63 - 1), str(-(2**63 - 1)), str(2**63), "1_0", "x"]
+        weights = np.array([8] * 10 + [3, 3, 1, 1, 1, 1, 3, 1]) / 94
+        spaces, space_weights = [" ", "\t", "  ", "\x1f"], [0.6, 0.2, 0.1, 0.1]
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\n\n", "\n \n", "\x1c", "\x1d", "\x1e"]
+        break_weights = np.array([12, 3, 2, 2, 2, 1, 1, 1, 1, 1]) / 26
+        path = tmp_path / "model.txt"
+        closing = f"{path}: expected 'cell metric count' lines without digits grouped by underscores or bytes \\x1c-\\x1f"
+        kinds = {"model": 0, "error": 0, "closing": 0}
+        for _ in range(500):
+            text = ""
+            for _ in range(int(rng.integers(0, 5))):
+                words = rng.choice(tokens, size=int(rng.choice([1, 3, 3, 3, 3, 3, 3, 4])), p=weights)
+                text += str(rng.choice(spaces, p=space_weights)).join(words) + str(rng.choice(breaks, p=break_weights))
+            body = text.splitlines()
+            total = 0
+            try:
+                table = reference_body_parse(path, body)
+            except DataError as exc:
+                # the parse named the file alone only for \x1f, which numpy sees as a space
+                want = closing if str(exc).endswith("separated by ASCII whitespace") else str(exc)
+            else:
+                total = sum(count for count in table[:, 2].tolist() if count > 0)
+                if "1_0" in text or any(byte in text for byte in "\x1c\x1d\x1e\x1f"):
+                    want = closing
+                else:
+                    try:
+                        want = conditional_from_pairs(10, 5, *table.T)
+                    except ValueError as exc:
+                        want = f"{path}: inconsistent model: {exc}"
+            head = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5", f"total {total}", f"pairs {len(body)}"]
+            path.write_bytes(("\n".join(head) + "\n" + text).encode("ascii"))
+            try:
+                got = load_conditional(path)
+            except DataError as exc:
+                got = str(exc)
+            if isinstance(want, ConditionalModel):
+                assert isinstance(got, ConditionalModel) and same_model(got, want), text
+                kinds["model"] += 1
+            else:
+                assert got == want, text
+                kinds["closing" if want == closing else "error"] += 1
+        assert min(kinds.values()) > 40, kinds
+
+    @pytest.mark.parametrize("byte", ["\x1c", "\x1d", "\x1e"])
+    def test_a_line_break_at_a_control_byte_is_refused(self, tmp_path, byte):
+        # str.splitlines() breaks at \x1c-\x1e, so both lines pass the line check and the error names the file
+        lines = ["graphbargain-model v1", "metric_grid 10 10 -6.0 0.0", "param_grid 5", "total 4", "pairs 2", f"5 2 3{byte}6 2 1"]
+        assert reference_body_parse(tmp_path / "bad.txt", lines[5].splitlines()).tolist() == [[5, 2, 3], [6, 2, 1]]
+        message = r"bad\.txt: expected 'cell metric count' lines without digits grouped by underscores or bytes \\x1c-\\x1f$"
+        with pytest.raises(DataError, match=message):
+            load_conditional(self._write(tmp_path, lines))
 
     @pytest.mark.parametrize(
         "header", ["metric_grid 10 8 -6.0 0.0", "metric_grid 10 10 -7.0 0.0", "metric_grid 10 10 -6.0 -1.0"]

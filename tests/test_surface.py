@@ -154,3 +154,40 @@ def test_only_dataset_opens_files(path):
 
 def test_package_root_exports_only_the_version():
     assert graphbargain.__all__ == ["__version__"]
+
+
+def splits_text(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` holds a ``.split()`` call on text, such as ``data.split()``, or reads one of ``names``;
+    ``np.split`` splits arrays."""
+    return any(
+        (isinstance(sub, ast.Name) and sub.id in names)
+        or (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "split"
+            and not (isinstance(sub.func.value, ast.Name) and sub.func.value.id == "np")
+        )
+        for sub in ast.walk(node)
+    )
+
+
+def test_one_numpy_parse_reads_every_number_table():
+    """Edge lists, model bodies and manifests go through the one np.loadtxt call, in ``dataset.py``: no module
+    parses text with another loadtxt or a genfromtxt, and no np.array call converts split tokens, directly or
+    through a name bound to them."""
+    parses, arrays = [], []
+    for path in MODULES:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        tokens: set[str] = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign) and splits_text(node.value, set()):
+                tokens.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        for node in nodes:
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            if node.func.attr in ("loadtxt", "genfromtxt"):
+                parses.append(f"{path.name}: {node.func.attr}")
+            elif node.func.attr == "array" and any(splits_text(arg, tokens) for arg in node.args):
+                arrays.append(f"{path.name}:{node.lineno}")
+    assert parses == ["dataset.py: loadtxt"]
+    assert arrays == []
