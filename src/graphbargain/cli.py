@@ -11,7 +11,8 @@ Subcommands compose through a shared output directory:
 
 Every command is reproducible from (config, seed): parameter draws and
 per-graph seeds come from dedicated streams that are advanced serially, so
---jobs changes wall time but never output bytes.
+--jobs changes wall time but never output bytes; the draws alone also fix which
+graphs are measured together, as one disjoint union.
 """
 
 from __future__ import annotations
@@ -216,13 +217,13 @@ def _run_batch(batch: list[_Task]) -> list[_Outcome]:
     return outcomes
 
 
-def _batches(tasks: list[_Task], size: int) -> list[list[_Task]]:
-    """Consecutive tasks, at most ``size`` and _BATCH_EDGES requested edges per batch; a larger slot stands alone."""
+def _batches(tasks: list[_Task]) -> list[list[_Task]]:
+    """Consecutive tasks, at most _BATCH_EDGES requested edges per batch; a larger slot stands alone."""
     batches: list[list[_Task]] = []
     edges = 0
     for task in tasks:
         e_param = task[1].e_param
-        if not batches or len(batches[-1]) == size or edges + e_param > _BATCH_EDGES:
+        if not batches or edges + e_param > _BATCH_EDGES:
             batches.append([])
             edges = 0
         batches[-1].append(task)
@@ -232,9 +233,9 @@ def _batches(tasks: list[_Task], size: int) -> list[list[_Task]]:
 
 def _run_tasks(tasks: list[_Task], jobs: int) -> list[_Outcome]:
     """Each task's outcome, in order; the tasks run in batches, one batch per pool task."""
-    workers = max(1, min(jobs, len(tasks)))
-    batches = _batches(tasks, max(1, len(tasks) // (4 * workers)))
-    if workers == 1 or len(batches) == 1:
+    batches = _batches(tasks)
+    workers = min(jobs, len(batches))
+    if workers == 1:
         return [outcome for batch in batches for outcome in _run_batch(batch)]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -245,7 +246,7 @@ def _run_tasks(tasks: list[_Task], jobs: int) -> list[_Outcome]:
     importlib.import_module("scipy.sparse.csgraph")
     earlier = set(active_children())
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:  # map submits every batch at once, which starts the workers
                 results = pool.map(_run_batch, batches)
             except OSError as exc:
@@ -325,6 +326,9 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
     if not path.exists():
         raise DataError(f"model file {path} not found; run baseline first")
     model = load_conditional(path)
+    found, wanted = (model.metric_bins, model.param_bins), (config.metric_bins, config.param_bins)
+    if found != wanted:
+        raise DataError(f"{path}: (metric_bins, param_bins) is {found} in the model but {wanted} in this run")
     split_seed = int(np.random.default_rng([config.seed, _TAG_SPLIT]).integers(2**63))
     try:
         train, hold = split_model(model, config.holdout, split_seed)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import graphbargain.cli
 import graphbargain.dataset
 
 
@@ -38,3 +39,12 @@ def disk_full_after_one_write(monkeypatch):
     """
     monkeypatch.setattr(graphbargain.dataset, "_WRITE_ROWS", 1)
     monkeypatch.setattr(graphbargain.dataset, "open", DiskFullAfterOneWrite, raising=False)
+
+
+@pytest.fixture
+def one_slot_batches(monkeypatch):
+    """Every slot is a batch of its own, so a tiny run at --jobs 2 measures its graphs in worker processes.
+
+    Forked workers inherit the patched module global.
+    """
+    monkeypatch.setattr(graphbargain.cli, "_BATCH_EDGES", 1)

@@ -86,9 +86,9 @@ def test_generate_measures_and_writes_each_graph_through_its_module(calls, tmp_p
     config = RunConfig(n=12, e_min=30, e_max=90, seed=5, out=str(tmp_path / "run"))
     rows = read_manifest(cmd_generate(config, q_path))
     assert len(rows) == 12
-    # the 12 slots run in batches of len(tasks) // 4 = 3, each measured by one
-    # clustering pass over its disjoint union; every graph is written once
-    assert calls["mean_local_clustering"] == 4
+    # the 12 slots fit one batch of at most _BATCH_EDGES requested edges, measured
+    # by one clustering pass over its disjoint union; every graph is written once
+    assert calls["mean_local_clustering"] == 1
     assert calls["write_edge_list"] == 12
     # the unions cover every slot's nodes exactly once, in slot order
     measured = calls.args["mean_local_clustering"]

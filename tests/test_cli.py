@@ -398,13 +398,23 @@ def test_an_allocation_that_fails_exits_7(tmp_path):
     src = Path(graphbargain.cli.__file__).resolve().parents[1]
     limit = 4 << 30
     done = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--out", str(tmp_path)],
+        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--metric-bins", "100000", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert done.returncode == 7, done.stderr
     assert any(line.startswith("error: Unable to allocate ") for line in done.stderr.splitlines())
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(("flag", "value", "wanted"), [("--metric-bins", "12", "(12, 20)"), ("--param-bins", "40", "(10, 40)")])
+def test_optimize_refuses_a_model_whose_grids_differ_from_the_flags(tmp_path, capsys, flag, value, wanted):
+    ws = Workspace(tmp_path)
+    write_model(ws.baseline_model, ["5 3 12"], 12)
+    assert main(["optimize", flag, value, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {ws.baseline_model}: (metric_bins, param_bins) is (10, 20) in the model but {wanted} in this run\n" in err
+    assert not ws.optimize_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -667,7 +677,7 @@ class TestPipeline:
         for name in ("baseline_manifest", "baseline_model", "best_q", "trace", "result_manifest"):
             assert getattr(ws_a, name).read_bytes() == getattr(ws_b, name).read_bytes()
 
-    def test_worker_count_does_not_change_output(self, pipeline, tmp_path):
+    def test_worker_count_does_not_change_output(self, pipeline, tmp_path, one_slot_batches):
         out_c = tmp_path / "jobs2"
         assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(out_c)]) == 0
         assert Workspace(out_c).baseline_manifest.read_bytes() == pipeline.ws.baseline_manifest.read_bytes()
@@ -683,7 +693,7 @@ class TestPipeline:
         assert Workspace(out_d).baseline_manifest.read_bytes() == pipeline.ws.baseline_manifest.read_bytes()
 
 
-def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monkeypatch, caplog):
+def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monkeypatch, caplog, one_slot_batches):
     """Slots whose draw is degenerate take the next draws of both streams, at any worker count."""
     cli = graphbargain.cli
     n, doomed = 10, (2, 7)
@@ -767,7 +777,7 @@ def test_slots_that_stay_degenerate_exit_5(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_a_worker_that_dies_exits_5(tmp_path, monkeypatch, capsys):
+def test_a_worker_that_dies_exits_5(tmp_path, monkeypatch, capsys, one_slot_batches):
     parent = os.getpid()
 
     def die(params, seed):
@@ -783,7 +793,7 @@ def test_a_worker_that_dies_exits_5(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_workers_that_cannot_start_exit_5(tmp_path, monkeypatch, capsys):
+def test_workers_that_cannot_start_exit_5(tmp_path, monkeypatch, capsys, one_slot_batches):
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # as when the process limit is reached
 
@@ -797,7 +807,10 @@ def test_workers_that_cannot_start_exit_5(tmp_path, monkeypatch, capsys):
 _PARTIAL_START = """
 import errno, os, sys
 sys.path.insert(0, sys.argv[1])
+import graphbargain.cli
 from graphbargain.cli import main
+
+graphbargain.cli._BATCH_EDGES = 1  # every slot is a batch of its own, so the run starts a pool
 
 def refuse():
     raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -844,14 +857,47 @@ def test_a_slot_above_the_edge_budget_is_measured_alone(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "metric_projection", recording)
     outcomes = cli._run_tasks(tasks, jobs=1)
-    # 16 tasks make batches of at most 4 slots, each within 200 requested edges but the two larger slots
-    assert [len(batch) for batch in batches] == [2, 1, 3, 4, 2, 1, 3]
+    # each batch holds at most 200 requested edges, but the two larger slots stand alone
+    assert [len(batch) for batch in batches] == [2, 1, 3, 6, 1, 3]
     graphs = [generate_graph(params, seed) for _, params, seed, _ in tasks]
     assert [edges for batch in batches for edges in batch] == [g.edge_count for g in graphs]
     assert outcomes == [(g.node_count, g.edge_count, *metric_projection(g)[0]) for g in graphs]
 
 
-def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys):
+def test_batches_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    """The draws alone fix the batches; --jobs only picks the process that measures each one."""
+    cli = graphbargain.cli
+    # a budget of 200 requested edges splits the tiny run into several batches
+    monkeypatch.setattr(cli, "_BATCH_EDGES", 200)
+    runs = []  # per run, the slots of each batch of each round
+    form = cli._batches
+
+    def recording(tasks):
+        batches = form(tasks)
+        runs[-1].append([[slot for slot, *_ in batch] for batch in batches])
+        return batches
+
+    monkeypatch.setattr(cli, "_batches", recording)
+    for jobs in ("1", "2", "4"):
+        runs.append([])
+        assert main(["baseline", *TINY_FLAGS, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert len(runs[0][0]) > 1
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_run_that_fits_one_batch_starts_no_worker(pipeline, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a run whose slots fit one batch measures it in this process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "jobs2"
+    for command in ("baseline", "optimize", "generate"):
+        assert main([command, *TINY_FLAGS, "--jobs", "2", "--out", str(out)]) == 0
+    for name in ("baseline_manifest", "result_manifest"):
+        assert getattr(Workspace(out), name).read_bytes() == getattr(pipeline.ws, name).read_bytes()
+
+
+def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys, one_slot_batches):
     parent = os.getpid()
 
     def disk_full(graph, path):
@@ -867,7 +913,7 @@ def test_a_write_that_fails_in_a_worker_exits_6(tmp_path, monkeypatch, capsys):
 
 
 def test_an_edge_list_write_that_fails_in_a_worker_leaves_no_partial_and_no_truncated_file(
-    tmp_path, monkeypatch, capsys, disk_full_after_one_write
+    tmp_path, monkeypatch, capsys, disk_full_after_one_write, one_slot_batches
 ):
     parent = os.getpid()
     disk_full = graphbargain.dataset.open

@@ -1,4 +1,5 @@
-"""Every import, private name and method in the package is used, and every ``__all__`` entry exists.
+"""Every import, private name and method in the package is used, and every ``__all__`` entry exists
+and is named in the README.
 
 A stand-in for a linter's unused-import, unused-private-name and
 undefined-export checks: a deletion that orphans an import, a private
@@ -9,6 +10,7 @@ So does a method that only the tests call.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,16 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = sorted(set(exported_names(tree)) - top_level_names(tree))
     assert not missing
+
+
+def test_every_export_is_named_in_the_readme():
+    """Each ``__all__`` entry appears in README.md as code: in a backtick span or a fenced block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    exports = {path: exported_names(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+    missing = [f"{path.name}: {name}" for path, names in exports.items() for name in names if name not in named]
+    assert missing == []
 
 
 def test_every_method_is_called_outside_the_tests():
