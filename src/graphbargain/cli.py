@@ -1,13 +1,14 @@
 """Command line front end: baseline, optimize, generate, validate, report.
 
-Subcommands compose through a shared output directory:
+Subcommands compose through a shared output directory, laid out by Workspace:
 
     baseline  writes <out>/baseline/{manifest.csv,model.txt,graphs/}
     optimize  reads the model, writes <out>/optimize/{best_q.txt,trace.csv}
     generate  reads best_q, writes <out>/result/{manifest.csv,graphs/}
     validate  reads the result manifest plus real graph files,
               writes <out>/validate/{metrics.csv,scatter.csv}
-    report    summarizes whichever manifests exist under <out>/report/
+    report    summarizes whichever manifests exist,
+              writes <out>/report/{report.txt,baseline_scatter.csv,result_scatter.csv}
 
 Every command is reproducible from (config, seed): parameter draws and
 per-graph seeds come from dedicated streams that are advanced serially, so
@@ -134,71 +135,28 @@ class RunConfig:
             raise ConfigError("holdout must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
 class Workspace:
-    """Fixed file layout under the output directory."""
+    """Every path a command reads or writes under the output directory, except the per-slot edge lists."""
 
-    root: Path
-
-    @property
-    def baseline_dir(self) -> Path:
-        return self.root / "baseline"
-
-    @property
-    def baseline_manifest(self) -> Path:
-        return self.baseline_dir / "manifest.csv"
-
-    @property
-    def baseline_model(self) -> Path:
-        return self.baseline_dir / "model.txt"
-
-    @property
-    def baseline_graphs(self) -> Path:
-        return self.baseline_dir / "graphs"
-
-    @property
-    def optimize_dir(self) -> Path:
-        return self.root / "optimize"
-
-    @property
-    def best_q(self) -> Path:
-        return self.optimize_dir / "best_q.txt"
-
-    @property
-    def trace(self) -> Path:
-        return self.optimize_dir / "trace.csv"
-
-    @property
-    def result_dir(self) -> Path:
-        return self.root / "result"
-
-    @property
-    def result_manifest(self) -> Path:
-        return self.result_dir / "manifest.csv"
-
-    @property
-    def result_graphs(self) -> Path:
-        return self.result_dir / "graphs"
-
-    @property
-    def validate_dir(self) -> Path:
-        return self.root / "validate"
-
-    @property
-    def validation_csv(self) -> Path:
-        return self.validate_dir / "metrics.csv"
-
-    @property
-    def scatter_csv(self) -> Path:
-        return self.validate_dir / "scatter.csv"
-
-    @property
-    def report_dir(self) -> Path:
-        return self.root / "report"
-
-    @property
-    def report_txt(self) -> Path:
-        return self.report_dir / "report.txt"
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.baseline_dir = root / "baseline"
+        self.baseline_manifest = self.baseline_dir / "manifest.csv"
+        self.baseline_model = self.baseline_dir / "model.txt"
+        self.baseline_graphs = self.baseline_dir / "graphs"
+        self.optimize_dir = root / "optimize"
+        self.best_q = self.optimize_dir / "best_q.txt"
+        self.trace = self.optimize_dir / "trace.csv"
+        self.result_dir = root / "result"
+        self.result_manifest = self.result_dir / "manifest.csv"
+        self.result_graphs = self.result_dir / "graphs"
+        validate_dir = root / "validate"
+        self.validation_csv = validate_dir / "metrics.csv"
+        self.scatter_csv = validate_dir / "scatter.csv"
+        self.report_dir = root / "report"
+        self.baseline_scatter = self.report_dir / "baseline_scatter.csv"
+        self.result_scatter = self.report_dir / "result_scatter.csv"
+        self.report_txt = self.report_dir / "report.txt"
 
 
 def _run_batch(batch: list[_Task]) -> list[_Outcome]:
@@ -406,22 +364,24 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
 def cmd_report(config: RunConfig) -> Path:
     """Summarize the manifests present under the output directory."""
     ws = Workspace(Path(config.out))
-    sources = (("baseline", ws.baseline_manifest), ("result", ws.result_manifest))
-    tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
+    sources = (
+        ("baseline", ws.baseline_manifest, ws.baseline_scatter),
+        ("result", ws.result_manifest, ws.result_scatter),
+    )
+    tables = [(label, read_manifest(path), scatter) for label, path, scatter in sources if path.exists()]
     if not tables:
         raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
     bins = config.metric_bins
     f_min, f_max = fitness_bounds(bins**2)
     lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
-    for label, table in tables:
+    for label, table, scatter in tables:
         clustering, dlog = table["clustering"], table["dlog"]
         _, counts = np.unique(metric_cells(clustering, dlog, bins), return_counts=True)
         fitness = bargaining_fitness(counts / len(table), bins**2)
         occupied = len(counts)
         corr = correlation(clustering, dlog)
         corr_text = "n/a" if corr is None else f"{corr:.4f}"
-        points = table[["clustering", "dlog"]].tolist()
-        write_ascii(ws.report_dir / f"{label}_scatter.csv", csv_lines(("clustering", "dlog"), points))
+        write_ascii(scatter, csv_lines(("clustering", "dlog"), table[["clustering", "dlog"]].tolist()))
         lines.append(
             f"{label}: count={len(table)} occupied_cells={occupied}/{bins**2} "
             f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "

@@ -85,8 +85,9 @@ def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[
     """("path:line", key, value) per line of a flat ``key = value`` file.
 
     Blank lines and ``#`` comments are skipped; each line splits at its first
-    ``=``, and a line without one raises ``error``.
+    ``=``, and a line without one, or whose key an earlier line holds, raises ``error``.
     """
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(read_ascii(path, what, error).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -94,7 +95,11 @@ def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[
         key, sep, value = stripped.partition("=")
         if not sep:
             raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        yield f"{path}:{lineno}", key.strip(), value.strip()
+        key = key.strip()
+        if key in seen:
+            raise error(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        yield f"{path}:{lineno}", key, value.strip()
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

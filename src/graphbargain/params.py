@@ -16,6 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .graph import MAX_KEYED_NODES
 from .rmat import RmatParams
 
 __all__ = [
@@ -136,11 +137,13 @@ def params_from_unit(e_param: int, u: Sequence[float]) -> RmatParams:
 
 
 def check_edge_interval(e_min: int, e_max: int) -> None:
-    """Raise ValueError unless E_MIN <= e_min < e_max."""
+    """Raise ValueError unless E_MIN <= e_min < e_max < MAX_KEYED_NODES."""
     if e_min < E_MIN:
         raise ValueError(f"e_min must be at least {E_MIN}; smaller edge targets leave no feasible node count")
     if e_max <= e_min:
         raise ValueError("e_max must exceed e_min")
+    if e_max >= MAX_KEYED_NODES:
+        raise ValueError(f"e_max must be below {MAX_KEYED_NODES}, where a draw's e_max + 1 nodes fit the int64 edge keys")
 
 
 def sample_baseline(e_min: int, e_max: int, rng: np.random.Generator) -> RmatParams:

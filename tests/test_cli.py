@@ -43,7 +43,7 @@ from graphbargain.dataset import (
     write_qvector,
 )
 from graphbargain.errors import ConfigError
-from graphbargain.graph import Graph, metric_projection
+from graphbargain.graph import MAX_KEYED_NODES, Graph, metric_projection
 from graphbargain.grids import MAX_METRIC_BINS, load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
@@ -112,6 +112,7 @@ class TestRunConfig:
             ({"n": 0}, "n must be"),
             ({"e_min": 18}, "^e_min must be at least 19; smaller edge targets leave no feasible node count$"),
             ({"e_min": 100, "e_max": 100}, "^e_max must exceed e_min$"),
+            ({"e_max": MAX_KEYED_NODES}, "^e_max must be below 3037000499, where a draw's e_max \\+ 1 nodes fit the int64 edge keys$"),
             ({"metric_bins": 0}, "^metric grid needs at least 2 bins per axis, got 0$"),
             ({"metric_bins": 10**15}, r"^1000000000000000 bins per metric axis above 3037000499, where the cell ids fit in int64$"),
             ({"param_bins": 0}, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
@@ -130,6 +131,9 @@ class TestRunConfig:
     def test_rejects_bad_values(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
+
+    def test_the_largest_edge_target_is_accepted(self):
+        assert RunConfig(e_max=MAX_KEYED_NODES - 1).e_max == 3037000498
 
     def test_grids(self):
         config = RunConfig(metric_bins=8, param_bins=6)
@@ -245,6 +249,28 @@ class TestMainExitCodes:
     def test_bad_config_is_2(self, tmp_path, capsys):
         assert main(["baseline", "--n", "0", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: n must be")
+
+    def test_an_edge_target_beyond_the_int64_keys_is_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["baseline", "--n", "2", "--e-min", "19", "--e-max", str(2**63), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: e_max must be below 3037000499, ")
+        assert not out.exists()
+
+    def test_a_repeated_config_key_is_2(self, tmp_path, capsys):
+        path, out = tmp_path / "run.cfg", tmp_path / "run"
+        path.write_text(f"n = 10\nout = {out}\nn = 20\n")
+        assert main(["baseline", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: key 'n' repeats line 1\n"
+        assert not out.exists()
+
+    def test_a_repeated_q_vector_key_is_3(self, tmp_path, capsys):
+        ws = Workspace(tmp_path)
+        write_qvector(np.full(8, 2.0), ws.best_q)
+        with ws.best_q.open("a", encoding="ascii") as fh:
+            fh.write("alpha_n = 50.0\n")
+        assert main(["generate", *TINY_FLAGS, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.endswith(f"error: {ws.best_q}:9: key 'alpha_n' repeats line 1\n")
+        assert not ws.result_dir.exists()
 
     def test_bad_env_seed_is_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_SEED, "soon")
@@ -668,6 +694,17 @@ class TestPipeline:
             assert values["mean_dlog"] == f"{math.fsum(d) / len(d):.4f}"
             scatter = (pipeline.ws.report_dir / f"{label}_scatter.csv").read_text()
             assert scatter == "clustering,dlog\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(c, d))
+
+    def test_every_file_a_run_writes_is_a_workspace_path(self, tmp_path):
+        out = tmp_path / "run"
+        for command in ("baseline", "optimize", "generate", "validate", "report"):
+            assert main([command, *TINY_FLAGS, "--out", str(out)]) == 0
+        ws = Workspace(out)
+        # directory fields have no suffix; every file field is written by one of the five commands
+        files = {path for path in vars(ws).values() if path.suffix}
+        assert all(path.is_file() for path in files)
+        graphs = {d / f"g{slot:06d}.txt" for d in (ws.baseline_graphs, ws.result_graphs) for slot in range(10)}
+        assert {path for path in out.rglob("*") if path.is_file()} == files | graphs
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         out_b = tmp_path / "again"

@@ -717,8 +717,14 @@ class TestQVectorFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"q\.txt: expected 8 Beta shapes in \(0, 100\], got alpha_n = 0\.0$"):
             read_qvector(path)
-        path.write_text("\n".join(lines[1:] + ["alpha_n = 1.0", "beta_c = 101.5"]) + "\n")
+        path.write_text("\n".join(lines[1:-1] + ["alpha_n = 1.0", "beta_c = 101.5"]) + "\n")
         with pytest.raises(DataError, match=r"q\.txt: expected 8 Beta shapes in \(0, 100\], got beta_c = 101\.5$"):
+            read_qvector(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("alpha_n = 2.0\nbeta_n = 2.0\n# alpha_n again\nalpha_n = 50.0\n")
+        with pytest.raises(DataError, match=r"q\.txt:4: key 'alpha_n' repeats line 1$"):
             read_qvector(path)
 
     def test_missing_file(self, tmp_path):
