@@ -44,7 +44,7 @@ from .dataset import (
     write_qvector,
 )
 from .errors import ConfigError, DataError, GenerationError
-from .graph import Graph, largest_connected_component, metric_projection
+from .graph import Graph, metric_projection
 from .grids import build_conditional, check_bins, load_conditional, metric_cells, save_conditional, split_model
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import TRACE_DTYPE, optimize
@@ -234,7 +234,10 @@ def _generate_dataset(
     so output does not depend on --jobs. Degenerate draws are logged and resampled.
     """
     rng_params, rng_seeds = (np.random.default_rng([config.seed, tag]) for tag in tags)
-    table = np.zeros(config.n, MANIFEST_DTYPE)
+    try:
+        table = np.zeros(config.n, MANIFEST_DTYPE)
+    except ValueError as exc:  # numpy refuses, before allocating, a size beyond what it can address
+        raise MemoryError(f"{label}: a manifest of {config.n} rows: {exc}") from exc
     pending = list(range(config.n))
     for _ in range(_MAX_ROUNDS):
         tasks = []
@@ -318,12 +321,10 @@ def cmd_generate(config: RunConfig, q_path: str | Path | None = None) -> Path:
 
 
 def _read_validation_graph(path: Path) -> Graph:
-    """The graph's largest component, as metric_projection assumes, whatever the file format."""
+    """The graph of a MatrixMarket file (.mtx) or of an edge list (any other suffix), cleaned alike by sanitize."""
     if not (path.name.isascii() and path.name.isprintable()) or "," in path.name:
         raise DataError(f"{path}: a metrics.csv name must be printable ASCII without commas")
-    if path.suffix.lower() == ".mtx":
-        return read_matrix_market(path)
-    return largest_connected_component(read_edge_list(path))
+    return read_matrix_market(path) if path.suffix.lower() == ".mtx" else read_edge_list(path)
 
 
 def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:

@@ -129,7 +129,7 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    """Read 'u v' lines; errors name the first bad line."""
+    """Read 'u v' lines, cleaned by ``sanitize`` like read_matrix_market's entries; errors name the first bad line."""
     path = Path(path)
     text = read_ascii(path, "edge list", DataError)
     edge = np.dtype([("u", np.int64), ("v", np.int64)])
@@ -137,8 +137,15 @@ def read_edge_list(path: str | Path) -> Graph:
     pairs = table.view(np.int64).reshape(-1, 2)
     if len(pairs) == 0:
         raise DataError(f"{path}: no edges")
+    return _sanitized(path, pairs, int(pairs.max()) + 1)
+
+
+def _sanitized(path: Path, edges: np.ndarray, n_param: int) -> Graph:
+    """``sanitize(edges, n_param)``, its errors raised as DataError naming ``path``."""
     try:
-        return Graph.from_edge_list(pairs)
+        return sanitize(edges, n_param)
+    except VanishedGraphError as exc:
+        raise DataError(f"{path}: no usable off-diagonal structure ({exc})") from exc
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -233,13 +240,7 @@ def read_matrix_market(path: str | Path) -> Graph:
         mat = scipy.io.mmread(str(path)).tocoo()
     except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    edges = np.column_stack([mat.row.astype(np.int64), mat.col.astype(np.int64)])
-    try:
-        return sanitize(edges, rows)
-    except VanishedGraphError as exc:
-        raise DataError(f"{path}: no usable off-diagonal structure ({exc})") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _sanitized(path, np.column_stack([mat.row.astype(np.int64), mat.col.astype(np.int64)]), rows)
 
 
 # One generated graph per row: its recipe, seed, unit point and measured outcome.

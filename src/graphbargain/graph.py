@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,22 +25,13 @@ __all__ = [
 MAX_KEYED_NODES = math.isqrt(2**63)
 
 
-def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Sorted int64 keys min * n + max, one per listed edge; ValueError first if they would overflow."""
-    if n > MAX_KEYED_NODES:
-        raise ValueError(f"{n} nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})")
-    keys = np.minimum(u, v) * n
-    keys += np.maximum(u, v)
-    keys.sort()
-    return keys
-
-
 class Graph:
     """Immutable simple undirected graph holding each edge once.
 
     ``pairs`` is an (E, 2) int64 array of (u, v) with u < v < n, sorted
-    lexicographically with no repeats, and read-only. The constructors
-    establish these invariants; instances are never mutated.
+    lexicographically with no repeats, and read-only. ``rmat.sanitize``
+    establishes these invariants for every graph sampled or read, and the
+    functions here keep them; instances are never mutated.
     """
 
     __slots__ = ("_n", "_pairs")
@@ -49,43 +40,6 @@ class Graph:
         pairs.flags.writeable = False
         self._n = n
         self._pairs = pairs
-
-    @classmethod
-    def from_edge_list(
-        cls, edges: Iterable[tuple[int, int]], node_count: int | None = None
-    ) -> "Graph":
-        """Build a graph from undirected edges, validating simplicity.
-
-        Rejects self-loops and edges listed twice (in either orientation).
-        ``node_count`` defaults to max node id + 1. Arrays and sequences are
-        converted directly; other iterables are listed first.
-        """
-        if not isinstance(edges, (np.ndarray, Sequence)):
-            edges = list(edges)
-        arr = np.asarray(edges, dtype=np.int64)
-        if arr.size == 0:
-            return cls(node_count or 0, np.zeros((0, 2), dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
-        if arr.min() < 0:
-            raise ValueError("negative node id")
-        u, v = arr[:, 0], arr[:, 1]
-        if np.any(u == v):
-            raise ValueError("self-loop in edge list")
-        n = int(arr.max()) + 1
-        if node_count is not None:
-            if node_count < n:
-                raise ValueError("node_count smaller than max node id + 1")
-            n = node_count
-        keys = _edge_keys(u, v, n)
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate edge in edge list")
-        return cls._from_keys(keys, n)
-
-    @classmethod
-    def _from_keys(cls, keys: np.ndarray, n: int) -> "Graph":
-        # keys: sorted, duplicate-free u * n + v with u < v, one per edge.
-        return cls(n, np.column_stack(np.divmod(keys, n)))
 
     @property
     def node_count(self) -> int:

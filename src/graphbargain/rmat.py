@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _edge_keys, largest_connected_component, metric_projection
+from .graph import MAX_KEYED_NODES, Graph, largest_connected_component, metric_projection
 
 __all__ = [
     "RmatParams",
@@ -103,6 +103,16 @@ def generate_raw_edges(p: RmatParams, seed: int) -> np.ndarray:
     return out
 
 
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Sorted int64 keys min * n + max, one per listed edge; ValueError first if they would overflow."""
+    if n > MAX_KEYED_NODES:
+        raise ValueError(f"{n} nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})")
+    keys = np.minimum(u, v) * n
+    keys += np.maximum(u, v)
+    keys.sort()
+    return keys
+
+
 def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     """Raw directed edges -> simple connected undirected graph.
 
@@ -116,7 +126,8 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
         raise ValueError("no edges to sanitize")
     arr = arr.reshape(-1, 2)
     u, v = arr[:, 0], arr[:, 1]
-    keep = (u != v) & (u < n_param) & (v < n_param)
+    # n_param - 1 fits int64 where n_param = 2**63 does not; numpy 1.x would compare with that as a float.
+    keep = (u != v) & (u <= n_param - 1) & (v <= n_param - 1)
     u, v = u[keep], v[keep]
     if u.size == 0:
         raise VanishedGraphError("vanished graph")
@@ -124,8 +135,7 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     keys = _edge_keys(u, v, n)
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    g = Graph._from_keys(keys[first], n)
-    return largest_connected_component(g)
+    return largest_connected_component(Graph(n, np.column_stack(np.divmod(keys[first], n))))
 
 
 def generate_graph(p: RmatParams, seed: int) -> Graph:

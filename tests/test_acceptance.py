@@ -44,6 +44,7 @@ from graphbargain.grids import (
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.params import A_MAX, A_MIN, b_range, c_range
 from graphbargain.rmat import RmatParams, generate_raw_edges
+from graphs import from_edge_list
 
 SEED = 1
 
@@ -253,7 +254,7 @@ def test_criterion_4_clustering_against_brute_force(announce):
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
         [(u, v) for u in range(5) for v in range(u + 1, 5)],
     ]
-    cases = [Graph.from_edge_list(edges) for edges in fixed]
+    cases = [from_edge_list(edges) for edges in fixed]
     rng = np.random.default_rng(43)
     while len(cases) < 1006:
         n = int(rng.integers(2, 9))
@@ -262,7 +263,7 @@ def test_criterion_4_clustering_against_brute_force(announce):
         edges = [p for p, keep in zip(pairs, mask) if keep]
         if not edges:
             continue
-        cases.append(Graph.from_edge_list(edges, n))
+        cases.append(from_edge_list(edges, n))
     worst = max(abs(mean_local_clustering(g)[0] - clustering_oracle(g)) for g in cases)
     ok = worst <= 1e-12
     detail = f"{len(cases)} graphs up to 8 nodes, max |fast - brute force| = {worst:.2e}"

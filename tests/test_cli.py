@@ -433,6 +433,15 @@ def test_an_allocation_that_fails_exits_7(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("n", [2**58, 2**63])
+def test_a_dataset_size_beyond_the_address_space_exits_7(tmp_path, capsys, n):
+    """numpy refuses a manifest of 2^56 rows or more before it allocates; sizes from 2^30 up to that are real allocations."""
+    out = tmp_path / "run"
+    assert main(["baseline", *TINY_FLAGS, "--n", str(n), "--out", str(out)]) == 7
+    assert capsys.readouterr().err.startswith(f"error: baseline: a manifest of {n} rows: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(("flag", "value", "wanted"), [("--metric-bins", "12", "(12, 20)"), ("--param-bins", "40", "(10, 40)")])
 def test_optimize_refuses_a_model_whose_grids_differ_from_the_flags(tmp_path, capsys, flag, value, wanted):
     ws = Workspace(tmp_path)
@@ -601,6 +610,23 @@ class TestPipeline:
         assert [row[0] for row in rows] == ["two.txt", "two.mtx"]
         assert rows[0][1:] == rows[1][1:]
         assert rows[0][1:3] == ["3", "2"]
+
+    def test_validate_cleans_both_orientations_repeats_and_self_loops_alike_in_both_formats(
+        self, pipeline, tmp_path, capsys
+    ):
+        # one graph, each edge listed in both orientations; the edge list adds a self-loop and a repeated line
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        mtx = tmp_path / "both.mtx"
+        entries = "".join(f"{u + 1} {v + 1}\n{v + 1} {u + 1}\n" for u, v in edges)
+        mtx.write_text(f"%%MatrixMarket matrix coordinate pattern general\n4 4 8\n{entries}", encoding="ascii")
+        txt = tmp_path / "both.txt"
+        txt.write_text("".join(f"{u} {v}\n{v} {u}\n" for u, v in edges) + "3 3\n0 1\n", encoding="ascii")
+        cmd_validate(pipeline.config, [str(mtx), str(txt)])
+        capsys.readouterr()
+        rows = [line.split(",") for line in pipeline.ws.validation_csv.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["both.mtx", "both.txt"]
+        assert rows[0][1:] == rows[1][1:]
+        assert rows[0][1:3] == ["4", "4"]
 
     def test_validate_without_files(self, pipeline, capsys):
         assert cmd_validate(pipeline.config, []) is None

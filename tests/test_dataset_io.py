@@ -28,9 +28,10 @@ from graphbargain.dataset import (
     write_qvector,
 )
 from graphbargain.errors import DataError
-from graphbargain.graph import Graph, largest_connected_component, metric_projection
+from graphbargain.graph import MAX_KEYED_NODES, Graph, largest_connected_component, metric_projection
 from graphbargain.params import unit_point
 from graphbargain.rmat import RmatParams
+from graphs import from_edge_list
 
 
 def reference_line_parse(path, data: bytes) -> np.ndarray:
@@ -96,7 +97,7 @@ def reference_manifest_parse(path, text: str) -> np.ndarray:
 
 
 def small_graph() -> Graph:
-    return Graph.from_edge_list(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
+    return from_edge_list(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
 
 
 class TestEdgeLists:
@@ -116,7 +117,7 @@ class TestEdgeLists:
         n = 50_001
         u = np.repeat(np.arange(n), 3)
         v = (u + np.tile([1, 2, 3], n)) % n
-        g = Graph.from_edge_list(np.column_stack([u, v]))
+        g = from_edge_list(np.column_stack([u, v]))
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert path.read_text() == "".join(f"{a} {b}\n" for a, b in g.edge_array().tolist())
@@ -131,7 +132,7 @@ class TestEdgeLists:
             edges = {(b - 1, b) for b in bounds} | {(0, n - 1), (n - 2, n - 1)}
             u, v = rng.integers(0, n, size=(2, 200))
             edges |= {(int(a), int(b)) for a, b in zip(np.minimum(u, v), np.maximum(u, v)) if a != b}
-            g = Graph.from_edge_list(sorted(edges), node_count=n)
+            g = from_edge_list(sorted(edges), node_count=n)
             path = tmp_path / f"g{n}.txt"
             write_edge_list(g, path)
             assert path.read_bytes() == b"".join(b"%d %d\n" % (a, b) for a, b in g.edge_array().tolist())
@@ -149,7 +150,7 @@ class TestEdgeLists:
     @pytest.mark.parametrize("edges,n,text", [([(0, 1)], 2, b"0 1\n"), ([(7, 123456)], None, b"7 123456\n"), ([], 3, b"")])
     def test_written_format_of_one_edge_and_none(self, tmp_path, edges, n, text):
         path = tmp_path / "g.txt"
-        write_edge_list(Graph.from_edge_list(edges, node_count=n), path)
+        write_edge_list(from_edge_list(edges, node_count=n), path)
         assert path.read_bytes() == text
 
     def test_blank_lines_ignored(self, tmp_path):
@@ -158,11 +159,23 @@ class TestEdgeLists:
         g = read_edge_list(path)
         assert g.edge_count == 2
 
-    def test_duplicate_edges_rejected(self, tmp_path):
+    def test_repeats_orientations_and_self_loops_are_cleaned_like_matrix_market(self, tmp_path):
+        # both orientations of 0-1 and 1-2, a repeated line, self-loops on a listed and an unlisted id,
+        # and a smaller component {5, 6}: the largest component of the distinct edges remains
         path = tmp_path / "g.txt"
-        path.write_text("0 1\n1 0\n")
-        with pytest.raises(DataError, match="duplicate"):
+        path.write_text("0 1\n1 0\n2 1\n1 2\n0 2\n0 1\n2 2\n9 9\n5 6\n6 5\n")
+        distinct = from_edge_list([(0, 1), (1, 2), (0, 2), (5, 6)], node_count=10)
+        assert read_edge_list(path) == largest_connected_component(distinct) == from_edge_list([(0, 1), (0, 2), (1, 2)])
+
+    def test_the_largest_int64_id_overflows_the_edge_keys_unless_only_a_self_loop_holds_it(self, tmp_path):
+        # n_param is then 2**63, beyond int64: the edge (0, 2**63 - 1) is refused, not dropped as padding
+        path = tmp_path / "g.txt"
+        path.write_text("0 9223372036854775807\n0 1\n")
+        message = f"{path}: 9223372036854775808 nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             read_edge_list(path)
+        path.write_text("9223372036854775807 9223372036854775807\n0 1\n")
+        assert read_edge_list(path) == from_edge_list([(0, 1)])
 
     def test_error_positions(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -216,7 +229,8 @@ class TestEdgeLists:
         closing = f"{path}: expected 'u v' lines without digits grouped by underscores or bytes \\x1c-\\x1f"
 
         def expected(body: str) -> Graph | str:
-            """The line parser's graph or message; a body it accepts that holds \\x1c-\\x1f or 1_0 names the file."""
+            """The line parser's message, or the largest component of the distinct pairs it reads that are no
+            self-loops; a body it accepts that holds \\x1c-\\x1f or 1_0 names the file."""
             try:
                 pairs = reference_line_parse(path, body.encode("ascii"))
             except DataError as exc:
@@ -225,10 +239,13 @@ class TestEdgeLists:
                 return closing
             if len(pairs) == 0:
                 return f"{path}: no edges"
-            try:
-                return Graph.from_edge_list(pairs)
-            except ValueError as exc:
-                return f"{path}: {exc}"
+            distinct = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v})
+            if not distinct:
+                return f"{path}: no usable off-diagonal structure (vanished graph)"
+            n = max(v for _, v in distinct) + 1
+            if n > MAX_KEYED_NODES:
+                return f"{path}: {n} nodes overflow the int64 edge keys (at most {MAX_KEYED_NODES})"
+            return largest_connected_component(from_edge_list(distinct, node_count=n))
 
         kinds = {"graph": 0, "error": 0, "closing": 0}
         for _ in range(600):
@@ -294,7 +311,7 @@ class TestEdgeLists:
             n = int(rng.integers(4, 30))
             possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
             take = rng.choice(len(possible), size=min(len(possible), 3 * n), replace=False)
-            g = Graph.from_edge_list(np.array([possible[i] for i in take]))
+            g = from_edge_list(np.array([possible[i] for i in take]))
             path = tmp_path / f"r{k}.txt"
             write_edge_list(g, path)
             assert read_edge_list(path) == g
@@ -413,6 +430,33 @@ class TestMatrixMarket:
             read_matrix_market(path)
 
 
+def test_edge_lists_and_matrix_market_files_of_one_listing_read_alike(tmp_path):
+    # random listings with self-loops, repeats and both orientations, written as an edge list and as a general
+    # pattern MatrixMarket file: both readers clean them by sanitize, to one graph or one message
+    rng = np.random.default_rng(17)
+    listings = []
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        listings.append((n, rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2)).tolist()))
+    # a self-loop on an id beyond the edge keys is dropped before the keys are formed
+    listings.append((4_000_000_001, [[0, 1], [4_000_000_000, 4_000_000_000]]))
+    kinds = {"graph": 0, "error": 0}
+    for k, (n, pairs) in enumerate(listings):
+        txt, mtx = tmp_path / f"g{k}.txt", tmp_path / f"g{k}.mtx"
+        txt.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        entries = "".join(f"{u + 1} {v + 1}\n" for u, v in pairs)
+        mtx.write_text(f"%%MatrixMarket matrix coordinate pattern general\n{n} {n} {len(pairs)}\n{entries}")
+        outcomes = []
+        for path, read in ((txt, read_edge_list), (mtx, read_matrix_market)):
+            try:
+                outcomes.append(read(path))
+            except DataError as exc:
+                outcomes.append(str(exc).removeprefix(f"{path}: "))
+        assert outcomes[0] == outcomes[1], pairs
+        kinds["graph" if isinstance(outcomes[0], Graph) else "error"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
 @pytest.mark.parametrize(
     "name,small,large",
     [
@@ -432,7 +476,7 @@ def test_reader_memory_follows_the_edges_not_the_largest_id(tmp_path, name, smal
         return largest_connected_component(read_edge_list(path))
 
     expected = read(small)  # also loads what the readers import
-    assert expected == Graph.from_edge_list([(0, 1)])
+    assert expected == from_edge_list([(0, 1)])
     tracemalloc.start()
     try:
         g = read(large)

@@ -7,7 +7,6 @@ import pytest
 from scipy import sparse, stats
 from scipy.sparse import csgraph
 
-from graphbargain.graph import Graph
 from graphbargain.rmat import (
     MAX_ATTEMPTS,
     DegenerateParametersError,
@@ -17,6 +16,7 @@ from graphbargain.rmat import (
     generate_raw_edges,
     sanitize,
 )
+from graphs import from_edge_list
 
 UNIFORM = dict(a=0.25, b=0.25, c=0.25, d=0.25)
 
@@ -194,13 +194,13 @@ class TestSanitize:
         g = sanitize(edges, n_param=6)
         # (1, 7) is outside the requested node range, (0, 0) is a loop;
         # the surviving components {0, 1} and {2, 5} tie, smallest id wins
-        assert g == Graph.from_edge_list([(0, 1)])
+        assert g == from_edge_list([(0, 1)])
 
     def test_out_of_range_endpoints_are_padding(self):
         edges = np.array([[0, 3], [3, 1], [6, 7]])
         g = sanitize(edges, n_param=4)
         # nodes {0, 1, 3} survive and relabel order-preservingly to {0, 1, 2}
-        assert g == Graph.from_edge_list([(0, 2), (1, 2)])
+        assert g == from_edge_list([(0, 2), (1, 2)])
 
     def test_vanished_graph_raises(self):
         with pytest.raises(VanishedGraphError):
@@ -216,6 +216,11 @@ class TestSanitize:
         edges = np.array([[4_000_000_001, 4_000_000_000]])
         with pytest.raises(ValueError, match="overflow"):
             sanitize(edges, n_param=4_000_000_002)
+
+    def test_the_largest_int64_id_lies_inside_n_param_2_63(self):
+        # 2**63 does not fit int64; the id 2**63 - 1 below it is kept and overflows the keys, on numpy 1.x too
+        with pytest.raises(ValueError, match="^9223372036854775808 nodes overflow the int64 edge keys"):
+            sanitize(np.array([[0, 2**63 - 1], [0, 1]]), n_param=2**63)
 
     def test_result_is_simple_and_connected(self):
         rng = np.random.default_rng(29)
