@@ -166,7 +166,10 @@ class ConditionalModel:
         """
         share = self.counts.astype(np.float64)
         share.data /= np.repeat(self.counts.sum(axis=0).A1, np.diff(share.indptr))
-        return share.tocsr()
+        try:
+            return share.tocsr()
+        except ValueError as exc:  # numpy refuses, before allocating, a size beyond what it can address
+            raise MemoryError(f"a push matrix of {self.metric_bins**2} metric cells: {exc}") from exc
 
 
 def conditional_from_pairs(

@@ -1,13 +1,13 @@
 """Search for the Beta parameter vector q that evens out the metric spread.
 
-The eight Beta parameters are evolved in log space with a plain differential
-evolution scheme (rand/1/bin).  Selection uses fitness on the train model;
-the holdout model decides what gets reported and when to stop.  Candidates
-whose pushed mass (coverage) falls below a floor relative to the uniform
-candidate are assigned the worst possible fitness, which keeps the search
-away from regions the baseline sample never visited.  The uniform candidate is
-the first trial, and only a strictly better fitness replaces the best, so the
-best always keeps at least the floor's coverage.
+The eight Beta parameters are evolved in log space by rand/1/bin differential
+evolution.  Each generation builds all its trials from the previous population,
+then scores them in member order: the train model selects, and the holdout
+model picks the one best and when to stop.  Candidates whose pushed mass
+(coverage) falls below a floor relative to the uniform candidate get the worst
+fitness, which keeps the search away from regions the baseline sample never
+visited.  The uniform candidate is the first trial, and only a strictly better
+fitness replaces the best, so the best keeps at least the floor's coverage.
 
 Every random draw comes from a generator seeded with (seed, generation,
 candidate index), so runs are reproducible regardless of evaluation order.
@@ -104,44 +104,38 @@ def optimize(
     eval_train = _make_evaluator(train)
     eval_hold = _make_evaluator(holdout)
 
-    # One population, updated in place: a trial that scores no worse on the
-    # train model replaces its target and is scored on the holdout at once.
     # Generation 0's trials, which beat the infinite fitness they start from,
     # are the uniform vector and candidates jittered around it.
     z = np.zeros((pop, 8))
     f_train = np.full(pop, np.inf)
-    f_hold = np.full(pop, np.inf)
-    cov_hold = np.zeros(pop)
     best_z, best_fitness, best_coverage = np.zeros(8), np.inf, 0.0
     trace = []
     stagnant = 0
     for gen in range(max_gen + 1):
-        # Every trial of a generation mutates the previous generation.
-        parents = z.copy()
+        # Pass 1: every trial of the generation mutates the previous population.
+        trials = np.zeros((pop, 8))
         for i in range(pop):
             rng = np.random.default_rng([seed, gen, i])
-            if gen == 0:
-                trial = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8) if i else np.zeros(8)
-            else:
+            if gen == 0 and i:
+                trials[i] = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8)
+            elif gen > 0:
                 picks = rng.choice(pop - 1, size=3, replace=False)
                 # skip over i so the three partners are distinct from the target
                 r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
-                mutant = parents[r1] + _MUTATION_FACTOR * (parents[r2] - parents[r3])
                 mask = rng.random(8) < _CROSSOVER_RATE
                 mask[rng.integers(8)] = True
-                trial = np.where(mask, mutant, parents[i])
-            np.clip(trial, _Z_LOW, _Z_HIGH, out=trial)
+                trials[i] = np.where(mask, z[r1] + _MUTATION_FACTOR * (z[r2] - z[r3]), z[i])
+        np.clip(trials, _Z_LOW, _Z_HIGH, out=trials)
+        # Pass 2: a trial no worse on the train model replaces its member, and
+        # the best if its holdout fitness is strictly lower, so ties keep the first.
+        prev_best = best_fitness
+        for i, trial in enumerate(trials):
             ft, _ = eval_train(trial)
             if ft <= f_train[i]:
                 z[i], f_train[i] = trial, ft
-                f_hold[i], cov_hold[i] = eval_hold(trial)
-
-        prev_best = best_fitness
-        cand = int(np.argmin(f_hold))
-        if f_hold[cand] < best_fitness:
-            best_fitness = float(f_hold[cand])
-            best_coverage = float(cov_hold[cand])
-            best_z = z[cand].copy()
+                fh, cov = eval_hold(trial)
+                if fh < best_fitness:
+                    best_z, best_fitness, best_coverage = trial, fh, cov
         trace.append((gen, float(f_train.min()), best_fitness, best_coverage))
         logger.info("generation %d: train %.6f holdout %.6f coverage %.4g", *trace[-1])
         if prev_best - best_fitness < tol:

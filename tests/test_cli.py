@@ -418,19 +418,32 @@ def test_a_bad_grid_is_refused_alike_as_a_flag_and_as_a_model_header(tmp_path, c
 _OPTIMIZE = "import sys; sys.path.insert(0, sys.argv[1]); from graphbargain.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
-def test_an_allocation_that_fails_exits_7(tmp_path):
-    """At 100000 metric bins the push matrix's row pointers alone take 74.5 GiB, beyond a 4 GiB address space."""
-    write_model(Workspace(tmp_path).baseline_model, ["5 3 12"], 12, "100000 100000 -6.0 0.0")
+@pytest.mark.parametrize(
+    ("metric_bins", "message"),
+    [
+        (100000, "error: Unable to allocate "),
+        (3037000499, "error: a push matrix of 9223372030926249001 metric cells: "),
+    ],
+    ids=["100000", "3037000499"],
+)
+def test_an_allocation_that_fails_exits_7(tmp_path, metric_bins, message):
+    """At 100000 metric bins the push matrix's row pointers alone take 74.5 GiB, beyond a 4 GiB address space.
+
+    At 3037000499 bins numpy refuses the bins^2 + 1 row pointers before it allocates anything.
+    """
+    ws = Workspace(tmp_path)
+    write_model(ws.baseline_model, ["5 3 12"], 12, f"{metric_bins} {metric_bins} -6.0 0.0")
     src = Path(graphbargain.cli.__file__).resolve().parents[1]
     limit = 4 << 30
     done = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--metric-bins", "100000", "--out", str(tmp_path)],
+        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--metric-bins", str(metric_bins), "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert done.returncode == 7, done.stderr
-    assert any(line.startswith("error: Unable to allocate ") for line in done.stderr.splitlines())
+    assert any(line.startswith(message) for line in done.stderr.splitlines())
     assert "Traceback" not in done.stderr
+    assert not ws.best_q.exists()
 
 
 @pytest.mark.parametrize("n", [2**58, 2**63])

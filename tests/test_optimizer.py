@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
-from graphbargain.grids import build_conditional, predicted_mass, split_model
+from graphbargain.grids import build_conditional, conditional_from_pairs, predicted_mass, split_model
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import TRACE_DTYPE, optimize
 
@@ -244,6 +244,22 @@ def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(ske
     best_q, trace = optimize(train, hold, **settings)
     ref_q, ref_trace, below_floor = reference_optimize(train, hold, **settings)
     assert below_floor > 0
+    assert best_q.tobytes() == ref_q.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+def test_optimize_matches_the_reference_when_holdout_scores_tie():
+    # every holdout record in one metric cell: each candidate above the holdout floor predicts all mass there
+    train = build_conditional(*random_records(np.random.default_rng(48), 300), 4, 3)
+    flat = np.arange(0, 3**4, 2)
+    hold = conditional_from_pairs(4, 3, flat, np.zeros_like(flat), np.ones_like(flat))
+    settings = {"pop": 8, "max_gen": 8, "tol": 1e-3, "seed": 6}
+    best_q, trace = optimize(train, hold, **settings)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, **settings)
+    assert trace["best_holdout"].tolist() == [fitness_bounds(16)[1]] * 9
+    assert trace["best_train"][-1] < trace["best_train"][0]
+    # the first of the tied trials, generation 0's uniform vector, stays the best
+    assert best_q.tolist() == [1.0] * 8
     assert best_q.tobytes() == ref_q.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
 
