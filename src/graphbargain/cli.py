@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import logging
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -64,8 +63,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ENV_SEED = "GRAPHBARGAIN_SEED"
-
 # Tags keep the per-command random streams disjoint under one user seed.
 _TAG_BASELINE_PARAMS = 1
 _TAG_BASELINE_GRAPHS = 2
@@ -105,11 +102,8 @@ class RunConfig:
     e_max: int = _setting(1_000_000, "maximum edge target")
     metric_bins: int = _setting(10, "bins per metric axis")
     param_bins: int = _setting(20, "bins per parameter axis")
-    pop: int = _setting(32, "optimizer population size")
     max_gen: int = _setting(50, "optimizer generation cap")
-    tol: float = _setting(1e-3, "optimizer early-stop tolerance")
-    holdout: float = _setting(0.2, "holdout fraction")
-    seed: int = _setting(0, f"random seed, or ${ENV_SEED} if no flag or file sets it")
+    seed: int = _setting(0, "random seed")
     jobs: int = _setting(1, "worker processes for graph generation")
     out: str = _setting("out", "output directory")
 
@@ -125,14 +119,8 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if self.pop < 4:
-            raise ConfigError("pop must be at least 4")
         if self.max_gen < 1:
             raise ConfigError("max_gen must be at least 1")
-        if not self.tol > 0.0:
-            raise ConfigError("tol must be positive")
-        if not 0.0 < self.holdout < 1.0:
-            raise ConfigError("holdout must lie in (0, 1)")
 
 
 class Workspace:
@@ -292,10 +280,10 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
         raise DataError(f"{path}: (metric_bins, param_bins) is {found} in the model but {wanted} in this run")
     split_seed = int(np.random.default_rng([config.seed, _TAG_SPLIT]).integers(2**63))
     try:
-        train, hold = split_model(model, config.holdout, split_seed)
+        train, hold = split_model(model, split_seed)
     except ValueError as exc:
-        raise DataError(f"{path}: cannot split {model.total} records at holdout {config.holdout}: {exc}") from exc
-    best_q, trace = optimize(train, hold, pop=config.pop, max_gen=config.max_gen, tol=config.tol, seed=config.seed)
+        raise DataError(f"{path}: cannot split {model.total} records: {exc}") from exc
+    best_q, trace = optimize(train, hold, max_gen=config.max_gen, seed=config.seed)
     generations, _, holdout_fitness, coverage = trace[-1].tolist()
     extra = {"holdout_fitness": holdout_fitness, "coverage": coverage, "generations": generations, "seed": config.seed}
     write_qvector(best_q, ws.best_q, extra=extra)
@@ -410,22 +398,9 @@ def _read_config_file(path: str) -> dict[str, object]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: flags, then config file, then environment, then defaults."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    values: dict[str, object] = {}
-    for name in _CONFIG_KEYS:
-        flag = getattr(args, name)
-        if flag is not None:
-            values[name] = flag
-        elif name in file_values:
-            values[name] = file_values[name]
-    if "seed" not in values:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
-            try:
-                values["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+    """Merge precedence: flags, then config file, then defaults."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((name, getattr(args, name)) for name in _CONFIG_KEYS if getattr(args, name) is not None)
     return RunConfig(**values)  # type: ignore[arg-type]
 
 

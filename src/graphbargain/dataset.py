@@ -285,13 +285,13 @@ def read_manifest(path: str | Path) -> np.ndarray:
     return table
 
 
-def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object] | None = None) -> None:
+def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object]) -> None:
     """Persist the eight Beta shapes of q, in ``Q_KEYS`` order, as flat key=value text.
 
     ``extra`` holds Python scalars, written with repr after the shapes.
     """
     lines = [f"{key} = {value!r}" for key, value in zip(Q_KEYS, check_shapes(q).tolist())]
-    lines += [f"{key} = {value!r}" for key, value in (extra or {}).items()]
+    lines += [f"{key} = {value!r}" for key, value in extra.items()]
     write_ascii(path, lines)
 
 

@@ -139,11 +139,11 @@ def _forward_dag(g: Graph, deg: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (np.where(up, u, v), np.where(up, v, u))), shape=(n, n))
 
 
-def mean_local_clustering(g: Graph, sizes: Sequence[int] | None = None) -> np.ndarray:
+def mean_local_clustering(g: Graph, sizes: Sequence[int]) -> np.ndarray:
     """Means of local clustering coefficients, one per block of consecutive nodes.
 
     ``sizes`` splits the nodes 0..n-1, in order, into blocks of those sizes
-    (default: one block of all n). c_v = 2 T(v) / (deg(v) (deg(v)-1)) for
+    (``[n]`` for one block of all n). c_v = 2 T(v) / (deg(v) (deg(v)-1)) for
     deg(v) >= 2, else 0, where T(v) counts triangles through v. A block that
     holds whole components, as one graph of a disjoint union does, gets the
     mean its graph alone would get, bit for bit: T(v) is an exact integer
@@ -169,7 +169,7 @@ def mean_local_clustering(g: Graph, sizes: Sequence[int] | None = None) -> np.nd
     n = g.node_count
     if n == 0:
         raise ValueError("empty graph")
-    bounds = np.cumsum([n] if sizes is None else sizes)
+    bounds = np.cumsum(sizes)
     if bounds[-1] != n or np.any(np.diff(bounds, prepend=0) < 1):
         raise ValueError(f"block sizes must be positive and sum to the {n} nodes")
     deg = g.degrees

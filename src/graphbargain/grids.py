@@ -217,22 +217,22 @@ def _pairs(model: ConditionalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.repeat(model.cell_flat, np.diff(counts.indptr)), counts.indices, counts.data
 
 
-def split_model(
-    model: ConditionalModel, holdout_fraction: float, seed: int
-) -> tuple[ConditionalModel, ConditionalModel]:
+# The share of a model's records that split_model draws into the holdout side.
+_HOLDOUT_FRACTION = 0.2
+
+
+def split_model(model: ConditionalModel, seed: int) -> tuple[ConditionalModel, ConditionalModel]:
     """Split a serialized model's counts into (train, holdout) without access to the raw records.
 
-    Draws the holdout side uniformly over the model's record tokens (a
-    multivariate hypergeometric over the (cell, metric) pair counts), which
-    matches a record-level split in distribution at the grid's resolution.
-    A fraction outside (0, 1), or one that rounds a side to no records,
-    raises ValueError.
+    Draws ``_HOLDOUT_FRACTION`` of the records, rounded, into the holdout side
+    uniformly over the model's record tokens (a multivariate hypergeometric
+    over the (cell, metric) pair counts), which matches a record-level split
+    in distribution at the grid's resolution. A model of fewer than 10
+    records, where a side could round to none, raises ValueError.
     """
     if model.total < 10:
         raise ValueError("need at least 10 records to split")
-    n_hold = int(round(model.total * holdout_fraction))
-    if not 0 < n_hold < model.total:
-        raise ValueError("degenerate split: one side would be empty")
+    n_hold = int(round(model.total * _HOLDOUT_FRACTION))
     flat, metric, counts = _pairs(model)
     hold = np.random.default_rng(seed).multivariate_hypergeometric(counts, n_hold)
     train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, metric, counts - hold)

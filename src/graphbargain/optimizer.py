@@ -54,10 +54,14 @@ _COVERAGE_FLOOR_RATIO = 0.5
 _MUTATION_FACTOR = 0.7
 _CROSSOVER_RATE = 0.9
 
-# The run stops once this many consecutive generations each improve the best
-# holdout fitness by less than the tolerance.  A single stagnant generation is
+# Candidates per generation.
+_POPULATION = 32
+
+# The run stops once _PATIENCE consecutive generations each improve the best
+# holdout fitness by less than _TOLERANCE.  A single stagnant generation is
 # common long before the search is done, so the window keeps one quiet
 # generation from ending the run.
+_TOLERANCE = 1e-3
 _PATIENCE = 15
 
 
@@ -81,22 +85,16 @@ def _make_evaluator(model: ConditionalModel) -> Callable[[np.ndarray], tuple[flo
 
 
 def optimize(
-    train: ConditionalModel,
-    holdout: ConditionalModel,
-    *,
-    pop: int,
-    max_gen: int,
-    tol: float,
-    seed: int,
+    train: ConditionalModel, holdout: ConditionalModel, *, max_gen: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve ``pop`` candidates for at most ``max_gen`` generations.
+    """Evolve ``_POPULATION`` candidates for at most ``max_gen`` generations.
 
     Returns the best q (the eight Beta shapes in ``params.Q_KEYS`` order)
     and the per-generation trace, a ``TRACE_DTYPE`` array whose last row
     holds the best q's holdout fitness and coverage and the generation the
     run ended on. The run stops early once the best holdout fitness gains
-    less than ``tol`` for ``_PATIENCE`` generations in a row; RunConfig
-    checks the settings.
+    less than ``_TOLERANCE`` for ``_PATIENCE`` generations in a row;
+    RunConfig checks ``max_gen`` and ``seed``.
     """
     if (train.metric_bins, train.param_bins) != (holdout.metric_bins, holdout.param_bins):
         raise ValueError("train and holdout models use different grids")
@@ -106,20 +104,20 @@ def optimize(
 
     # Generation 0's trials, which beat the infinite fitness they start from,
     # are the uniform vector and candidates jittered around it.
-    z = np.zeros((pop, 8))
-    f_train = np.full(pop, np.inf)
+    z = np.zeros((_POPULATION, 8))
+    f_train = np.full(_POPULATION, np.inf)
     best_z, best_fitness, best_coverage = np.zeros(8), np.inf, 0.0
     trace = []
     stagnant = 0
     for gen in range(max_gen + 1):
         # Pass 1: every trial of the generation mutates the previous population.
-        trials = np.zeros((pop, 8))
-        for i in range(pop):
+        trials = np.zeros((_POPULATION, 8))
+        for i in range(_POPULATION):
             rng = np.random.default_rng([seed, gen, i])
             if gen == 0 and i:
                 trials[i] = rng.uniform(_JITTER_LOW, _JITTER_HIGH, size=8)
             elif gen > 0:
-                picks = rng.choice(pop - 1, size=3, replace=False)
+                picks = rng.choice(_POPULATION - 1, size=3, replace=False)
                 # skip over i so the three partners are distinct from the target
                 r1, r2, r3 = (int(j) if j < i else int(j) + 1 for j in picks)
                 mask = rng.random(8) < _CROSSOVER_RATE
@@ -138,7 +136,7 @@ def optimize(
                     best_z, best_fitness, best_coverage = trial, fh, cov
         trace.append((gen, float(f_train.min()), best_fitness, best_coverage))
         logger.info("generation %d: train %.6f holdout %.6f coverage %.4g", *trace[-1])
-        if prev_best - best_fitness < tol:
+        if prev_best - best_fitness < _TOLERANCE:
             stagnant += 1
             if stagnant >= _PATIENCE:
                 break

@@ -116,10 +116,11 @@ def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     """Raw directed edges -> simple connected undirected graph.
 
-    Drops self-loops and endpoints outside [0, n_param) (the padding part of
-    the power-of-two matrix), merges (u,v)/(v,u) and deduplicates by one sort
-    of int64 keys, one per edge, then keeps the largest connected component.
-    Raises ValueError when the ids are too large for int64 keys.
+    Drops self-loops and edges with an endpoint at or above n_param (the
+    padding part of the power-of-two matrix), merges (u,v)/(v,u) and
+    deduplicates by one sort of int64 keys, one per edge, then keeps the
+    largest connected component. Raises ValueError on a negative id, and
+    when the ids are too large for int64 keys.
     """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -131,6 +132,9 @@ def sanitize(edges: np.ndarray, n_param: int) -> Graph:
     u, v = u[keep], v[keep]
     if u.size == 0:
         raise VanishedGraphError("vanished graph")
+    low = int(min(u.min(), v.min()))
+    if low < 0:
+        raise ValueError(f"negative node id {low}")
     n = int(max(u.max(), v.max())) + 1
     keys = _edge_keys(u, v, n)
     first = np.ones(keys.size, dtype=bool)

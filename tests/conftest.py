@@ -9,6 +9,8 @@ import pytest
 
 import graphbargain.cli
 import graphbargain.dataset
+import graphbargain.grids
+import graphbargain.optimizer
 
 
 class DiskFullAfterOneWrite:
@@ -48,3 +50,22 @@ def one_slot_batches(monkeypatch):
     Forked workers inherit the patched module global.
     """
     monkeypatch.setattr(graphbargain.cli, "_BATCH_EDGES", 1)
+
+
+@pytest.fixture
+def search_constants(monkeypatch):
+    """Sets the search's population and tolerance, and split_model's holdout share: module constants of the package.
+
+    Each keyword given replaces its constant for the test.
+    """
+
+    def setting(*, pop=None, tol=None, holdout=None):
+        for module, name, value in (
+            (graphbargain.optimizer, "_POPULATION", pop),
+            (graphbargain.optimizer, "_TOLERANCE", tol),
+            (graphbargain.grids, "_HOLDOUT_FRACTION", holdout),
+        ):
+            if value is not None:
+                monkeypatch.setattr(module, name, value)
+
+    return setting

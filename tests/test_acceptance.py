@@ -264,7 +264,7 @@ def test_criterion_4_clustering_against_brute_force(announce):
         if not edges:
             continue
         cases.append(from_edge_list(edges, n))
-    worst = max(abs(mean_local_clustering(g)[0] - clustering_oracle(g)) for g in cases)
+    worst = max(abs(mean_local_clustering(g, [g.node_count])[0] - clustering_oracle(g)) for g in cases)
     ok = worst <= 1e-12
     detail = f"{len(cases)} graphs up to 8 nodes, max |fast - brute force| = {worst:.2e}"
     announce(4, "PASS" if ok else "FAIL", detail)
@@ -316,7 +316,7 @@ def test_criterion_6_optimizer_beats_uniform(announce, pipeline):
     run = pipeline[0]
     model = load_conditional(run.ws.baseline_model)
     split_seed = int(np.random.default_rng([SEED, _TAG_SPLIT]).integers(2**63))
-    _, holdout = split_model(model, run.config.holdout, split_seed)
+    _, holdout = split_model(model, split_seed)
     raw, _ = predicted_mass(holdout, np.ones(8))
     ones_fitness = bargaining_fitness(raw / raw.sum())
     best_fitness = float(_best_q_meta(run.ws)["holdout_fitness"])

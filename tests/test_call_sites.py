@@ -59,9 +59,10 @@ def pinned_model():
     return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(records, dtype=np.int64))
 
 
-def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls):
-    train, hold = split_model(pinned_model(), 0.25, seed=4)
-    _, trace = optimize(train, hold, pop=6, max_gen=5, tol=1e-3, seed=9)
+def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls, search_constants):
+    search_constants(pop=6, holdout=0.25)
+    train, hold = split_model(pinned_model(), seed=4)
+    _, trace = optimize(train, hold, max_gen=5, seed=9)
     assert trace["generation"][-1] == 5
     # 2 uniform coverage probes, 12 initial evaluations, 30 trials and 12
     # accepted trials scored on the holdout; no candidate fell below the
@@ -82,7 +83,7 @@ def test_generate_graph_draws_raw_edges_through_its_module(calls):
 
 def test_generate_measures_and_writes_each_graph_through_its_module(calls, tmp_path):
     q_path = tmp_path / "q.txt"
-    write_qvector(np.ones(8), q_path)
+    write_qvector(np.ones(8), q_path, {})
     config = RunConfig(n=12, e_min=30, e_max=90, seed=5, out=str(tmp_path / "run"))
     rows = read_manifest(cmd_generate(config, q_path))
     assert len(rows) == 12

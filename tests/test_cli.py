@@ -21,7 +21,6 @@ import pytest
 
 import graphbargain.cli
 from graphbargain.cli import (
-    ENV_SEED,
     RunConfig,
     Workspace,
     build_config,
@@ -58,12 +57,12 @@ from graphbargain.rmat import (
 
 TINY_FLAGS = [
     "--n", "10", "--e-min", "30", "--e-max", "90",
-    "--param-bins", "4", "--pop", "6", "--max-gen", "4", "--seed", "5",
+    "--param-bins", "4", "--max-gen", "4", "--seed", "5",
 ]
 
 
 def tiny_config(out) -> RunConfig:
-    return RunConfig(n=10, e_min=30, e_max=90, param_bins=4, pop=6, max_gen=4, seed=5, out=str(out))
+    return RunConfig(n=10, e_min=30, e_max=90, param_bins=4, max_gen=4, seed=5, out=str(out))
 
 
 def write_matrix_market_copy(g: Graph, path) -> None:
@@ -102,7 +101,7 @@ class TestRunConfig:
         assert config.e_max == 1_000_000
         assert config.param_bins == 20
         assert config.metric_bins == 10
-        assert (config.pop, config.max_gen, config.tol, config.holdout) == (32, 50, 1e-3, 0.2)
+        assert config.max_gen == 50
         assert (config.seed, config.jobs) == (0, 1)
         assert config.out == "out"
 
@@ -118,14 +117,7 @@ class TestRunConfig:
             ({"param_bins": 0}, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
             ({"seed": -1}, "seed"),
             ({"jobs": 0}, "jobs"),
-            ({"pop": 3}, "^pop must be at least 4$"),
             ({"max_gen": 0}, "^max_gen must be at least 1$"),
-            ({"tol": 0.0}, "^tol must be positive$"),
-            ({"tol": -1.0}, "^tol must be positive$"),
-            ({"holdout": 0.0}, r"^holdout must lie in \(0, 1\)$"),
-            ({"holdout": 1.0}, r"^holdout must lie in \(0, 1\)$"),
-            ({"holdout": float("inf")}, r"^holdout must lie in \(0, 1\)$"),
-            ({"holdout": float("nan")}, r"^holdout must lie in \(0, 1\)$"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
@@ -144,9 +136,9 @@ class TestRunConfig:
 class TestConfigFile:
     def test_parses_keys_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nn = 50\n\ne_min=40\nout = other dir\ntol = 5e-4\n")
+        path.write_text("# comment\nn = 50\n\ne_min=40\nout = other dir\nmax_gen = 7\n")
         values = _read_config_file(str(path))
-        assert values == {"n": 50, "e_min": 40, "out": "other dir", "tol": 5e-4}
+        assert values == {"n": 50, "e_min": 40, "out": "other dir", "max_gen": 7}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -175,48 +167,27 @@ class TestBuildConfig:
     def _args(self, argv):
         return _make_parser().parse_args(argv)
 
-    def test_defaults_without_sources(self, monkeypatch):
-        monkeypatch.delenv(ENV_SEED, raising=False)
+    def test_defaults_without_sources(self):
         config = build_config(self._args(["report"]))
         assert config == RunConfig()
 
-    def test_flags_override_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_SEED, raising=False)
+    def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n = 50\nseed = 7\n")
         config = build_config(self._args(["report", "--config", str(path), "--seed", "9"]))
         assert config.n == 50
         assert config.seed == 9
 
-    def test_env_seed_fills_gap(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "5")
-        config = build_config(self._args(["report"]))
-        assert config.seed == 5
+    def test_the_seed_variable_of_the_environment_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("GRAPHBARGAIN_SEED", "5")
+        assert build_config(self._args(["report"])).seed == 0
 
-    def test_file_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "5")
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 7\n")
-        config = build_config(self._args(["report", "--config", str(path)]))
-        assert config.seed == 7
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "5")
-        config = build_config(self._args(["report", "--seed", "9"]))
-        assert config.seed == 9
-
-    def test_bad_env_seed(self, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "soon")
-        with pytest.raises(ConfigError, match="must be an integer"):
-            build_config(self._args(["report"]))
-
-    def test_every_field_has_a_flag_and_a_typed_config_key(self, tmp_path, monkeypatch):
+    def test_every_field_has_a_flag_and_a_typed_config_key(self, tmp_path):
         # a valid value unlike the default for every field, so a field that
         # build_config drops shows up as a default
-        monkeypatch.delenv(ENV_SEED, raising=False)
         values = {
-            "n": 7, "e_min": 40, "e_max": 80, "metric_bins": 3, "param_bins": 5, "pop": 9,
-            "max_gen": 6, "tol": 0.25, "holdout": 0.3, "seed": 11, "jobs": 2, "out": "elsewhere",
+            "n": 7, "e_min": 40, "e_max": 80, "metric_bins": 3, "param_bins": 5,
+            "max_gen": 6, "seed": 11, "jobs": 2, "out": "elsewhere",
         }
         defaults = RunConfig()
         assert list(values) == [f.name for f in dataclasses.fields(RunConfig)]
@@ -265,17 +236,27 @@ class TestMainExitCodes:
 
     def test_a_repeated_q_vector_key_is_3(self, tmp_path, capsys):
         ws = Workspace(tmp_path)
-        write_qvector(np.full(8, 2.0), ws.best_q)
+        write_qvector(np.full(8, 2.0), ws.best_q, {})
         with ws.best_q.open("a", encoding="ascii") as fh:
             fh.write("alpha_n = 50.0\n")
         assert main(["generate", *TINY_FLAGS, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.endswith(f"error: {ws.best_q}:9: key 'alpha_n' repeats line 1\n")
         assert not ws.result_dir.exists()
 
-    def test_bad_env_seed_is_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SEED, "soon")
-        assert main(["report", "--out", str(tmp_path)]) == 2
-        assert "must be an integer" in capsys.readouterr().err
+    @pytest.mark.parametrize("setting", [["--pop", "6"], ["--tol", "0.01"], ["--holdout", "0.3"]])
+    def test_a_removed_search_flag_is_2(self, tmp_path, capsys, setting):
+        # the search's population and tolerance and the holdout share are constants of the package
+        with pytest.raises(SystemExit) as stop:
+            main(["optimize", *setting, "--out", str(tmp_path)])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {' '.join(setting)}" in capsys.readouterr().err
+        assert not tmp_path.joinpath("optimize").exists()
+
+    def test_a_removed_search_key_in_a_config_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("holdout = 0.3\n")
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: unknown config key 'holdout'\n"
 
     def test_missing_inputs_are_3(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
@@ -350,9 +331,8 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
 @pytest.mark.parametrize(
     ("model", "argv", "code", "message"),
     [
-        # a model too small to split, or a holdout that rounds one side to nothing
-        ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), [], 3, "cannot split 6 records at holdout 0.2: need at least 10 records"),
-        ((["5 3 20"], 20, "10 10 -6.0 0.0", 20), ["--holdout", "0.01"], 3, "at holdout 0.01: degenerate split"),
+        # a model too small to split
+        ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), [], 3, "cannot split 6 records: need at least 10 records"),
         # one metric cell leaves the bargaining fitness undefined
         (None, ["--metric-bins", "1"], 2, "metric grid needs at least 2 bins per axis, got 1"),
         ((["5 0 12"], 12, "1 1 -6.0 0.0", 20), [], 3, "inconsistent model: metric grid needs at least 2 bins per axis"),
@@ -368,7 +348,7 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
         ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -7.0 0.0'"),
         ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -6.0 -1.0'"),
     ],
-    ids=["too-few-records", "empty-holdout", "metric-bins-flag", "metric-grid-header", "huge-metric-bins-flag",
+    ids=["too-few-records", "metric-bins-flag", "metric-grid-header", "huge-metric-bins-flag",
          "huge-metric-grid-header", "overflowing-metric-grid-header", "param-bins-flag", "param-grid-header",
          "non-square-header", "dlog-min-header", "dlog-max-header"],
 )
@@ -590,7 +570,7 @@ class TestPipeline:
         ws.baseline_dir.mkdir()
         shutil.copyfile(pipeline.ws.baseline_model, ws.baseline_model)
         assert main(["optimize", *TINY_FLAGS, "--out", str(tmp_path)]) == 0
-        assert settings == {"pop": 6, "max_gen": 4, "tol": 1e-3, "seed": 5}
+        assert settings == {"max_gen": 4, "seed": 5}
         assert ws.best_q.read_bytes() == pipeline.ws.best_q.read_bytes()
 
     def test_validate_with_matching_graphs(self, pipeline, tmp_path, capsys):
@@ -762,7 +742,7 @@ class TestPipeline:
         out_d = tmp_path / "fromfile"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "n = 10\ne_min = 30\ne_max = 90\nparam_bins = 4\npop = 6\nmax_gen = 4\nseed = 5\n"
+            "n = 10\ne_min = 30\ne_max = 90\nparam_bins = 4\nmax_gen = 4\nseed = 5\n"
             f"out = {out_d}\n"
         )
         assert main(["baseline", "--config", str(cfg)]) == 0
@@ -826,7 +806,7 @@ def test_each_manifest_row_rebuilds_its_graph_file(tmp_path):
     """A row's parameters and seed rebuild its graph byte for byte, vanished first samples included."""
     ws = Workspace(tmp_path)
     # u_a near 1 sends almost every edge to one corner, so some first samples vanish
-    write_qvector(np.array([1.0, 1.0, 50.0, 0.5, 1.0, 1.0, 1.0, 1.0]), tmp_path / "q.txt")
+    write_qvector(np.array([1.0, 1.0, 50.0, 0.5, 1.0, 1.0, 1.0, 1.0]), tmp_path / "q.txt", {})
     cmd_generate(tiny_config(tmp_path), tmp_path / "q.txt")
     vanished = 0
     for row in read_manifest(ws.result_manifest):

@@ -466,14 +466,12 @@ def test_edge_lists_and_matrix_market_files_of_one_listing_read_alike(tmp_path):
     ids=["edge-list", "matrix-market"],
 )
 def test_reader_memory_follows_the_edges_not_the_largest_id(tmp_path, name, small, large):
-    # validate's path: an edge list and its largest component, or a MatrixMarket file
+    # validate's path: either reader returns the largest component, through sanitize
     def read(body: str) -> Graph:
         header = "%%MatrixMarket matrix coordinate pattern general\n" if name.endswith(".mtx") else ""
         path = tmp_path / name
         path.write_text(header + body, encoding="ascii")
-        if name.endswith(".mtx"):
-            return read_matrix_market(path)
-        return largest_connected_component(read_edge_list(path))
+        return read_matrix_market(path) if name.endswith(".mtx") else read_edge_list(path)
 
     expected = read(small)  # also loads what the readers import
     assert expected == from_edge_list([(0, 1)])

@@ -123,7 +123,7 @@ def planted_hub_graph(shortcut_every: int) -> Graph:
 def clustering_peak_mib(g: Graph) -> float:
     tracemalloc.start()
     try:
-        mean_local_clustering(g)
+        mean_local_clustering(g, [g.node_count])
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -330,15 +330,15 @@ class TestLargestConnectedComponent:
 class TestMeanLocalClustering:
     def test_triangle_is_fully_clustered(self):
         g = from_edge_list([(0, 1), (1, 2), (0, 2)])
-        assert mean_local_clustering(g).tolist() == pytest.approx([1.0], abs=1e-12)
+        assert mean_local_clustering(g, [g.node_count]).tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_star_has_no_triangles(self):
         g = from_edge_list([(0, 1), (0, 2), (0, 3)])
-        assert mean_local_clustering(g).tolist() == pytest.approx([0.0], abs=1e-12)
+        assert mean_local_clustering(g, [g.node_count]).tolist() == pytest.approx([0.0], abs=1e-12)
 
     def test_k4_minus_one_edge(self):
         g = from_edge_list([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert mean_local_clustering(g).tolist() == pytest.approx([5.0 / 6.0], abs=1e-12)
+        assert mean_local_clustering(g, [g.node_count]).tolist() == pytest.approx([5.0 / 6.0], abs=1e-12)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -347,22 +347,22 @@ class TestMeanLocalClustering:
             edges = random_edges(rng, n, 0.4)
             g = from_edge_list(edges, node_count=n)
             expected = brute_force_mean_clustering(edges, n)
-            assert mean_local_clustering(g).tolist() == pytest.approx([expected], abs=1e-12)
+            assert mean_local_clustering(g, [g.node_count]).tolist() == pytest.approx([expected], abs=1e-12)
 
     def test_forward_counting_equals_unoriented_product(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             n = int(rng.integers(200, 400))
             g = from_edge_list(hub_and_tie_edges(rng, n), node_count=n)
-            assert mean_local_clustering(g).tolist() == [unoriented_mean_clustering(g)]
+            assert mean_local_clustering(g, [g.node_count]).tolist() == [unoriented_mean_clustering(g)]
         complete = [(u, v) for u in range(12) for v in range(u + 1, 12)]
         for edges, n in [(random_edges(rng, 60, 0.2), 60), (complete, 12)]:
             g = from_edge_list(edges, node_count=n)
-            assert mean_local_clustering(g).tolist() == [unoriented_mean_clustering(g)]
+            assert mean_local_clustering(g, [g.node_count]).tolist() == [unoriented_mean_clustering(g)]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mean_local_clustering(from_edge_list([]))
+            mean_local_clustering(from_edge_list([]), [0])
 
     @pytest.mark.parametrize("budget", [1, 2, 5, 9])
     def test_row_blocks_equal_full_products(self, monkeypatch, budget):
@@ -375,7 +375,7 @@ class TestMeanLocalClustering:
             perm = rng.permutation(n + 3)
             edges = [(int(perm[u]), int(perm[v])) for u, v in hub_and_tie_edges(rng, n)]
             g = from_edge_list(edges, node_count=n + 3)
-            assert mean_local_clustering(g).tolist() == [full_product_mean_clustering(g)]
+            assert mean_local_clustering(g, [g.node_count]).tolist() == [full_product_mean_clustering(g)]
             work = closing_products(g)
             over += int(np.sum(work > budget))
             empty += int(np.sum(work == 0))
@@ -488,7 +488,7 @@ class TestBatchedProjection:
         # a triangle beside a star: coefficients 1, 1, 1 and 0, 0, 0, 0
         g = from_edge_list([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
         assert mean_local_clustering(g, [3, 4]).tolist() == [1.0, 0.0]
-        assert mean_local_clustering(g).tolist() == [3.0 / 7.0]
+        assert mean_local_clustering(g, [g.node_count]).tolist() == [3.0 / 7.0]
         for sizes in ([3, 3], [3, 5], [0, 7], [7, -1, 1]):
             with pytest.raises(ValueError, match="block sizes must be positive and sum to the 7 nodes"):
                 mean_local_clustering(g, sizes)

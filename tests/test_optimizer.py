@@ -33,7 +33,7 @@ def skewed_records(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np
 @pytest.fixture(scope="module")
 def skewed_split():
     records = skewed_records(np.random.default_rng(23))
-    return split_model(build_conditional(*records, 2, 8), 0.2, 3)
+    return split_model(build_conditional(*records, 2, 8), 3)
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
@@ -46,10 +46,11 @@ def pair_dict(model) -> dict[tuple[int, int], int]:
 
 
 class TestSplitModel:
-    def test_partition_totals_and_conservation(self):
+    def test_partition_totals_and_conservation(self, search_constants):
+        search_constants(holdout=0.25)
         records = random_records(np.random.default_rng(9), 60)
         full = build_conditional(*records, 10, 5)
-        train, hold = split_model(full, 0.25, 13)
+        train, hold = split_model(full, 13)
         assert hold.total == 15
         assert train.total == 45
         assert (train.metric_bins, train.param_bins) == (hold.metric_bins, hold.param_bins) == (10, 5)
@@ -62,30 +63,26 @@ class TestSplitModel:
     def test_deterministic(self):
         records = random_records(np.random.default_rng(15), 60)
         full = build_conditional(*records, 10, 5)
-        a = split_model(full, 0.2, 21)
-        b = split_model(full, 0.2, 21)
+        a = split_model(full, 21)
+        b = split_model(full, 21)
         assert pair_dict(a[0]) == pair_dict(b[0]) and pair_dict(a[1]) == pair_dict(b[1])
-        c = split_model(full, 0.2, 22)
+        c = split_model(full, 22)
         assert pair_dict(a[0]) != pair_dict(c[0]) or pair_dict(a[1]) != pair_dict(c[1])
 
     def test_too_few_records(self):
-        records = random_records(np.random.default_rng(17), 12)
-        full = build_conditional(*records, 10, 5)
-        # one range check on the rounded holdout size refuses every bad fraction
-        for fraction in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="degenerate split"):
-                split_model(full, fraction, 0)
-        with pytest.raises(ValueError):
-            split_model(full, float("nan"), 0)
         small = build_conditional(*random_records(np.random.default_rng(18), 9), 10, 5)
         with pytest.raises(ValueError, match="at least 10 records"):
-            split_model(small, 0.2, 0)
+            split_model(small, 0)
+        # at the smallest size split, the holdout share leaves neither side empty
+        train, hold = split_model(build_conditional(*random_records(np.random.default_rng(18), 10), 10, 5), 0)
+        assert (train.total, hold.total) == (8, 2)
 
 
 class TestOptimize:
-    def test_improves_over_uniform_q(self, skewed_split):
+    def test_improves_over_uniform_q(self, skewed_split, search_constants):
         train, hold = skewed_split
-        _, trace = optimize(train, hold, pop=16, max_gen=30, tol=1e-3, seed=3)
+        search_constants(pop=16)
+        _, trace = optimize(train, hold, max_gen=30, seed=3)
         best = trace["best_holdout"][-1]
         raw, _ = predicted_mass(hold, np.ones(8))
         ones = bargaining_fitness(raw / raw.sum())
@@ -94,9 +91,10 @@ class TestOptimize:
         f_min, f_max = fitness_bounds(train.metric_bins**2)
         assert f_min - 1e-9 <= best <= f_max + 1e-9
 
-    def test_result_shape_and_bounds(self, skewed_split):
+    def test_result_shape_and_bounds(self, skewed_split, search_constants):
         train, hold = skewed_split
-        best_q, trace = optimize(train, hold, pop=8, max_gen=5, tol=1e-3, seed=1)
+        search_constants(pop=8)
+        best_q, trace = optimize(train, hold, max_gen=5, seed=1)
         assert trace.dtype == TRACE_DTYPE
         assert trace.dtype.names == ("generation", "best_train", "best_holdout", "coverage")
         assert trace["generation"].tolist() == list(range(len(trace)))
@@ -108,31 +106,35 @@ class TestOptimize:
         assert 0.0 < trace["coverage"][-1] <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("seed", [1, 3, 5])
-    def test_last_trace_row_scores_the_best_q_on_the_holdout(self, skewed_split, seed):
+    def test_last_trace_row_scores_the_best_q_on_the_holdout(self, skewed_split, search_constants, seed):
         train, hold = skewed_split
-        best_q, trace = optimize(train, hold, pop=8, max_gen=6, tol=1e-3, seed=seed)
+        search_constants(pop=8)
+        best_q, trace = optimize(train, hold, max_gen=6, seed=seed)
         raw, coverage = predicted_mass(hold, best_q)
         assert bargaining_fitness(raw / raw.sum()) == trace["best_holdout"][-1]
         assert coverage == trace["coverage"][-1]
 
-    def test_deterministic(self, skewed_split):
+    def test_deterministic(self, skewed_split, search_constants):
         train, hold = skewed_split
-        settings = {"pop": 8, "max_gen": 6, "tol": 1e-3, "seed": 5}
+        search_constants(pop=8)
+        settings = {"max_gen": 6, "seed": 5}
         q_a, trace_a = optimize(train, hold, **settings)
         q_b, trace_b = optimize(train, hold, **settings)
         assert q_a.tolist() == q_b.tolist()
         assert trace_a.tolist() == trace_b.tolist()
 
-    def test_patience_stops_stagnant_run(self, skewed_split, monkeypatch):
+    def test_patience_stops_stagnant_run(self, skewed_split, monkeypatch, search_constants):
         train, hold = skewed_split
+        search_constants(pop=8, tol=10.0)
         for patience in (1, 3):
             monkeypatch.setattr(graphbargain.optimizer, "_PATIENCE", patience)
-            _, trace = optimize(train, hold, pop=8, max_gen=40, tol=10.0, seed=0)
+            _, trace = optimize(train, hold, max_gen=40, seed=0)
             assert trace["generation"][-1] == patience
 
-    def test_max_generations_cap(self, skewed_split):
+    def test_max_generations_cap(self, skewed_split, search_constants):
         train, hold = skewed_split
-        _, trace = optimize(train, hold, pop=8, max_gen=4, tol=1e-12, seed=2)
+        search_constants(pop=8, tol=1e-12)
+        _, trace = optimize(train, hold, max_gen=4, seed=2)
         assert trace["generation"].tolist() == [0, 1, 2, 3, 4]
 
     def test_mismatched_grids_rejected(self):
@@ -140,7 +142,7 @@ class TestOptimize:
         a = build_conditional(*records, 2, 4)
         b = build_conditional(*records, 2, 5)
         c = build_conditional(*records, 3, 4)
-        settings = {"pop": 8, "max_gen": 4, "tol": 1e-3, "seed": 0}
+        settings = {"max_gen": 4, "seed": 0}
         with pytest.raises(ValueError, match="different grids"):
             optimize(a, b, **settings)
         with pytest.raises(ValueError, match="different grids"):
@@ -226,36 +228,36 @@ def reference_optimize(train, hold, *, pop, max_gen, tol, seed):
     ],
 )
 def test_optimize_matches_the_synchronous_reference(
-    records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen
+    search_constants, records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen
 ):
+    search_constants(pop=pop, tol=tol, holdout=0.25)
     model = build_conditional(*random_records(np.random.default_rng(records_seed), count), metric_bins, param_bins)
-    train, hold = split_model(model, 0.25, records_seed)
-    settings = {"pop": pop, "max_gen": max_gen, "tol": tol, "seed": seed}
-    best_q, trace = optimize(train, hold, **settings)
-    ref_q, ref_trace, _ = reference_optimize(train, hold, **settings)
+    train, hold = split_model(model, records_seed)
+    best_q, trace = optimize(train, hold, max_gen=max_gen, seed=seed)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, pop=pop, max_gen=max_gen, tol=tol, seed=seed)
     assert trace["generation"][-1] == last_gen
     assert best_q.tobytes() == ref_q.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
 
 
-def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(skewed_split):
+def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(skewed_split, search_constants):
     train, hold = skewed_split
-    settings = {"pop": 12, "max_gen": 10, "tol": 1e-3, "seed": 4}
-    best_q, trace = optimize(train, hold, **settings)
-    ref_q, ref_trace, below_floor = reference_optimize(train, hold, **settings)
+    search_constants(pop=12)
+    best_q, trace = optimize(train, hold, max_gen=10, seed=4)
+    ref_q, ref_trace, below_floor = reference_optimize(train, hold, pop=12, max_gen=10, tol=1e-3, seed=4)
     assert below_floor > 0
     assert best_q.tobytes() == ref_q.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
 
 
-def test_optimize_matches_the_reference_when_holdout_scores_tie():
+def test_optimize_matches_the_reference_when_holdout_scores_tie(search_constants):
     # every holdout record in one metric cell: each candidate above the holdout floor predicts all mass there
     train = build_conditional(*random_records(np.random.default_rng(48), 300), 4, 3)
     flat = np.arange(0, 3**4, 2)
     hold = conditional_from_pairs(4, 3, flat, np.zeros_like(flat), np.ones_like(flat))
-    settings = {"pop": 8, "max_gen": 8, "tol": 1e-3, "seed": 6}
-    best_q, trace = optimize(train, hold, **settings)
-    ref_q, ref_trace, _ = reference_optimize(train, hold, **settings)
+    search_constants(pop=8)
+    best_q, trace = optimize(train, hold, max_gen=8, seed=6)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, pop=8, max_gen=8, tol=1e-3, seed=6)
     assert trace["best_holdout"].tolist() == [fitness_bounds(16)[1]] * 9
     assert trace["best_train"][-1] < trace["best_train"][0]
     # the first of the tied trials, generation 0's uniform vector, stays the best
@@ -269,7 +271,9 @@ def holdout_floor(hold) -> float:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])
-def test_the_best_keeps_the_coverage_floor_while_holdout_trials_fall_below_it(skewed_split, monkeypatch, seed):
+def test_the_best_keeps_the_coverage_floor_while_holdout_trials_fall_below_it(
+    skewed_split, monkeypatch, search_constants, seed
+):
     train, hold = skewed_split
     floor = holdout_floor(hold)
     holdout_coverages = []
@@ -281,18 +285,20 @@ def test_the_best_keeps_the_coverage_floor_while_holdout_trials_fall_below_it(sk
         return raw, coverage
 
     monkeypatch.setattr(graphbargain.optimizer, "predicted_mass", recording)
-    _, trace = optimize(train, hold, pop=12, max_gen=10, tol=1e-3, seed=seed)
+    search_constants(pop=12)
+    _, trace = optimize(train, hold, max_gen=10, seed=seed)
     assert min(holdout_coverages) < floor
     assert trace["coverage"][-1] >= floor
     assert trace["coverage"].min() >= floor
 
 
-def test_the_uniform_q_stays_best_when_every_candidate_scores_the_worst_fitness():
+def test_the_uniform_q_stays_best_when_every_candidate_scores_the_worst_fitness(search_constants):
     # every record in one metric cell: each candidate above the floor predicts all mass there
     units = np.random.default_rng(5).random((300, 4))
-    train, hold = split_model(build_conditional(units, np.full(300, 0.25), np.full(300, -3.0), 2, 5), 0.2, 1)
+    train, hold = split_model(build_conditional(units, np.full(300, 0.25), np.full(300, -3.0), 2, 5), 1)
     _, f_max = fitness_bounds(4)
-    best_q, trace = optimize(train, hold, pop=8, max_gen=6, tol=1e-3, seed=0)
+    search_constants(pop=8)
+    best_q, trace = optimize(train, hold, max_gen=6, seed=0)
     assert trace["best_train"].tolist() == trace["best_holdout"].tolist() == [f_max] * len(trace)
     assert best_q.tolist() == [1.0] * 8
     assert trace["coverage"].tolist() == [predicted_mass(hold, np.ones(8))[1]] * len(trace)

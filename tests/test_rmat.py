@@ -217,6 +217,18 @@ class TestSanitize:
         with pytest.raises(ValueError, match="overflow"):
             sanitize(edges, n_param=4_000_000_002)
 
+    @pytest.mark.parametrize(
+        ("edges", "low"),
+        [
+            ([[-2**62, 3], [0, 3]], -2**62),  # its key would wrap onto that of (0, 3)
+            ([[-1, 2], [0, 1], [1, 2]], -1),
+            ([[-3, -5]], -5),
+        ],
+    )
+    def test_a_negative_id_is_refused_by_name(self, edges, low):
+        with pytest.raises(ValueError, match=f"^negative node id {low}$"):
+            sanitize(np.array(edges), n_param=5)
+
     def test_the_largest_int64_id_lies_inside_n_param_2_63(self):
         # 2**63 does not fit int64; the id 2**63 - 1 below it is kept and overflows the keys, on numpy 1.x too
         with pytest.raises(ValueError, match="^9223372036854775808 nodes overflow the int64 edge keys"):

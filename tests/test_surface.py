@@ -203,3 +203,37 @@ def test_one_numpy_parse_reads_every_number_table():
                 arrays.append(f"{path.name}:{node.lineno}")
     assert parses == ["dataset.py: loadtxt"]
     assert arrays == []
+
+
+def leaves_unset(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` surely leaves unset the parameter ``name``, at positional ``index`` (None if keyword-only)."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return False
+    given_by_position = index is not None and index < len(call.args)
+    return not given_by_position and all(kw.arg != name for kw in call.keywords)
+
+
+def test_every_keyword_default_is_left_unset_outside_the_tests():
+    """Each default of a package function is used by some call in the package or the benchmark; an argument
+    that every such call passes is a required one."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*MODULES, *BENCHMARK]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    always_passed = []
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            positional = [*func.args.posonlyargs, *func.args.args]
+            defaulted = [(k, arg.arg) for k, arg in enumerate(positional)][len(positional) - len(func.args.defaults):]
+            keyword_only = zip(func.args.kwonlyargs, func.args.kw_defaults)
+            defaulted += [(None, arg.arg) for arg, default in keyword_only if default is not None]
+            always_passed += [
+                f"{path.name}: {func.name}({name})"
+                for index, name in defaulted
+                if not any(leaves_unset(call, index, name) for call in calls.get(func.name, []))
+            ]
+    assert always_passed == []
