@@ -178,6 +178,12 @@ class TestBuildConfig:
         assert config.n == 50
         assert config.seed == 9
 
+    def test_a_flag_at_its_default_value_still_beats_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 7\njobs = 2\n")
+        config = build_config(self._args(["report", "--config", str(path), "--seed", "0"]))
+        assert (config.seed, config.jobs) == (0, 2)
+
     def test_the_seed_variable_of_the_environment_is_not_read(self, monkeypatch):
         monkeypatch.setenv("GRAPHBARGAIN_SEED", "5")
         assert build_config(self._args(["report"])).seed == 0
@@ -252,11 +258,13 @@ class TestMainExitCodes:
         assert f"unrecognized arguments: {' '.join(setting)}" in capsys.readouterr().err
         assert not tmp_path.joinpath("optimize").exists()
 
-    def test_a_removed_search_key_in_a_config_file_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["pop = 6", "tol = 0.01", "holdout = 0.3"])
+    def test_a_removed_search_key_in_a_config_file_is_2(self, tmp_path, capsys, line):
         path = tmp_path / "run.cfg"
-        path.write_text("holdout = 0.3\n")
+        path.write_text(f"{line}\n")
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}:1: unknown config key 'holdout'\n"
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"error: {path}:1: unknown config key '{key}'\n"
 
     def test_missing_inputs_are_3(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
@@ -369,6 +377,14 @@ def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, mo
     assert "Traceback" not in err
     if model is not None:
         assert err.startswith(f"error: {ws.baseline_model}:")
+
+
+def test_the_smallest_model_split_optimizes(tmp_path):
+    # 10 records split 8 and 2 at the constant holdout share, so optimize needs no check of an empty side
+    ws = Workspace(tmp_path)
+    write_model(ws.baseline_model, ["5 3 8", "6 4 2"], 10)
+    assert main(["optimize", "--max-gen", "2", "--out", str(tmp_path)]) == 0
+    assert ws.best_q.exists()
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,14 @@ class TestSplitModel:
         train, hold = split_model(build_conditional(*random_records(np.random.default_rng(18), 10), 10, 5), 0)
         assert (train.total, hold.total) == (8, 2)
 
+    def test_neither_side_is_empty_from_ten_records_up(self):
+        # the holdout share is a constant, so no split of a model split_model accepts comes out empty
+        rng = np.random.default_rng(19)
+        for total in range(10, 61):
+            train, hold = split_model(build_conditional(*random_records(rng, total), 10, 5), total)
+            assert hold.total == round(total / 5)
+            assert train.total + hold.total == total and min(train.total, hold.total) > 0
+
 
 class TestOptimize:
     def test_improves_over_uniform_q(self, skewed_split, search_constants):
@@ -236,6 +244,15 @@ def test_optimize_matches_the_synchronous_reference(
     best_q, trace = optimize(train, hold, max_gen=max_gen, seed=seed)
     ref_q, ref_trace, _ = reference_optimize(train, hold, pop=pop, max_gen=max_gen, tol=tol, seed=seed)
     assert trace["generation"][-1] == last_gen
+    assert best_q.tobytes() == ref_q.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+def test_optimize_matches_the_reference_at_its_own_population_and_tolerance(skewed_split):
+    # 32 candidates and a tolerance of 1e-3 without any patch: the pinned outputs rest on these constants
+    train, hold = skewed_split
+    best_q, trace = optimize(train, hold, max_gen=3, seed=2)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, pop=32, max_gen=3, tol=1e-3, seed=2)
     assert best_q.tobytes() == ref_q.tobytes()
     assert trace.tobytes() == ref_trace.tobytes()
 
