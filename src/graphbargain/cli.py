@@ -6,9 +6,8 @@ Subcommands compose through a shared output directory, laid out by Workspace:
     optimize  reads the model, writes <out>/optimize/{best_q.txt,trace.csv}
     generate  reads best_q, writes <out>/result/{manifest.csv,graphs/}
     validate  reads the result manifest plus real graph files,
-              writes <out>/validate/{metrics.csv,scatter.csv}
-    report    summarizes whichever manifests exist,
-              writes <out>/report/{report.txt,baseline_scatter.csv,result_scatter.csv}
+              writes <out>/validate/metrics.csv
+    report    summarizes whichever manifests exist, writes <out>/report/report.txt
 
 Every command is reproducible from (config, seed): parameter draws and
 per-graph seeds come from dedicated streams that are advanced serially, so
@@ -32,7 +31,6 @@ from .dataset import (
     MANIFEST_DTYPE,
     correlation,
     csv_lines,
-    key_value_lines,
     read_edge_list,
     read_manifest,
     read_matrix_market,
@@ -138,12 +136,8 @@ class Workspace:
         self.result_dir = root / "result"
         self.result_manifest = self.result_dir / "manifest.csv"
         self.result_graphs = self.result_dir / "graphs"
-        validate_dir = root / "validate"
-        self.validation_csv = validate_dir / "metrics.csv"
-        self.scatter_csv = validate_dir / "scatter.csv"
+        self.validation_csv = root / "validate" / "metrics.csv"
         self.report_dir = root / "report"
-        self.baseline_scatter = self.report_dir / "baseline_scatter.csv"
-        self.result_scatter = self.report_dir / "result_scatter.csv"
         self.report_txt = self.report_dir / "report.txt"
 
 
@@ -334,9 +328,6 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
         measured.append((Path(name).name, g.node_count, g.edge_count, *point))
 
     write_ascii(ws.validation_csv, csv_lines(("name", "n", "e", "clustering", "dlog"), measured))
-    scatter = [("result", *point) for point in table[["clustering", "dlog"]].tolist()]
-    scatter += [("validation", clustering, dlog) for *_, clustering, dlog in measured]
-    write_ascii(ws.scatter_csv, csv_lines(("source", "clustering", "dlog"), scatter))
 
     for name, n, e, clustering, dlog in measured:
         print(f"{name}: N={n} E={e} clustering={clustering:.4f} dlog={dlog:.4f}")
@@ -353,24 +344,20 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
 def cmd_report(config: RunConfig) -> Path:
     """Summarize the manifests present under the output directory."""
     ws = Workspace(Path(config.out))
-    sources = (
-        ("baseline", ws.baseline_manifest, ws.baseline_scatter),
-        ("result", ws.result_manifest, ws.result_scatter),
-    )
-    tables = [(label, read_manifest(path), scatter) for label, path, scatter in sources if path.exists()]
+    sources = (("baseline", ws.baseline_manifest), ("result", ws.result_manifest))
+    tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
     if not tables:
         raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
     bins = config.metric_bins
     f_min, f_max = fitness_bounds(bins**2)
     lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
-    for label, table, scatter in tables:
+    for label, table in tables:
         clustering, dlog = table["clustering"], table["dlog"]
         _, counts = np.unique(metric_cells(clustering, dlog, bins), return_counts=True)
         fitness = bargaining_fitness(counts / len(table), bins**2)
         occupied = len(counts)
         corr = correlation(clustering, dlog)
         corr_text = "n/a" if corr is None else f"{corr:.4f}"
-        write_ascii(scatter, csv_lines(("clustering", "dlog"), table[["clustering", "dlog"]].tolist()))
         lines.append(
             f"{label}: count={len(table)} occupied_cells={occupied}/{bins**2} "
             f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "
@@ -381,40 +368,17 @@ def cmd_report(config: RunConfig) -> Path:
     return ws.report_txt
 
 
-# Config-file keys and their parsers: RunConfig's fields, typed by their defaults.
-_CONFIG_KEYS: dict[str, Callable[[str], object]] = {f.name: type(f.default) for f in fields(RunConfig)}
-
-
-def _read_config_file(path: str) -> dict[str, object]:
-    values: dict[str, object] = {}
-    for where, key, value in key_value_lines(Path(path), "config file", ConfigError):
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return values
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: flags, then config file, then defaults."""
-    values = _read_config_file(args.config) if args.config else {}
-    values.update((name, getattr(args, name)) for name in _CONFIG_KEYS if getattr(args, name) is not None)
-    return RunConfig(**values)  # type: ignore[arg-type]
+    """The run settings: each flag that was given, else its default."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("run configuration")
-    g.add_argument("--config", metavar="FILE", help="flat key=value config file; flags override it")
     for f in fields(RunConfig):
-        g.add_argument(
-            f"--{f.name.replace('_', '-')}",
-            dest=f.name,
-            type=_CONFIG_KEYS[f.name],
-            help=f"{f.metadata['help']} (default {f.default})",
-        )
+        flag, description = f"--{f.name.replace('_', '-')}", f"{f.metadata['help']} (default {f.default})"
+        g.add_argument(flag, type=type(f.default), default=f.default, help=description)
 
     parser = argparse.ArgumentParser(
         prog="graphbargain",

@@ -81,27 +81,6 @@ def csv_lines(names: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterato
         yield ",".join(map(str, row))
 
 
-def key_value_lines(path: Path, what: str, error: type[ValueError]) -> Iterator[tuple[str, str, str]]:
-    """("path:line", key, value) per line of a flat ``key = value`` file.
-
-    Blank lines and ``#`` comments are skipped; each line splits at its first
-    ``=``, and a line without one, or whose key an earlier line holds, raises ``error``.
-    """
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(read_ascii(path, what, error).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise error(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
-        if key in seen:
-            raise error(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
-        seen[key] = lineno
-        yield f"{path}:{lineno}", key, value.strip()
-
-
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """One 'u v' pair per line, u < v, lexicographically sorted, written through _replacing."""
     # n <= MAX_KEYED_NODES < 2**32, so every id fits in uint32.
@@ -296,15 +275,31 @@ def write_qvector(q: np.ndarray, path: str | Path, extra: dict[str, object]) -> 
 
 
 def read_qvector(path: str | Path) -> np.ndarray:
-    """Read a q vector back as its (8,) shape array; unknown keys are ignored as metadata."""
+    """Read a q vector back as its (8,) shape array from flat ``key = value`` lines.
+
+    Blank lines and ``#`` comments are skipped, each line splits at its first
+    ``=``, and unknown keys are ignored as metadata; a line without ``=``, or
+    whose key an earlier line holds, raises DataError.
+    """
     path = Path(path)
+    seen: dict[str, int] = {}
     values: dict[str, float] = {}
-    for where, key, value in key_value_lines(path, "q vector", DataError):
+    for lineno, line in enumerate(read_ascii(path, "q vector", DataError).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         if key in Q_KEYS:
             try:
-                values[key] = float(value)
+                values[key] = float(value.strip())
             except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from exc
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
     missing = [key for key in Q_KEYS if key not in values]
     if missing:
         raise DataError(f"{path}: missing keys: {', '.join(missing)}")

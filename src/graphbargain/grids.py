@@ -11,8 +11,8 @@ scored by pushing its per-cell mass through the conditional rows:
 Only observed parameter cells contribute, so the total pushed mass (the
 coverage) is less than 1; predictions renormalize and report it separately.
 The push is one sparse matrix (metric cells by parameter cells) built once per
-model, so scoring a candidate costs four Beta CDFs, five gathers and one
-matrix-vector product.
+model, so scoring a candidate costs one Beta CDF call at the edges of the
+observed bins, five gathers and one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -142,19 +142,30 @@ class ConditionalModel:
     # not hold them; the arrays are not to be mutated after construction.
 
     @cached_property
-    def param_edges(self) -> np.ndarray:
-        """The bins+1 unit-interval bin edges shared by the four parameter axes."""
-        return np.linspace(0.0, 1.0, self.param_bins + 1)
+    def mass_index(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The CDF points of an evaluation and, per cell and per (N, a) pair, where their bin masses lie.
 
-    @cached_property
-    def cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per cell: the index of its (N, a) bin pair, its b bin and its c bin; then per pair, its N and a bins."""
+        Observed bins are numbered N's first, then a's, b's and c's, ascending per axis. The CDF points
+        are their edges: per point its unit position and axis, per bin the place of its lower edge, whose
+        upper edge is the next point. Per cell: its (N, a) pair, its b bin and its c bin; then per pair,
+        its N and a bins.
+        """
         bins = self.param_bins
         b01, rest = np.divmod(self.cell_flat, bins**2)
         b2, b3 = np.divmod(rest, bins)
         pairs, pair_of_cell = np.unique(b01, return_inverse=True)
         n_bin, a_bin = np.divmod(pairs, bins)
-        return pair_of_cell, b2, b3, n_bin, a_bin
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        x, axes, lo, places = [], [], [], []
+        for axis, digits in enumerate((n_bin, a_bin, b2, b3)):
+            observed, place = np.unique(digits, return_inverse=True)
+            points = np.union1d(observed, observed + 1)
+            lo.append(np.searchsorted(points, observed) + sum(map(len, x)))
+            places.append(place + sum(map(len, lo[:-1])))
+            x.append(edges[points])
+            axes.append(np.full(points.size, axis))
+        cdf_points = tuple(map(np.concatenate, (x, axes, lo)))
+        return cdf_points, (pair_of_cell, places[2], places[3], places[0], places[1])
 
     @cached_property
     def push(self) -> scipy.sparse.csr_matrix:
@@ -256,29 +267,30 @@ def build_conditional(
     return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
-def _dim_masses(shapes: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per-axis Beta mass between consecutive unit bin edges, shape (4, bins)."""
+def _dim_masses(shapes: np.ndarray, cdf_points: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The Beta mass of each observed bin, in ``mass_index`` order, from one ``betainc`` over its points."""
     from scipy.special import betainc
 
-    cdf = betainc(shapes[0::2, None], shapes[1::2, None], edges)
-    return cdf[:, 1:] - cdf[:, :-1]
+    x, axes, lo = cdf_points
+    cdf = betainc(shapes[0::2].take(axes), shapes[1::2].take(axes), x)
+    return np.diff(cdf).take(lo)
 
 
 def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndarray, float]:
     """Raw pushed metric mass (not normalized) and the coverage it sums to.
 
     ``shapes`` holds the eight Beta shapes in ``params.Q_KEYS`` order.
-    One broadcast ``betainc`` gives the four per-axis CDFs at the bin edges;
-    the (N, a) masses are multiplied once per observed bin pair, then per
-    cell by the b and c masses, and the model's ``push`` matrix carries the
-    cell masses to the metric cells.
+    One ``betainc`` gives the four per-axis CDFs at the edges of the observed
+    bins; the (N, a) masses are multiplied once per observed bin pair, then
+    per cell by the b and c masses, and the model's ``push`` matrix carries
+    the cell masses to the metric cells.
     """
-    dim = _dim_masses(check_shapes(shapes), model.param_edges)
-    pair_of_cell, b2, b3, n_bin, a_bin = model.cell_index
+    cdf_points, (pair_of_cell, b2, b3, n_bin, a_bin) = model.mass_index
+    dim = _dim_masses(check_shapes(shapes), cdf_points)
     # d0[b0] * d1[b1] once per observed (N, a) pair, then * d2[b2] * d3[b3] per cell, in place
-    cellmass = (dim[0].take(n_bin) * dim[1].take(a_bin)).take(pair_of_cell)
-    cellmass *= dim[2].take(b2)
-    cellmass *= dim[3].take(b3)
+    cellmass = (dim.take(n_bin) * dim.take(a_bin)).take(pair_of_cell)
+    cellmass *= dim.take(b2)
+    cellmass *= dim.take(b3)
     coverage = float(cellmass.sum())
     return model.push @ cellmass, coverage
 

@@ -36,6 +36,7 @@ from graphbargain.grids import (
     ConditionalModel,
     _dim_masses,
     build_conditional,
+    conditional_from_pairs,
     load_conditional,
     metric_cells,
     predicted_mass,
@@ -208,10 +209,13 @@ def test_criterion_3_beta_bin_masses_against_quadrature(announce):
     levels = [0.01, 0.1, 1.0, 10.0, 100.0]
     bins = RunConfig().param_bins
     edges = np.linspace(0.0, 1.0, bins + 1)
+    # one cell per bin on the diagonal, so every axis observes every bin
+    diagonal = np.arange(bins) * (bins**3 + bins**2 + bins + 1)
+    cdf_points = conditional_from_pairs(10, bins, diagonal, np.zeros(bins), np.ones(bins)).mass_index[0]
     worst = 0.0
     for alpha in levels:
         for beta in levels:
-            masses = _dim_masses(np.tile([alpha, beta], 4), edges)
+            masses = _dim_masses(np.tile([alpha, beta], 4), cdf_points).reshape(4, bins)
             cdf = np.array([beta_cdf_quadrature(float(x), alpha, beta) for x in edges])
             worst = max(worst, float(np.abs(masses - np.diff(cdf)).max()))
     ok = worst <= 1e-8

@@ -1,4 +1,4 @@
-"""Command-line surface: config handling, the five subcommands, reruns."""
+"""Command-line surface: run settings, the five subcommands, reruns."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from graphbargain.cli import (
     cmd_validate,
     main,
     _make_parser,
-    _read_config_file,
 )
 from graphbargain.dataset import (
     MANIFEST_HEADER,
@@ -133,36 +132,6 @@ class TestRunConfig:
         assert param_cells([[1.0, 1.0, 1.0, 1.0]], config.param_bins).tolist() == [6**4 - 1]
 
 
-class TestConfigFile:
-    def test_parses_keys_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\nn = 50\n\ne_min=40\nout = other dir\nmax_gen = 7\n")
-        values = _read_config_file(str(path))
-        assert values == {"n": 50, "e_min": 40, "out": "other dir", "max_gen": 7}
-
-    def test_unknown_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
-            _read_config_file(str(path))
-
-    def test_bad_value_reports_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("n = 50\nseed = soon\n")
-        with pytest.raises(ConfigError, match=r"run\.cfg:2"):
-            _read_config_file(str(path))
-
-    def test_missing_equals(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("n 50\n")
-        with pytest.raises(ConfigError, match="expected 'key = value'"):
-            _read_config_file(str(path))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config file"):
-            _read_config_file(str(tmp_path / "absent.cfg"))
-
-
 class TestBuildConfig:
     def _args(self, argv):
         return _make_parser().parse_args(argv)
@@ -171,24 +140,11 @@ class TestBuildConfig:
         config = build_config(self._args(["report"]))
         assert config == RunConfig()
 
-    def test_flags_override_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("n = 50\nseed = 7\n")
-        config = build_config(self._args(["report", "--config", str(path), "--seed", "9"]))
-        assert config.n == 50
-        assert config.seed == 9
-
-    def test_a_flag_at_its_default_value_still_beats_the_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 7\njobs = 2\n")
-        config = build_config(self._args(["report", "--config", str(path), "--seed", "0"]))
-        assert (config.seed, config.jobs) == (0, 2)
-
     def test_the_seed_variable_of_the_environment_is_not_read(self, monkeypatch):
         monkeypatch.setenv("GRAPHBARGAIN_SEED", "5")
         assert build_config(self._args(["report"])).seed == 0
 
-    def test_every_field_has_a_flag_and_a_typed_config_key(self, tmp_path):
+    def test_every_field_has_a_flag(self):
         # a valid value unlike the default for every field, so a field that
         # build_config drops shows up as a default
         values = {
@@ -205,13 +161,23 @@ class TestBuildConfig:
             argv += [f"--{name.replace('_', '-')}", str(value)]
         assert build_config(self._args(argv)) == expected
 
-        path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
-        parsed = _read_config_file(str(path))
-        assert parsed == values
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_a_flag_alone_sets_its_field_and_the_rest_keep_their_defaults(self, field):
+        defaults = RunConfig()
+        value = "elsewhere" if field == "out" else getattr(defaults, field) + 1
+        argv = ["report", f"--{field.replace('_', '-')}", str(value)]
+        assert build_config(self._args(argv)) == dataclasses.replace(defaults, **{field: value})
+
+    def test_each_flag_takes_the_type_of_its_default(self, capsys):
         for f in dataclasses.fields(RunConfig):
-            assert type(parsed[f.name]) is type(f.default)
-        assert build_config(self._args(["report", "--config", str(path)])) == expected
+            flag = f"--{f.name.replace('_', '-')}"
+            if type(f.default) is int:
+                with pytest.raises(SystemExit) as stop:
+                    self._args(["report", flag, "1.5"])
+                assert stop.value.code == 2
+                assert f"argument {flag}: invalid int value: '1.5'" in capsys.readouterr().err
+            else:
+                assert getattr(self._args(["report", flag, "15"]), f.name) == "15"
 
     def test_help_shows_each_field_default(self, capsys):
         with pytest.raises(SystemExit):
@@ -233,13 +199,6 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: e_max must be below 3037000499, ")
         assert not out.exists()
 
-    def test_a_repeated_config_key_is_2(self, tmp_path, capsys):
-        path, out = tmp_path / "run.cfg", tmp_path / "run"
-        path.write_text(f"n = 10\nout = {out}\nn = 20\n")
-        assert main(["baseline", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}:3: key 'n' repeats line 1\n"
-        assert not out.exists()
-
     def test_a_repeated_q_vector_key_is_3(self, tmp_path, capsys):
         ws = Workspace(tmp_path)
         write_qvector(np.full(8, 2.0), ws.best_q, {})
@@ -249,22 +208,28 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.endswith(f"error: {ws.best_q}:9: key 'alpha_n' repeats line 1\n")
         assert not ws.result_dir.exists()
 
-    @pytest.mark.parametrize("setting", [["--pop", "6"], ["--tol", "0.01"], ["--holdout", "0.3"]])
+    @pytest.mark.parametrize(
+        "setting", [["--pop", "6"], ["--tol", "0.01"], ["--holdout", "0.3"], ["--config", "run.cfg"]]
+    )
     def test_a_removed_search_flag_is_2(self, tmp_path, capsys, setting):
-        # the search's population and tolerance and the holdout share are constants of the package
+        # the search's population and tolerance and the holdout share are constants of the package,
+        # and a run takes its settings from flags alone
         with pytest.raises(SystemExit) as stop:
             main(["optimize", *setting, "--out", str(tmp_path)])
         assert stop.value.code == 2
         assert f"unrecognized arguments: {' '.join(setting)}" in capsys.readouterr().err
-        assert not tmp_path.joinpath("optimize").exists()
+        assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("line", ["pop = 6", "tol = 0.01", "holdout = 0.3"])
-    def test_a_removed_search_key_in_a_config_file_is_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("command", ["baseline", "optimize", "generate", "validate", "report"])
+    def test_a_config_file_flag_is_2_for_every_command(self, tmp_path, capsys, command):
+        # no command reads settings from a file; validate takes the file name as a graph and still stops
         path = tmp_path / "run.cfg"
-        path.write_text(f"{line}\n")
-        assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
-        key = line.split()[0]
-        assert capsys.readouterr().err == f"error: {path}:1: unknown config key '{key}'\n"
+        path.write_text("n = 5\n", encoding="ascii")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_inputs_are_3(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
@@ -291,18 +256,16 @@ class TestMainExitCodes:
 @pytest.mark.parametrize(
     ("command", "name", "code"),
     [
-        ("report", "config", 2),
         ("generate", "best_q", 3),
         ("optimize", "baseline_model", 3),
         ("report", "result_manifest", 3),
     ],
 )
 def test_non_ascii_input_is_reported_by_path(tmp_path, capsys, command, name, code):
-    path = tmp_path / "run.cfg" if name == "config" else getattr(Workspace(tmp_path), name)
+    path = getattr(Workspace(tmp_path), name)
     path.parent.mkdir(exist_ok=True)
     path.write_bytes(b"n = 5\xff\n")
-    argv = [command, "--out", str(tmp_path), *(["--config", str(path)] if name == "config" else [])]
-    assert main(argv) == code
+    assert main([command, "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith(f"error: {path}: not ASCII text: ")
 
 
@@ -602,10 +565,6 @@ class TestPipeline:
         metrics_lines = ws.validation_csv.read_text().splitlines()
         assert metrics_lines[0] == "name,n,e,clustering,dlog"
         assert len(metrics_lines) == 3
-        scatter_lines = ws.scatter_csv.read_text().splitlines()
-        assert scatter_lines[0] == "source,clustering,dlog"
-        assert sum(1 for s in scatter_lines if s.startswith("result,")) == 10
-        assert sum(1 for s in scatter_lines if s.startswith("validation,")) == 2
 
     def test_validate_measures_edge_lists_and_matrix_market_alike(self, pipeline, tmp_path, capsys):
         # components {0, 5, 9} and {2, 3}, and unused ids: the same cleaning for both formats
@@ -696,8 +655,6 @@ class TestPipeline:
         assert "baseline: count=10" in text
         assert "result: count=10" in text
         assert capsys.readouterr().out == text
-        assert (pipeline.ws.report_dir / "baseline_scatter.csv").exists()
-        assert (pipeline.ws.report_dir / "result_scatter.csv").exists()
 
     def test_report_at_the_largest_metric_grid_counts_only_occupied_cells(self, pipeline, tmp_path):
         out = tmp_path / "run"
@@ -715,7 +672,7 @@ class TestPipeline:
             (line,) = [line for line in lines if line.startswith(f"{label}: ")]
             assert f" occupied_cells={occupied}/{bins**2} " in line
 
-    def test_report_lines_and_scatter_files_follow_the_manifests(self, pipeline, capsys):
+    def test_report_lines_follow_the_manifests(self, pipeline, capsys):
         lines = cmd_report(pipeline.config).read_text().splitlines()
         capsys.readouterr()
         for label, manifest in (("baseline", pipeline.ws.baseline_manifest), ("result", pipeline.ws.result_manifest)):
@@ -727,8 +684,6 @@ class TestPipeline:
             assert values["max_clustering"] == f"{max(c):.4f}"
             assert values["mean_clustering"] == f"{math.fsum(c) / len(c):.4f}"
             assert values["mean_dlog"] == f"{math.fsum(d) / len(d):.4f}"
-            scatter = (pipeline.ws.report_dir / f"{label}_scatter.csv").read_text()
-            assert scatter == "clustering,dlog\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(c, d))
 
     def test_every_file_a_run_writes_is_a_workspace_path(self, tmp_path):
         out = tmp_path / "run"
@@ -753,16 +708,6 @@ class TestPipeline:
         out_c = tmp_path / "jobs2"
         assert main(["baseline", *TINY_FLAGS, "--jobs", "2", "--out", str(out_c)]) == 0
         assert Workspace(out_c).baseline_manifest.read_bytes() == pipeline.ws.baseline_manifest.read_bytes()
-
-    def test_config_file_through_main(self, pipeline, tmp_path):
-        out_d = tmp_path / "fromfile"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "n = 10\ne_min = 30\ne_max = 90\nparam_bins = 4\nmax_gen = 4\nseed = 5\n"
-            f"out = {out_d}\n"
-        )
-        assert main(["baseline", "--config", str(cfg)]) == 0
-        assert Workspace(out_d).baseline_manifest.read_bytes() == pipeline.ws.baseline_manifest.read_bytes()
 
 
 def test_degenerate_slots_are_redrawn_in_the_next_round(pipeline, tmp_path, monkeypatch, caplog, one_slot_batches):

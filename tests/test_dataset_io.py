@@ -727,8 +727,8 @@ class TestQVectorFile:
     def test_comments_and_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "q.txt"
         path.write_text(
-            "# a comment\n"
-            "alpha_n = 1.0\nbeta_n = 2.0\nalpha_a = 3.0\nbeta_a = 4.0\n"
+            "# a comment\n\n"
+            "alpha_n = 1.0\nbeta_n = 2.0\n   \nalpha_a = 3.0\nbeta_a = 4.0\n"
             "alpha_b = 5.0\nbeta_b = 6.0\nalpha_c = 7.0\nbeta_c = 8.0\n"
             "mystery = 42\n\n"
         )
@@ -770,8 +770,14 @@ class TestQVectorFile:
             read_qvector(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot read"):
+        with pytest.raises(DataError, match="cannot read q vector"):
             read_qvector(tmp_path / "absent.txt")
+
+    def test_non_ascii_bytes_rejected(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"# caf\xc3\xa9\nalpha_n = 1.0\n")
+        with pytest.raises(DataError, match=r"q\.txt: not ASCII text: "):
+            read_qvector(path)
 
 
 class TestCorrelation:

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import betainc
 
 from graphbargain.errors import DataError
@@ -351,8 +352,11 @@ class TestConditionalConstruction:
         assert a != b
 
 
-def unit_edges(bins: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, bins + 1)
+def bin_masses(shapes: np.ndarray, bins: int) -> np.ndarray:
+    """The (4, bins) per-axis Beta masses that predicted_mass reads, on a model whose cells cover every bin."""
+    diagonal = np.arange(bins) * (bins**3 + bins**2 + bins + 1)
+    model = conditional_from_pairs(10, bins, diagonal, np.zeros(bins), np.ones(bins))
+    return _dim_masses(shapes, model.mass_index[0]).reshape(4, bins)
 
 
 class TestPrediction:
@@ -399,16 +403,16 @@ class TestPrediction:
         assert coverage == pytest.approx(estimate, abs=5 * sigma)
 
     def test_dim_masses_are_bin_probabilities(self):
-        uniform = _dim_masses(np.ones(8), unit_edges(8))
+        uniform = bin_masses(np.ones(8), 8)
         assert uniform.shape == (4, 8)
         assert np.allclose(uniform, 1.0 / 8, atol=1e-15)
         rng = np.random.default_rng(45)
         for q in bound_qs(rng, 40):
-            dim = _dim_masses(q, unit_edges(20))
+            dim = bin_masses(q, 20)
             assert np.all(dim >= 0.0)
             assert np.allclose(dim.sum(axis=1), 1.0, atol=1e-12)
         for shape in (0.3, 1.0, 7.0, 50.0):
-            dim = _dim_masses(np.full(8, shape), unit_edges(10))
+            dim = bin_masses(np.full(8, shape), 10)
             assert np.allclose(dim, dim[:, ::-1], atol=1e-12)
 
     def test_equals_per_spec_reference(self):
@@ -428,6 +432,34 @@ class TestPrediction:
                 expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
                 assert np.all(raw == expected_raw)
                 assert coverage == expected_coverage
+
+    def test_equals_per_spec_reference_at_the_largest_grid(self):
+        # nearly every bin unobserved; the reference takes each axis's CDF at all bins + 1 edges
+        rng = np.random.default_rng(MAX_PARAM_BINS)
+        for count in (1, 2, 300):
+            model = random_model(rng, count=count, param_bins=MAX_PARAM_BINS)
+            for q in bound_qs(rng, 24):
+                raw, coverage = predicted_mass(model, q)
+                expected_raw, expected_coverage = per_spec_predicted_mass(model, q)
+                assert np.all(raw == expected_raw)
+                assert coverage == expected_coverage
+
+    def test_cdf_points_follow_the_observed_bins(self, monkeypatch):
+        # two cells in opposite corners of the largest grid: at most 2 bins, so 4 edges, per axis
+        model = conditional_from_pairs(10, MAX_PARAM_BINS, [0, MAX_PARAM_BINS**4 - 1], [0, 99], [1, 1])
+        sizes = []
+
+        def counting_betainc(*args):
+            sizes.append(np.broadcast(*args).size)
+            return betainc(*args)
+
+        monkeypatch.setattr(scipy.special, "betainc", counting_betainc)
+        shapes = np.array([2.0, 0.7, 0.4, 1.3, 5.0, 2.0, 1.0, 3.0])
+        raw, coverage = predicted_mass(model, shapes)
+        assert sizes and max(sizes) <= 16
+        monkeypatch.undo()
+        expected_raw, expected_coverage = per_spec_predicted_mass(model, shapes)
+        assert np.all(raw == expected_raw) and coverage == expected_coverage
 
     def test_memory_follows_the_observed_cells(self):
         # two cells in opposite corners of a 2000-bin grid: a bins**2 (N, a) table would take 30 MiB
@@ -462,7 +494,7 @@ class TestPrediction:
         before, after = tmp_path / "before.txt", tmp_path / "after.txt"
         save_conditional(model, before)
         predicted_mass(model, np.ones(8))
-        cached = ("param_edges", "cell_index", "push")
+        cached = ("mass_index", "push")
         assert all(name in vars(model) and name not in vars(twin) for name in cached)
         push = model.push
         assert push.shape == (model.metric_bins**2, model.cell_flat.size)
@@ -471,8 +503,16 @@ class TestPrediction:
         assert np.all(push.toarray() == dense / column_sums(model))
         # each metric row adds its cells in ascending order, as a bincount over the pairs would
         assert all(np.all(np.diff(push.indices[lo:hi]) > 0) for lo, hi in zip(push.indptr[:-1], push.indptr[1:]))
-        pair_of_cell, b2, b3, n_bin, a_bin = model.cell_index
-        bins = model.param_bins
+        (x, axes, lo), (pair_of_cell, *places) = model.mass_index
+        # observed bins are numbered axis by axis and ascending: bin k's edges are the points lo[k] and lo[k] + 1
+        bins, edges = model.param_bins, np.linspace(0.0, 1.0, model.param_bins + 1)
+        observed = [np.unique(digits) for digits in cell_digits(model).T]
+        assert np.array_equal(axes[lo], np.repeat(np.arange(4), [o.size for o in observed]))
+        assert np.array_equal(x[lo], edges[np.concatenate(observed)])
+        assert np.array_equal(axes[lo + 1], axes[lo])
+        assert np.array_equal(x[lo + 1], edges[np.concatenate(observed) + 1])
+        assert np.array_equal(np.unique(np.concatenate([lo, lo + 1])), np.arange(x.size))
+        b2, b3, n_bin, a_bin = (np.concatenate(observed)[place] for place in places)
         assert np.all(np.diff(n_bin * bins + a_bin) > 0)
         assert np.array_equal(((n_bin * bins + a_bin)[pair_of_cell] * bins + b2) * bins + b3, model.cell_flat)
         assert same_model(model, twin) and same_model(twin, model)
