@@ -42,7 +42,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, GenerationError
 from .graph import Graph, metric_projection
-from .grids import build_conditional, check_bins, load_conditional, metric_cells, save_conditional, split_model
+from .grids import METRIC_BINS, build_conditional, load_conditional, metric_cells, save_conditional, split_model
 from .objective import bargaining_fitness, fitness_bounds
 from .optimizer import TRACE_DTYPE, optimize
 from .params import check_edge_interval, sample_baseline, sample_from_q, unit_point
@@ -98,8 +98,6 @@ class RunConfig:
     n: int = _setting(10000, "dataset size")
     e_min: int = _setting(100_000, "minimum edge target")
     e_max: int = _setting(1_000_000, "maximum edge target")
-    metric_bins: int = _setting(10, "bins per metric axis")
-    param_bins: int = _setting(20, "bins per parameter axis")
     max_gen: int = _setting(50, "optimizer generation cap")
     seed: int = _setting(0, "random seed")
     jobs: int = _setting(1, "worker processes for graph generation")
@@ -110,7 +108,6 @@ class RunConfig:
             raise ConfigError("n must be at least 1")
         try:
             check_edge_interval(self.e_min, self.e_max)
-            check_bins(self.metric_bins, self.param_bins)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.seed < 0:
@@ -256,7 +253,7 @@ def cmd_baseline(config: RunConfig) -> tuple[Path, Path]:
         ws.baseline_graphs, ws.baseline_manifest,
     )
     units = np.column_stack([table[name] for name in ("u_n", "u_a", "u_b", "u_c")])
-    model = build_conditional(units, table["clustering"], table["dlog"], config.metric_bins, config.param_bins)
+    model = build_conditional(units, table["clustering"], table["dlog"])
     save_conditional(model, ws.baseline_model)
     logger.info("baseline: wrote %s", ws.baseline_model)
     return ws.baseline_manifest, ws.baseline_model
@@ -269,9 +266,6 @@ def cmd_optimize(config: RunConfig, model_path: str | Path | None = None) -> Pat
     if not path.exists():
         raise DataError(f"model file {path} not found; run baseline first")
     model = load_conditional(path)
-    found, wanted = (model.metric_bins, model.param_bins), (config.metric_bins, config.param_bins)
-    if found != wanted:
-        raise DataError(f"{path}: (metric_bins, param_bins) is {found} in the model but {wanted} in this run")
     split_seed = int(np.random.default_rng([config.seed, _TAG_SPLIT]).integers(2**63))
     try:
         train, hold = split_model(model, split_seed)
@@ -315,7 +309,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     if not ws.result_manifest.exists():
         raise DataError(f"result manifest {ws.result_manifest} not found; run generate first")
     table = read_manifest(ws.result_manifest)
-    occupied = metric_cells(table["clustering"], table["dlog"], config.metric_bins)
+    occupied = metric_cells(table["clustering"], table["dlog"])
 
     measured: list[tuple[str, int, int, float, float]] = []
     for name in files:
@@ -334,7 +328,7 @@ def cmd_validate(config: RunConfig, files: Sequence[str]) -> float | None:
     if not measured:
         print("coverage: n/a (no validation graphs)")
         return None
-    cells = metric_cells([m[3] for m in measured], [m[4] for m in measured], config.metric_bins)
+    cells = metric_cells([m[3] for m in measured], [m[4] for m in measured])
     hits = int(np.isin(cells, occupied).sum())
     coverage = hits / len(measured)
     print(f"coverage: {hits}/{len(measured)} = {coverage:.3f}")
@@ -348,18 +342,18 @@ def cmd_report(config: RunConfig) -> Path:
     tables = [(label, read_manifest(path)) for label, path in sources if path.exists()]
     if not tables:
         raise DataError(f"no manifests under {ws.root}; run baseline or generate first")
-    bins = config.metric_bins
-    f_min, f_max = fitness_bounds(bins**2)
-    lines = [f"metric grid: {bins}x{bins}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
+    cells = METRIC_BINS**2
+    f_min, f_max = fitness_bounds(cells)
+    lines = [f"metric grid: {METRIC_BINS}x{METRIC_BINS}, fitness bounds [{f_min:.6f}, {f_max:.6f}]"]
     for label, table in tables:
         clustering, dlog = table["clustering"], table["dlog"]
-        _, counts = np.unique(metric_cells(clustering, dlog, bins), return_counts=True)
-        fitness = bargaining_fitness(counts / len(table), bins**2)
+        _, counts = np.unique(metric_cells(clustering, dlog), return_counts=True)
+        fitness = bargaining_fitness(counts / len(table), cells)
         occupied = len(counts)
         corr = correlation(clustering, dlog)
         corr_text = "n/a" if corr is None else f"{corr:.4f}"
         lines.append(
-            f"{label}: count={len(table)} occupied_cells={occupied}/{bins**2} "
+            f"{label}: count={len(table)} occupied_cells={occupied}/{cells} "
             f"fitness={fitness:.6f} corr={corr_text} max_clustering={clustering.max():.4f} "
             f"mean_clustering={clustering.mean():.4f} mean_dlog={dlog.mean():.4f}"
         )

@@ -31,7 +31,8 @@ class Graph:
     ``pairs`` is an (E, 2) int64 array of (u, v) with u < v < n, sorted
     lexicographically with no repeats, and read-only. ``rmat.sanitize``
     establishes these invariants for every graph sampled or read, and the
-    functions here keep them; instances are never mutated.
+    functions here keep them; instances are never mutated. Graphs compare
+    by identity.
     """
 
     __slots__ = ("_n", "_pairs")
@@ -56,14 +57,6 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """The stored (u, v) pairs with u < v as a read-only (E, 2) array, lexicographically sorted."""
         return self._pairs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._n == other._n and np.array_equal(self._pairs, other._pairs)
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.node_count}, e={self.edge_count})"
 
 
 def _upper_adjacency(g: Graph) -> sparse.csr_matrix:

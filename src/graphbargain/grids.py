@@ -12,13 +12,12 @@ Only observed parameter cells contribute, so the total pushed mass (the
 coverage) is less than 1; predictions renormalize and report it separately.
 The push is one sparse matrix (metric cells by parameter cells) built once per
 model, so scoring a candidate costs one Beta CDF call at the edges of the
-observed bins, five gathers and one matrix-vector product.
+parameter bins, five gathers and one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,17 +32,15 @@ if TYPE_CHECKING:
 
 from .dataset import read_ascii, read_table, write_ascii
 from .errors import DataError
-from .graph import MAX_KEYED_NODES
 from .params import check_shapes
 
 __all__ = [
     "DLOG_MIN",
     "DLOG_MAX",
-    "MAX_METRIC_BINS",
-    "MAX_PARAM_BINS",
+    "METRIC_BINS",
+    "PARAM_BINS",
     "metric_cells",
     "param_cells",
-    "check_bins",
     "ConditionalModel",
     "build_conditional",
     "conditional_from_pairs",
@@ -58,17 +55,16 @@ logger = logging.getLogger(__name__)
 _PAIR_DTYPE = np.dtype([(name, np.int64) for name in ("cell", "metric", "count")])
 # The push divides n_ij by n_i in float64, which holds every integer up to 2**53.
 _MAX_TOTAL = 2**53
-# Largest bins per axis for which bins**2 - 1 fits in int64: a metric cell id is laid out as an edge key.
-MAX_METRIC_BINS = MAX_KEYED_NODES
-# Largest bins per axis for which bins**4 - 1, the largest flat parameter cell id, fits in int64.
-MAX_PARAM_BINS = math.isqrt(MAX_METRIC_BINS)
+# Bins per axis of the square metric grid and of the four-axis parameter grid.
+METRIC_BINS = 10
+PARAM_BINS = 20
 # The dlog axis of the metric grid; the clustering axis is [0, 1].
 DLOG_MIN = -6.0
 DLOG_MAX = 0.0
 
 
-def metric_cells(clustering: np.ndarray, dlog: np.ndarray, bins: int) -> np.ndarray:
-    """Flat int64 cell ids on the square metric grid of ``bins`` bins per axis.
+def metric_cells(clustering: np.ndarray, dlog: np.ndarray) -> np.ndarray:
+    """Flat int64 cell ids on the square metric grid of METRIC_BINS bins per axis.
 
     The grid covers clustering [0, 1] by dlog [DLOG_MIN, DLOG_MAX], row-major
     in clustering. Upper edges fold into the last bin; dlog below DLOG_MIN is
@@ -84,14 +80,15 @@ def metric_cells(clustering: np.ndarray, dlog: np.ndarray, bins: int) -> np.ndar
     low = int(np.count_nonzero(d < DLOG_MIN))
     if low:
         logger.warning("%d dlog values below grid minimum %g; clamped into first bin", low, DLOG_MIN)
+    bins = METRIC_BINS
     c_bin = np.minimum((c * bins).astype(np.int64), bins - 1)
     width = (DLOG_MAX - DLOG_MIN) / bins
     d_bin = np.clip((d - DLOG_MIN) / width, 0, bins - 1).astype(np.int64)
     return c_bin * bins + d_bin
 
 
-def param_cells(units: np.ndarray, bins: int) -> np.ndarray:
-    """Flat int64 cell ids on the bins**4 parameter grid for an (K, 4) array of (N, a, b, c) unit coordinates.
+def param_cells(units: np.ndarray) -> np.ndarray:
+    """Flat int64 cell ids on the PARAM_BINS**4 parameter grid for an (K, 4) array of (N, a, b, c) unit coordinates.
 
     Upper edges fold into the last bin; the last coordinate varies fastest.
     """
@@ -101,20 +98,8 @@ def param_cells(units: np.ndarray, bins: int) -> np.ndarray:
     inside = (u >= 0.0) & (u <= 1.0)
     if not inside.all():
         raise ValueError(f"unit coordinate {u[~inside][0]} outside [0, 1]")
-    bins4 = np.minimum((u * bins).astype(np.int64), bins - 1)
-    return bins4 @ bins ** np.arange(3, -1, -1, dtype=np.int64)
-
-
-def check_bins(metric_bins: int, param_bins: int) -> None:
-    """Raise ValueError unless the fitness has at least 2 metric cells and every cell id fits in int64."""
-    if metric_bins < 2:
-        raise ValueError(f"metric grid needs at least 2 bins per axis, got {metric_bins}")
-    if metric_bins > MAX_METRIC_BINS:
-        raise ValueError(f"{metric_bins} bins per metric axis above {MAX_METRIC_BINS}, where the cell ids fit in int64")
-    if not 1 <= param_bins <= MAX_PARAM_BINS:
-        raise ValueError(
-            f"{param_bins} bins per parameter axis outside [1, {MAX_PARAM_BINS}], where the cell ids fit in int64"
-        )
+    bins4 = np.minimum((u * PARAM_BINS).astype(np.int64), PARAM_BINS - 1)
+    return bins4 @ PARAM_BINS ** np.arange(3, -1, -1, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -128,8 +113,6 @@ class ConditionalModel:
     ``counts.data`` runs in (cell, metric) order. Models compare by identity.
     """
 
-    metric_bins: int
-    param_bins: int
     cell_flat: np.ndarray
     counts: scipy.sparse.csc_matrix
 
@@ -145,27 +128,18 @@ class ConditionalModel:
     def mass_index(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """The CDF points of an evaluation and, per cell and per (N, a) pair, where their bin masses lie.
 
-        Observed bins are numbered N's first, then a's, b's and c's, ascending per axis. The CDF points
-        are their edges: per point its unit position and axis, per bin the place of its lower edge, whose
-        upper edge is the next point. Per cell: its (N, a) pair, its b bin and its c bin; then per pair,
-        its N and a bins.
+        The CDF points are the PARAM_BINS + 1 edges of the N, a, b and c axes in turn: per point its
+        unit position and axis. A bin's mass lies at its lower edge's place, as the difference between
+        the CDF at the next point and at that one. Per cell: its (N, a) pair, its b place and its c
+        place; then per pair, its N and a places.
         """
-        bins = self.param_bins
-        b01, rest = np.divmod(self.cell_flat, bins**2)
-        b2, b3 = np.divmod(rest, bins)
+        edges = PARAM_BINS + 1
+        b01, rest = np.divmod(self.cell_flat, PARAM_BINS**2)
+        b2, b3 = np.divmod(rest, PARAM_BINS)
         pairs, pair_of_cell = np.unique(b01, return_inverse=True)
-        n_bin, a_bin = np.divmod(pairs, bins)
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        x, axes, lo, places = [], [], [], []
-        for axis, digits in enumerate((n_bin, a_bin, b2, b3)):
-            observed, place = np.unique(digits, return_inverse=True)
-            points = np.union1d(observed, observed + 1)
-            lo.append(np.searchsorted(points, observed) + sum(map(len, x)))
-            places.append(place + sum(map(len, lo[:-1])))
-            x.append(edges[points])
-            axes.append(np.full(points.size, axis))
-        cdf_points = tuple(map(np.concatenate, (x, axes, lo)))
-        return cdf_points, (pair_of_cell, places[2], places[3], places[0], places[1])
+        n_bin, a_bin = np.divmod(pairs, PARAM_BINS)
+        cdf_points = np.tile(np.linspace(0.0, 1.0, edges), 4), np.repeat(np.arange(4), edges)
+        return cdf_points, (pair_of_cell, b2 + 2 * edges, b3 + 3 * edges, n_bin, a_bin + edges)
 
     @cached_property
     def push(self) -> scipy.sparse.csr_matrix:
@@ -177,27 +151,16 @@ class ConditionalModel:
         """
         share = self.counts.astype(np.float64)
         share.data /= np.repeat(self.counts.sum(axis=0).A1, np.diff(share.indptr))
-        try:
-            return share.tocsr()
-        except ValueError as exc:  # numpy refuses, before allocating, a size beyond what it can address
-            raise MemoryError(f"a push matrix of {self.metric_bins**2} metric cells: {exc}") from exc
+        return share.tocsr()
 
 
-def conditional_from_pairs(
-    metric_bins: int,
-    param_bins: int,
-    flat: np.ndarray,
-    metric: np.ndarray,
-    counts: np.ndarray,
-) -> ConditionalModel:
+def conditional_from_pairs(flat: np.ndarray, metric: np.ndarray, counts: np.ndarray) -> ConditionalModel:
     """Assemble a model from raw (flat cell id, metric cell id, count) triples.
 
-    Duplicate (cell, metric) keys are merged, zero counts dropped; the grid
-    sizes must pass ``check_bins``.
+    Duplicate (cell, metric) keys are merged, zero counts dropped.
     """
     import scipy.sparse
 
-    check_bins(metric_bins, param_bins)
     flat = np.asarray(flat, dtype=np.int64)
     metric = np.asarray(metric, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -209,17 +172,17 @@ def conditional_from_pairs(
     flat, metric, counts = flat[keep], metric[keep], counts[keep]
     if flat.size == 0:
         raise ValueError("model has no records")
-    if np.any(flat < 0) or np.any(flat >= param_bins**4):
+    if np.any(flat < 0) or np.any(flat >= PARAM_BINS**4):
         raise ValueError("parameter cell id outside grid")
-    if np.any(metric < 0) or np.any(metric >= metric_bins**2):
+    if np.any(metric < 0) or np.any(metric >= METRIC_BINS**2):
         raise ValueError("metric cell id outside grid")
     total = sum(counts.tolist())
     if total > _MAX_TOTAL:
         raise ValueError(f"total count {total} above 2**53, where float64 sums stop being exact")
 
     cell_flat, column = np.unique(flat, return_inverse=True)
-    matrix = scipy.sparse.csc_matrix((counts, (metric, column)), shape=(metric_bins**2, cell_flat.size))
-    return ConditionalModel(metric_bins=metric_bins, param_bins=param_bins, cell_flat=cell_flat, counts=matrix)
+    matrix = scipy.sparse.csc_matrix((counts, (metric, column)), shape=(METRIC_BINS**2, cell_flat.size))
+    return ConditionalModel(cell_flat=cell_flat, counts=matrix)
 
 
 def _pairs(model: ConditionalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,44 +209,39 @@ def split_model(model: ConditionalModel, seed: int) -> tuple[ConditionalModel, C
     n_hold = int(round(model.total * _HOLDOUT_FRACTION))
     flat, metric, counts = _pairs(model)
     hold = np.random.default_rng(seed).multivariate_hypergeometric(counts, n_hold)
-    train = conditional_from_pairs(model.metric_bins, model.param_bins, flat, metric, counts - hold)
-    return train, conditional_from_pairs(model.metric_bins, model.param_bins, flat, metric, hold)
+    return conditional_from_pairs(flat, metric, counts - hold), conditional_from_pairs(flat, metric, hold)
 
 
-def build_conditional(
-    units: np.ndarray,
-    clustering: np.ndarray,
-    dlog: np.ndarray,
-    metric_bins: int,
-    param_bins: int,
-) -> ConditionalModel:
+def build_conditional(units: np.ndarray, clustering: np.ndarray, dlog: np.ndarray) -> ConditionalModel:
     """Count (parameter cell, metric cell) co-occurrences over baseline records.
 
     Record k has the unit coordinates ``units[k]`` of an (K, 4) array and the
     metric point (``clustering[k]``, ``dlog[k]``).
     """
-    flat = param_cells(units, param_bins)
-    metric = metric_cells(clustering, dlog, metric_bins)
-    return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(flat.size, dtype=np.int64))
+    flat = param_cells(units)
+    metric = metric_cells(clustering, dlog)
+    return conditional_from_pairs(flat, metric, np.ones(flat.size, dtype=np.int64))
 
 
-def _dim_masses(shapes: np.ndarray, cdf_points: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The Beta mass of each observed bin, in ``mass_index`` order, from one ``betainc`` over its points."""
+def _dim_masses(shapes: np.ndarray, cdf_points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per ``mass_index`` place, the Beta mass of the bin whose lower edge lies there, from one ``betainc``.
+
+    The place of an axis's last edge starts no bin; its difference spans two axes and is never read.
+    """
     from scipy.special import betainc
 
-    x, axes, lo = cdf_points
-    cdf = betainc(shapes[0::2].take(axes), shapes[1::2].take(axes), x)
-    return np.diff(cdf).take(lo)
+    x, axes = cdf_points
+    return np.diff(betainc(shapes[0::2].take(axes), shapes[1::2].take(axes), x))
 
 
 def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndarray, float]:
     """Raw pushed metric mass (not normalized) and the coverage it sums to.
 
     ``shapes`` holds the eight Beta shapes in ``params.Q_KEYS`` order.
-    One ``betainc`` gives the four per-axis CDFs at the edges of the observed
-    bins; the (N, a) masses are multiplied once per observed bin pair, then
-    per cell by the b and c masses, and the model's ``push`` matrix carries
-    the cell masses to the metric cells.
+    One ``betainc`` gives the four per-axis CDFs at the bin edges; the (N, a)
+    masses are multiplied once per observed bin pair, then per cell by the b
+    and c masses, and the model's ``push`` matrix carries the cell masses to
+    the metric cells.
     """
     cdf_points, (pair_of_cell, b2, b3, n_bin, a_bin) = model.mass_index
     dim = _dim_masses(check_shapes(shapes), cdf_points)
@@ -295,12 +253,12 @@ def predicted_mass(model: ConditionalModel, shapes: np.ndarray) -> tuple[np.ndar
     return model.push @ cellmass, coverage
 
 
-def _header(metric_bins: object, param_bins: object, total: object, pairs: object) -> list[str]:
+def _header(total: object, pairs: object) -> list[str]:
     """The five header lines of a model file, the only header ``load_conditional`` accepts."""
     return [
         "graphbargain-model v1",
-        f"metric_grid {metric_bins} {metric_bins} {DLOG_MIN!r} {DLOG_MAX!r}",
-        f"param_grid {param_bins}",
+        f"metric_grid {METRIC_BINS} {METRIC_BINS} {DLOG_MIN!r} {DLOG_MAX!r}",
+        f"param_grid {PARAM_BINS}",
         f"total {total}",
         f"pairs {pairs}",
     ]
@@ -308,7 +266,7 @@ def _header(metric_bins: object, param_bins: object, total: object, pairs: objec
 
 def save_conditional(model: ConditionalModel, path: str | Path) -> None:
     flat, metric, counts = _pairs(model)
-    header = _header(model.metric_bins, model.param_bins, model.total, counts.size)
+    header = _header(model.total, counts.size)
     write_ascii(path, header + [f"{i} {j} {c}" for i, j, c in zip(flat, metric, counts)])
 
 
@@ -326,19 +284,18 @@ def load_conditional(path: str | Path) -> ConditionalModel:
     lines = text.splitlines()
     if len(lines) < 5:
         raise DataError(f"{path}: truncated model file")
-    # Lines 2-5 each carry one integer, and the header must be the one save_conditional renders from them.
-    values = [_header_int(line) for line in lines[1:5]]
+    # Lines 4-5 each carry one integer, and the header must be the one save_conditional renders from them.
+    total, pairs = values = [_header_int(line) for line in lines[3:5]]
     for lineno, (want, got) in enumerate(zip(_header(*values), lines), start=1):
         if got != want or "<integer>" in want:
             raise DataError(f"{path}:{lineno}: expected {want!r}, got {got!r}")
-    metric_bins, param_bins, total, pairs = values
     body = lines[5:]
     if len(body) != pairs:
         raise DataError(f"{path}: expected {pairs} pair lines, found {len(body)}")
     table = read_table(path, text, body, 6, _PAIR_DTYPE, blank_lines=False)
     flat, metric, counts = (table[name] for name in _PAIR_DTYPE.names)
     try:
-        model = conditional_from_pairs(metric_bins, param_bins, flat, metric, counts)
+        model = conditional_from_pairs(flat, metric, counts)
     except ValueError as exc:
         raise DataError(f"{path}: inconsistent model: {exc}") from exc
     if model.total != total:

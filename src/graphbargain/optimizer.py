@@ -72,7 +72,7 @@ def _shapes_from_log(z: np.ndarray) -> np.ndarray:
 
 def _make_evaluator(model: ConditionalModel) -> Callable[[np.ndarray], tuple[float, float]]:
     """Fitness and coverage of a log-space vector on one model; f_max below the (positive) coverage floor."""
-    _, f_max = fitness_bounds(model.metric_bins**2)
+    _, f_max = fitness_bounds(model.counts.shape[0])
     floor = _COVERAGE_FLOOR_RATIO * predicted_mass(model, np.ones(8))[1]
 
     def evaluate(z: np.ndarray) -> tuple[float, float]:
@@ -96,9 +96,6 @@ def optimize(
     less than ``_TOLERANCE`` for ``_PATIENCE`` generations in a row;
     RunConfig checks ``max_gen`` and ``seed``.
     """
-    if (train.metric_bins, train.param_bins) != (holdout.metric_bins, holdout.param_bins):
-        raise ValueError("train and holdout models use different grids")
-
     eval_train = _make_evaluator(train)
     eval_hold = _make_evaluator(holdout)
 

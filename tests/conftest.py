@@ -69,3 +69,19 @@ def search_constants(monkeypatch):
                 monkeypatch.setattr(module, name, value)
 
     return setting
+
+
+@pytest.fixture
+def grid_bins(monkeypatch):
+    """Sets the bins per axis of the metric and the parameter grid: module constants of graphbargain.grids.
+
+    Each keyword given replaces its constant for the test. A model reads the grid when it is built and
+    when its cached arrays are first used, so build and use it under one setting.
+    """
+
+    def setting(*, metric_bins=None, param_bins=None):
+        for name, value in (("METRIC_BINS", metric_bins), ("PARAM_BINS", param_bins)):
+            if value is not None:
+                monkeypatch.setattr(graphbargain.grids, name, value)
+
+    return setting

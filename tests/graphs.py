@@ -1,4 +1,5 @@
-"""A test-only Graph builder: the package builds every graph it samples or reads through ``rmat.sanitize``."""
+"""Test-only Graph helpers: the package builds every graph it samples or reads through ``rmat.sanitize``,
+and compares none."""
 
 from __future__ import annotations
 
@@ -27,3 +28,8 @@ def from_edge_list(edges: Iterable[tuple[int, int]], node_count: int | None = No
     if len(unique) < len(pairs) or np.any(unique[:, 0] == unique[:, 1]):
         raise ValueError("self-loop or repeated edge")
     return Graph(n, unique)
+
+
+def same_graph(g: Graph, h: Graph) -> bool:
+    """Equal node counts and edge arrays; graphs themselves compare by identity."""
+    return g.node_count == h.node_count and np.array_equal(g.edge_array(), h.edge_array())

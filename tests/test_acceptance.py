@@ -33,6 +33,7 @@ from graphbargain.cli import RunConfig, Workspace, cmd_baseline, cmd_generate, c
 from graphbargain.dataset import correlation, read_manifest, read_matrix_market
 from graphbargain.graph import Graph, mean_local_clustering, metric_projection
 from graphbargain.grids import (
+    PARAM_BINS,
     ConditionalModel,
     _dim_masses,
     build_conditional,
@@ -151,18 +152,19 @@ def empirical_push(model: ConditionalModel) -> np.ndarray:
     return model.push @ (model.counts.sum(axis=0).A1 / model.total)
 
 
-def test_criterion_2_empirical_identity(announce):
+def test_criterion_2_empirical_identity(announce, grid_bins):
     """Prediction pipeline with observed masses reproduces the histogram."""
     rng = np.random.default_rng(29)
     worst = 0.0
     for _ in range(100):
         metric_bins = int(rng.integers(2, 9))
         param_bins = int(rng.integers(2, 7))
+        grid_bins(metric_bins=metric_bins, param_bins=param_bins)
         k = int(rng.integers(20, 200))
         records = np.array([[*rng.random(4), rng.random(), rng.uniform(-6.0, 0.0)] for _ in range(k)])
         units, clustering, dlog = records[:, :4], records[:, 4], records[:, 5]
-        model = build_conditional(units, clustering, dlog, metric_bins, param_bins)
-        cells = metric_cells(clustering, dlog, metric_bins)
+        model = build_conditional(units, clustering, dlog)
+        cells = metric_cells(clustering, dlog)
         histogram = np.bincount(cells, minlength=metric_bins**2) / k
         diff = np.abs(empirical_push(model) - histogram).max()
         worst = max(worst, diff)
@@ -207,15 +209,16 @@ def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:
 def test_criterion_3_beta_bin_masses_against_quadrature(announce):
     """The optimizer's per-bin Beta masses match differences of an independent quadrature CDF."""
     levels = [0.01, 0.1, 1.0, 10.0, 100.0]
-    bins = RunConfig().param_bins
+    bins = PARAM_BINS
     edges = np.linspace(0.0, 1.0, bins + 1)
-    # one cell per bin on the diagonal, so every axis observes every bin
+    # one cell per bin on the diagonal, so every axis observes every bin: cell k and (N, a) pair k sit in bin k
     diagonal = np.arange(bins) * (bins**3 + bins**2 + bins + 1)
-    cdf_points = conditional_from_pairs(10, bins, diagonal, np.zeros(bins), np.ones(bins)).mass_index[0]
+    cdf_points, (_, b2, b3, n_bin, a_bin) = conditional_from_pairs(diagonal, np.zeros(bins), np.ones(bins)).mass_index
+    places = np.stack([n_bin, a_bin, b2, b3])
     worst = 0.0
     for alpha in levels:
         for beta in levels:
-            masses = _dim_masses(np.tile([alpha, beta], 4), cdf_points).reshape(4, bins)
+            masses = _dim_masses(np.tile([alpha, beta], 4), cdf_points).take(places)
             cdf = np.array([beta_cdf_quadrature(float(x), alpha, beta) for x in edges])
             worst = max(worst, float(np.abs(masses - np.diff(cdf)).max()))
     ok = worst <= 1e-8
@@ -392,13 +395,12 @@ def test_criterion_7_spread_of_generated_metrics(announce, pipeline):
     the all-ones q) and the result together occupied 38 cells (README).
     """
     run = pipeline[0]
-    bins = run.config.metric_bins
     base = read_manifest(run.ws.baseline_manifest)
     result = read_manifest(run.ws.result_manifest)
     base_corr = correlation(base["clustering"], base["dlog"])
     result_corr = correlation(result["clustering"], result["dlog"])
-    base_cells = Counter(metric_cells(base["clustering"], base["dlog"], bins).tolist())
-    result_cells = Counter(metric_cells(result["clustering"], result["dlog"], bins).tolist())
+    base_cells = Counter(metric_cells(base["clustering"], base["dlog"]).tolist())
+    result_cells = Counter(metric_cells(result["clustering"], result["dlog"]).tolist())
     base_effective, result_effective = _effective_cells(base_cells), _effective_cells(result_cells)
     corr_ok = abs(result_corr) < abs(base_corr)
     cells_ok = _cell_clause(base_cells, result_cells)

@@ -51,16 +51,18 @@ def calls(monkeypatch):
 
 
 def pinned_model():
+    """A 600-record model on the grid of 4 metric and 6 parameter bins per axis that the caller sets."""
     rng = np.random.default_rng(31)
     param_bins, metric_bins = 6, 4
     records = 600
     flat = rng.integers(0, param_bins**4, size=records)
     metric = (flat * 7 + rng.integers(0, 3, size=records)) % metric_bins**2
-    return conditional_from_pairs(metric_bins, param_bins, flat, metric, np.ones(records, dtype=np.int64))
+    return conditional_from_pairs(flat, metric, np.ones(records, dtype=np.int64))
 
 
-def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls, search_constants):
+def test_optimize_calls_predicted_mass_and_fitness_once_per_evaluation(calls, search_constants, grid_bins):
     search_constants(pop=6, holdout=0.25)
+    grid_bins(metric_bins=4, param_bins=6)
     train, hold = split_model(pinned_model(), seed=4)
     _, trace = optimize(train, hold, max_gen=5, seed=9)
     assert trace["generation"][-1] == 5

@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import os
-import resource
 import shutil
 import signal
 import subprocess
@@ -42,7 +41,7 @@ from graphbargain.dataset import (
 )
 from graphbargain.errors import ConfigError
 from graphbargain.graph import MAX_KEYED_NODES, Graph, metric_projection
-from graphbargain.grids import MAX_METRIC_BINS, load_conditional, metric_cells, param_cells
+from graphbargain.grids import load_conditional, metric_cells, param_cells
 from graphbargain.optimizer import optimize
 from graphbargain.params import sample_baseline
 from graphbargain.rmat import (
@@ -55,13 +54,12 @@ from graphbargain.rmat import (
 )
 
 TINY_FLAGS = [
-    "--n", "10", "--e-min", "30", "--e-max", "90",
-    "--param-bins", "4", "--max-gen", "4", "--seed", "5",
+    "--n", "10", "--e-min", "30", "--e-max", "90", "--max-gen", "4", "--seed", "5",
 ]
 
 
 def tiny_config(out) -> RunConfig:
-    return RunConfig(n=10, e_min=30, e_max=90, param_bins=4, max_gen=4, seed=5, out=str(out))
+    return RunConfig(n=10, e_min=30, e_max=90, max_gen=4, seed=5, out=str(out))
 
 
 def write_matrix_market_copy(g: Graph, path) -> None:
@@ -98,8 +96,6 @@ class TestRunConfig:
         assert config.n == 10000
         assert config.e_min == 100_000
         assert config.e_max == 1_000_000
-        assert config.param_bins == 20
-        assert config.metric_bins == 10
         assert config.max_gen == 50
         assert (config.seed, config.jobs) == (0, 1)
         assert config.out == "out"
@@ -111,9 +107,6 @@ class TestRunConfig:
             ({"e_min": 18}, "^e_min must be at least 19; smaller edge targets leave no feasible node count$"),
             ({"e_min": 100, "e_max": 100}, "^e_max must exceed e_min$"),
             ({"e_max": MAX_KEYED_NODES}, "^e_max must be below 3037000499, where a draw's e_max \\+ 1 nodes fit the int64 edge keys$"),
-            ({"metric_bins": 0}, "^metric grid needs at least 2 bins per axis, got 0$"),
-            ({"metric_bins": 10**15}, r"^1000000000000000 bins per metric axis above 3037000499, where the cell ids fit in int64$"),
-            ({"param_bins": 0}, r"^0 bins per parameter axis outside \[1, 55108\], where the cell ids fit in int64$"),
             ({"seed": -1}, "seed"),
             ({"jobs": 0}, "jobs"),
             ({"max_gen": 0}, "^max_gen must be at least 1$"),
@@ -127,9 +120,10 @@ class TestRunConfig:
         assert RunConfig(e_max=MAX_KEYED_NODES - 1).e_max == 3037000498
 
     def test_grids(self):
-        config = RunConfig(metric_bins=8, param_bins=6)
-        assert metric_cells([1.0], [0.0], config.metric_bins).tolist() == [64 - 1]
-        assert param_cells([[1.0, 1.0, 1.0, 1.0]], config.param_bins).tolist() == [6**4 - 1]
+        # no field sets a grid: every run counts cells on the 10 x 10 metric grid and the 20^4 parameter grid
+        assert not {"metric_bins", "param_bins"} & {f.name for f in dataclasses.fields(RunConfig)}
+        assert metric_cells([1.0], [0.0]).tolist() == [10**2 - 1]
+        assert param_cells([[1.0, 1.0, 1.0, 1.0]]).tolist() == [20**4 - 1]
 
 
 class TestBuildConfig:
@@ -148,8 +142,7 @@ class TestBuildConfig:
         # a valid value unlike the default for every field, so a field that
         # build_config drops shows up as a default
         values = {
-            "n": 7, "e_min": 40, "e_max": 80, "metric_bins": 3, "param_bins": 5,
-            "max_gen": 6, "seed": 11, "jobs": 2, "out": "elsewhere",
+            "n": 7, "e_min": 40, "e_max": 80, "max_gen": 6, "seed": 11, "jobs": 2, "out": "elsewhere",
         }
         defaults = RunConfig()
         assert list(values) == [f.name for f in dataclasses.fields(RunConfig)]
@@ -209,10 +202,14 @@ class TestMainExitCodes:
         assert not ws.result_dir.exists()
 
     @pytest.mark.parametrize(
-        "setting", [["--pop", "6"], ["--tol", "0.01"], ["--holdout", "0.3"], ["--config", "run.cfg"]]
+        "setting",
+        [
+            ["--pop", "6"], ["--tol", "0.01"], ["--holdout", "0.3"], ["--config", "run.cfg"],
+            ["--metric-bins", "12"], ["--param-bins", "40"],
+        ],
     )
     def test_a_removed_search_flag_is_2(self, tmp_path, capsys, setting):
-        # the search's population and tolerance and the holdout share are constants of the package,
+        # the search's population and tolerance, the holdout share and the grids are constants of the package,
         # and a run takes its settings from flags alone
         with pytest.raises(SystemExit) as stop:
             main(["optimize", *setting, "--out", str(tmp_path)])
@@ -230,6 +227,17 @@ class TestMainExitCodes:
         assert stop.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("flag", ["--metric-bins", "--param-bins"])
+    @pytest.mark.parametrize("command", ["baseline", "optimize", "generate", "validate", "report"])
+    def test_a_grid_flag_is_2_for_every_command(self, tmp_path, capsys, command, flag):
+        # the grids are constants of graphbargain.grids; even the default value is refused, before any output.
+        # validate takes the value as a graph file name and still stops
+        with pytest.raises(SystemExit) as stop:
+            main([command, *TINY_FLAGS, flag, "10", "--out", str(tmp_path / "run")])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_inputs_are_3(self, tmp_path, capsys):
         out = str(tmp_path / "empty")
@@ -300,46 +308,24 @@ def test_oversized_model_numbers_are_3(tmp_path, capsys, total, body, message):
 
 
 @pytest.mark.parametrize(
-    ("model", "argv", "code", "message"),
+    ("model", "message"),
     [
         # a model too small to split
-        ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), [], 3, "cannot split 6 records: need at least 10 records"),
-        # one metric cell leaves the bargaining fitness undefined
-        (None, ["--metric-bins", "1"], 2, "metric grid needs at least 2 bins per axis, got 1"),
-        ((["5 0 12"], 12, "1 1 -6.0 0.0", 20), [], 3, "inconsistent model: metric grid needs at least 2 bins per axis"),
-        # 3037000500**2 - 1, the largest metric cell id, overflows int64
-        (None, ["--metric-bins", "1000000000000000"], 2, "1000000000000000 bins per metric axis above 3037000499, where the cell ids fit in int64"),
-        ((["5 0 12"], 12, "3037000500 3037000500 -6.0 0.0", 20), [], 3, "inconsistent model: 3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64"),
-        ((["5 0 12"], 12, f"{10**30} {10**30} -6.0 0.0", 20), [], 3, f"inconsistent model: {10**30} bins per metric axis above 3037000499"),
-        # 55109**4 - 1, the largest flat parameter cell id, overflows int64
-        (None, ["--param-bins", "60000"], 2, "60000 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
-        ((["5 3 12"], 12, "10 10 -6.0 0.0", 55109), [], 3, "inconsistent model: 55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+        ((["5 3 6"], 6, "10 10 -6.0 0.0", 20), "cannot split 6 records: need at least 10 records"),
         # no command writes a metric grid other than the square one over dlog [-6, 0]
-        ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 8 -6.0 0.0'"),
-        ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -7.0 0.0'"),
-        ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), [], 3, "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -6.0 -1.0'"),
+        ((["5 3 12"], 12, "10 8 -6.0 0.0", 20), "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 8 -6.0 0.0'"),
+        ((["5 3 12"], 12, "10 10 -7.0 0.0", 20), "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -7.0 0.0'"),
+        ((["5 3 12"], 12, "10 10 -6.0 -1.0", 20), "model.txt:2: expected 'metric_grid 10 10 -6.0 0.0', got 'metric_grid 10 10 -6.0 -1.0'"),
     ],
-    ids=["too-few-records", "metric-bins-flag", "metric-grid-header", "huge-metric-bins-flag",
-         "huge-metric-grid-header", "overflowing-metric-grid-header", "param-bins-flag", "param-grid-header",
-         "non-square-header", "dlog-min-header", "dlog-max-header"],
+    ids=["too-few-records", "non-square-header", "dlog-min-header", "dlog-max-header"],
 )
-def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, model, argv, code, message):
+def test_unusable_grids_and_splits_exit_without_a_traceback(tmp_path, capsys, model, message):
     ws = Workspace(tmp_path)
-    if model is None:
-        # the flag is refused before baseline generates any graph, and by every command
-        assert main(["baseline", *argv, "--out", str(tmp_path)]) == code
-        assert not ws.baseline_dir.exists()
-        assert message in capsys.readouterr().err
-        command = "report"
-    else:
-        write_model(ws.baseline_model, *model)
-        command = "optimize"
-    assert main([command, *argv, "--out", str(tmp_path)]) == code
+    write_model(ws.baseline_model, *model)
+    assert main(["optimize", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {ws.baseline_model}:") and message in err
     assert "Traceback" not in err
-    if model is not None:
-        assert err.startswith(f"error: {ws.baseline_model}:")
 
 
 def test_the_smallest_model_split_optimizes(tmp_path):
@@ -351,58 +337,20 @@ def test_the_smallest_model_split_optimizes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("metric_bins", "param_bins", "message"),
+    ("metric_bins", "param_bins", "lineno"),
     [
-        (1, 20, "metric grid needs at least 2 bins per axis, got 1"),
-        (0, 20, "metric grid needs at least 2 bins per axis, got 0"),
-        (3037000500, 20, "3037000500 bins per metric axis above 3037000499, where the cell ids fit in int64"),
-        (10**30, 20, f"{10**30} bins per metric axis above 3037000499, where the cell ids fit in int64"),
-        (10, 0, "0 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
-        (10, 55109, "55109 bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
-        (10, 10**30, f"{10**30} bins per parameter axis outside [1, 55108], where the cell ids fit in int64"),
+        (12, 20, 2), (1, 20, 2), (0, 20, 2), (3037000500, 20, 2), (10**30, 20, 2),
+        (10, 40, 3), (10, 0, 3), (10, 55109, 3), (10, 10**30, 3),
     ],
 )
-def test_a_bad_grid_is_refused_alike_as_a_flag_and_as_a_model_header(tmp_path, capsys, metric_bins, param_bins, message):
-    flags = ["--metric-bins", str(metric_bins), "--param-bins", str(param_bins), "--out", str(tmp_path)]
-    assert main(["report", *flags]) == 2
-    flag_err = capsys.readouterr().err
+def test_optimize_refuses_a_model_at_another_grid(tmp_path, capsys, metric_bins, param_bins, lineno):
     ws = Workspace(tmp_path)
-    write_model(ws.baseline_model, ["5 0 12"], 12, f"{metric_bins} {metric_bins} -6.0 0.0", param_bins)
+    write_model(ws.baseline_model, ["5 3 12"], 12, f"{metric_bins} {metric_bins} -6.0 0.0", param_bins)
     assert main(["optimize", "--out", str(tmp_path)]) == 3
-    header_err = capsys.readouterr().err
-    assert flag_err.startswith("error: ") and header_err.startswith(f"error: {ws.baseline_model}: inconsistent model: ")
-    assert flag_err.removeprefix("error: ") == header_err.split(": inconsistent model: ", 1)[1] == message + "\n"
-
-
-_OPTIMIZE = "import sys; sys.path.insert(0, sys.argv[1]); from graphbargain.cli import main; sys.exit(main(sys.argv[2:]))"
-
-
-@pytest.mark.parametrize(
-    ("metric_bins", "message"),
-    [
-        (100000, "error: Unable to allocate "),
-        (3037000499, "error: a push matrix of 9223372030926249001 metric cells: "),
-    ],
-    ids=["100000", "3037000499"],
-)
-def test_an_allocation_that_fails_exits_7(tmp_path, metric_bins, message):
-    """At 100000 metric bins the push matrix's row pointers alone take 74.5 GiB, beyond a 4 GiB address space.
-
-    At 3037000499 bins numpy refuses the bins^2 + 1 row pointers before it allocates anything.
-    """
-    ws = Workspace(tmp_path)
-    write_model(ws.baseline_model, ["5 3 12"], 12, f"{metric_bins} {metric_bins} -6.0 0.0")
-    src = Path(graphbargain.cli.__file__).resolve().parents[1]
-    limit = 4 << 30
-    done = subprocess.run(
-        [sys.executable, "-c", _OPTIMIZE, str(src), "optimize", "--metric-bins", str(metric_bins), "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
-    assert done.returncode == 7, done.stderr
-    assert any(line.startswith(message) for line in done.stderr.splitlines())
-    assert "Traceback" not in done.stderr
-    assert not ws.best_q.exists()
+    want = ["metric_grid 10 10 -6.0 0.0", "param_grid 20"][lineno - 2]
+    got = ws.baseline_model.read_text(encoding="ascii").splitlines()[lineno - 1]
+    assert capsys.readouterr().err.endswith(f"error: {ws.baseline_model}:{lineno}: expected {want!r}, got {got!r}\n")
+    assert not ws.optimize_dir.exists()
 
 
 @pytest.mark.parametrize("n", [2**58, 2**63])
@@ -412,16 +360,6 @@ def test_a_dataset_size_beyond_the_address_space_exits_7(tmp_path, capsys, n):
     assert main(["baseline", *TINY_FLAGS, "--n", str(n), "--out", str(out)]) == 7
     assert capsys.readouterr().err.startswith(f"error: baseline: a manifest of {n} rows: ")
     assert not out.exists()
-
-
-@pytest.mark.parametrize(("flag", "value", "wanted"), [("--metric-bins", "12", "(12, 20)"), ("--param-bins", "40", "(10, 40)")])
-def test_optimize_refuses_a_model_whose_grids_differ_from_the_flags(tmp_path, capsys, flag, value, wanted):
-    ws = Workspace(tmp_path)
-    write_model(ws.baseline_model, ["5 3 12"], 12)
-    assert main(["optimize", flag, value, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert f"error: {ws.baseline_model}: (metric_bins, param_bins) is (10, 20) in the model but {wanted} in this run\n" in err
-    assert not ws.optimize_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -487,7 +425,7 @@ class TestPipeline:
         assert np.all((30 <= table["e_param"]) & (table["e_param"] <= 90))
         model = load_conditional(ws.baseline_model)
         assert model.total == 10
-        assert (model.metric_bins, model.param_bins) == (10, 4)
+        assert ws.baseline_model.read_text().splitlines()[1:3] == ["metric_grid 10 10 -6.0 0.0", "param_grid 20"]
 
     def test_optimize_outputs(self, pipeline):
         ws = pipeline.ws
@@ -656,22 +594,6 @@ class TestPipeline:
         assert "result: count=10" in text
         assert capsys.readouterr().out == text
 
-    def test_report_at_the_largest_metric_grid_counts_only_occupied_cells(self, pipeline, tmp_path):
-        out = tmp_path / "run"
-        for ws_name in ("baseline_manifest", "result_manifest"):
-            target = getattr(Workspace(out), ws_name)
-            target.parent.mkdir(parents=True)
-            shutil.copyfile(getattr(pipeline.ws, ws_name), target)
-        bins = MAX_METRIC_BINS
-        assert main(["report", *TINY_FLAGS, "--metric-bins", str(bins), "--out", str(out)]) == 0
-        lines = (out / "report" / "report.txt").read_text().splitlines()
-        assert lines[0].startswith(f"metric grid: {bins}x{bins}, ")
-        for label, manifest in (("baseline", pipeline.ws.baseline_manifest), ("result", pipeline.ws.result_manifest)):
-            table = read_manifest(manifest)
-            occupied = len(set(metric_cells(table["clustering"], table["dlog"], bins).tolist()))
-            (line,) = [line for line in lines if line.startswith(f"{label}: ")]
-            assert f" occupied_cells={occupied}/{bins**2} " in line
-
     def test_report_lines_follow_the_manifests(self, pipeline, capsys):
         lines = cmd_report(pipeline.config).read_text().splitlines()
         capsys.readouterr()
@@ -684,6 +606,16 @@ class TestPipeline:
             assert values["max_clustering"] == f"{max(c):.4f}"
             assert values["mean_clustering"] == f"{math.fsum(c) / len(c):.4f}"
             assert values["mean_dlog"] == f"{math.fsum(d) / len(d):.4f}"
+
+    def test_report_counts_only_occupied_cells(self, pipeline, capsys):
+        lines = cmd_report(pipeline.config).read_text().splitlines()
+        capsys.readouterr()
+        assert lines[0].startswith("metric grid: 10x10, ")
+        for label, manifest in (("baseline", pipeline.ws.baseline_manifest), ("result", pipeline.ws.result_manifest)):
+            table = read_manifest(manifest)
+            occupied = len(set(metric_cells(table["clustering"], table["dlog"]).tolist()))
+            (line,) = [line for line in lines if line.startswith(f"{label}: ")]
+            assert f" occupied_cells={occupied}/100 " in line
 
     def test_every_file_a_run_writes_is_a_workspace_path(self, tmp_path):
         out = tmp_path / "run"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphbargain.optimizer
+from graphbargain import grids
 from graphbargain.grids import build_conditional, conditional_from_pairs, predicted_mass, split_model
 from graphbargain.objective import bargaining_fitness, fitness_bounds
 from graphbargain.optimizer import TRACE_DTYPE, optimize
@@ -30,10 +31,12 @@ def skewed_records(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np
     return units, np.repeat([0.25, 0.75], [350, 50]), np.full(400, -3.0)
 
 
-@pytest.fixture(scope="module")
-def skewed_split():
+@pytest.fixture
+def skewed_split(grid_bins):
+    """The split of the skewed records on a 2 x 2 metric grid and an 8-bin parameter grid, which stay set for the test."""
+    grid_bins(metric_bins=2, param_bins=8)
     records = skewed_records(np.random.default_rng(23))
-    return split_model(build_conditional(*records, 2, 8), 3)
+    return split_model(build_conditional(*records), 3)
 
 
 def pair_dict(model) -> dict[tuple[int, int], int]:
@@ -49,11 +52,10 @@ class TestSplitModel:
     def test_partition_totals_and_conservation(self, search_constants):
         search_constants(holdout=0.25)
         records = random_records(np.random.default_rng(9), 60)
-        full = build_conditional(*records, 10, 5)
+        full = build_conditional(*records)
         train, hold = split_model(full, 13)
         assert hold.total == 15
         assert train.total == 45
-        assert (train.metric_bins, train.param_bins) == (hold.metric_bins, hold.param_bins) == (10, 5)
         combined: dict[tuple[int, int], int] = {}
         for side in (train, hold):
             for key, count in pair_dict(side).items():
@@ -62,7 +64,7 @@ class TestSplitModel:
 
     def test_deterministic(self):
         records = random_records(np.random.default_rng(15), 60)
-        full = build_conditional(*records, 10, 5)
+        full = build_conditional(*records)
         a = split_model(full, 21)
         b = split_model(full, 21)
         assert pair_dict(a[0]) == pair_dict(b[0]) and pair_dict(a[1]) == pair_dict(b[1])
@@ -70,18 +72,18 @@ class TestSplitModel:
         assert pair_dict(a[0]) != pair_dict(c[0]) or pair_dict(a[1]) != pair_dict(c[1])
 
     def test_too_few_records(self):
-        small = build_conditional(*random_records(np.random.default_rng(18), 9), 10, 5)
+        small = build_conditional(*random_records(np.random.default_rng(18), 9))
         with pytest.raises(ValueError, match="at least 10 records"):
             split_model(small, 0)
         # at the smallest size split, the holdout share leaves neither side empty
-        train, hold = split_model(build_conditional(*random_records(np.random.default_rng(18), 10), 10, 5), 0)
+        train, hold = split_model(build_conditional(*random_records(np.random.default_rng(18), 10)), 0)
         assert (train.total, hold.total) == (8, 2)
 
     def test_neither_side_is_empty_from_ten_records_up(self):
         # the holdout share is a constant, so no split of a model split_model accepts comes out empty
         rng = np.random.default_rng(19)
         for total in range(10, 61):
-            train, hold = split_model(build_conditional(*random_records(rng, total), 10, 5), total)
+            train, hold = split_model(build_conditional(*random_records(rng, total)), total)
             assert hold.total == round(total / 5)
             assert train.total + hold.total == total and min(train.total, hold.total) > 0
 
@@ -96,7 +98,7 @@ class TestOptimize:
         ones = bargaining_fitness(raw / raw.sum())
         assert best <= ones
         assert best < ones - 0.025
-        f_min, f_max = fitness_bounds(train.metric_bins**2)
+        f_min, f_max = fitness_bounds(4)
         assert f_min - 1e-9 <= best <= f_max + 1e-9
 
     def test_result_shape_and_bounds(self, skewed_split, search_constants):
@@ -145,17 +147,6 @@ class TestOptimize:
         _, trace = optimize(train, hold, max_gen=4, seed=2)
         assert trace["generation"].tolist() == [0, 1, 2, 3, 4]
 
-    def test_mismatched_grids_rejected(self):
-        records = skewed_records(np.random.default_rng(29))
-        a = build_conditional(*records, 2, 4)
-        b = build_conditional(*records, 2, 5)
-        c = build_conditional(*records, 3, 4)
-        settings = {"max_gen": 4, "seed": 0}
-        with pytest.raises(ValueError, match="different grids"):
-            optimize(a, b, **settings)
-        with pytest.raises(ValueError, match="different grids"):
-            optimize(a, c, **settings)
-
 
 def reference_optimize(train, hold, *, pop, max_gen, tol, seed):
     """The synchronous rand/1/bin loop that ``optimize`` must reproduce byte for byte.
@@ -168,7 +159,7 @@ def reference_optimize(train, hold, *, pop, max_gen, tol, seed):
     below_floor = 0
 
     def scorer(model, count_floor):
-        _, f_max = fitness_bounds(model.metric_bins**2)
+        _, f_max = fitness_bounds(grids.METRIC_BINS**2)
         floor = opt._COVERAGE_FLOOR_RATIO * predicted_mass(model, np.ones(8))[1]
 
         def score(z):
@@ -236,10 +227,11 @@ def reference_optimize(train, hold, *, pop, max_gen, tol, seed):
     ],
 )
 def test_optimize_matches_the_synchronous_reference(
-    search_constants, records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen
+    search_constants, grid_bins, records_seed, count, metric_bins, param_bins, pop, max_gen, tol, seed, last_gen
 ):
     search_constants(pop=pop, tol=tol, holdout=0.25)
-    model = build_conditional(*random_records(np.random.default_rng(records_seed), count), metric_bins, param_bins)
+    grid_bins(metric_bins=metric_bins, param_bins=param_bins)
+    model = build_conditional(*random_records(np.random.default_rng(records_seed), count))
     train, hold = split_model(model, records_seed)
     best_q, trace = optimize(train, hold, max_gen=max_gen, seed=seed)
     ref_q, ref_trace, _ = reference_optimize(train, hold, pop=pop, max_gen=max_gen, tol=tol, seed=seed)
@@ -257,6 +249,17 @@ def test_optimize_matches_the_reference_at_its_own_population_and_tolerance(skew
     assert trace.tobytes() == ref_trace.tobytes()
 
 
+def test_optimize_matches_the_reference_at_the_run_grids(search_constants):
+    # no grid patched: 100 metric cells, and 20 parameter bins per axis with most cells unobserved
+    search_constants(pop=8)
+    train, hold = split_model(build_conditional(*random_records(np.random.default_rng(47), 400)), 47)
+    assert train.counts.shape[0] == 100 and train.cell_flat.max() < 20**4
+    best_q, trace = optimize(train, hold, max_gen=6, seed=8)
+    ref_q, ref_trace, _ = reference_optimize(train, hold, pop=8, max_gen=6, tol=1e-3, seed=8)
+    assert best_q.tobytes() == ref_q.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
 def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(skewed_split, search_constants):
     train, hold = skewed_split
     search_constants(pop=12)
@@ -267,11 +270,12 @@ def test_optimize_matches_the_reference_with_trials_below_the_coverage_floor(ske
     assert trace.tobytes() == ref_trace.tobytes()
 
 
-def test_optimize_matches_the_reference_when_holdout_scores_tie(search_constants):
+def test_optimize_matches_the_reference_when_holdout_scores_tie(search_constants, grid_bins):
     # every holdout record in one metric cell: each candidate above the holdout floor predicts all mass there
-    train = build_conditional(*random_records(np.random.default_rng(48), 300), 4, 3)
+    grid_bins(metric_bins=4, param_bins=3)
+    train = build_conditional(*random_records(np.random.default_rng(48), 300))
     flat = np.arange(0, 3**4, 2)
-    hold = conditional_from_pairs(4, 3, flat, np.zeros_like(flat), np.ones_like(flat))
+    hold = conditional_from_pairs(flat, np.zeros_like(flat), np.ones_like(flat))
     search_constants(pop=8)
     best_q, trace = optimize(train, hold, max_gen=8, seed=6)
     ref_q, ref_trace, _ = reference_optimize(train, hold, pop=8, max_gen=8, tol=1e-3, seed=6)
@@ -309,10 +313,11 @@ def test_the_best_keeps_the_coverage_floor_while_holdout_trials_fall_below_it(
     assert trace["coverage"].min() >= floor
 
 
-def test_the_uniform_q_stays_best_when_every_candidate_scores_the_worst_fitness(search_constants):
+def test_the_uniform_q_stays_best_when_every_candidate_scores_the_worst_fitness(search_constants, grid_bins):
     # every record in one metric cell: each candidate above the floor predicts all mass there
+    grid_bins(metric_bins=2, param_bins=5)
     units = np.random.default_rng(5).random((300, 4))
-    train, hold = split_model(build_conditional(units, np.full(300, 0.25), np.full(300, -3.0), 2, 5), 1)
+    train, hold = split_model(build_conditional(units, np.full(300, 0.25), np.full(300, -3.0)), 1)
     _, f_max = fitness_bounds(4)
     search_constants(pop=8)
     best_q, trace = optimize(train, hold, max_gen=6, seed=0)

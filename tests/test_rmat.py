@@ -16,7 +16,7 @@ from graphbargain.rmat import (
     generate_raw_edges,
     sanitize,
 )
-from graphs import from_edge_list
+from graphs import from_edge_list, same_graph
 
 UNIFORM = dict(a=0.25, b=0.25, c=0.25, d=0.25)
 
@@ -194,13 +194,13 @@ class TestSanitize:
         g = sanitize(edges, n_param=6)
         # (1, 7) is outside the requested node range, (0, 0) is a loop;
         # the surviving components {0, 1} and {2, 5} tie, smallest id wins
-        assert g == from_edge_list([(0, 1)])
+        assert same_graph(g, from_edge_list([(0, 1)]))
 
     def test_out_of_range_endpoints_are_padding(self):
         edges = np.array([[0, 3], [3, 1], [6, 7]])
         g = sanitize(edges, n_param=4)
         # nodes {0, 1, 3} survive and relabel order-preservingly to {0, 1, 2}
-        assert g == from_edge_list([(0, 2), (1, 2)])
+        assert same_graph(g, from_edge_list([(0, 2), (1, 2)]))
 
     def test_vanished_graph_raises(self):
         with pytest.raises(VanishedGraphError):
@@ -281,8 +281,8 @@ class TestGenerateGraph:
         p = RmatParams(n_param=200, e_param=900, a=0.5, b=0.2, c=0.2, d=0.1)
         g1 = generate_graph(p, seed=4)
         g2 = generate_graph(p, seed=4)
-        assert g1 == g2
-        assert g1 == sanitize(generate_raw_edges(p, 4), p.n_param)
+        assert same_graph(g1, g2)
+        assert same_graph(g1, sanitize(generate_raw_edges(p, 4), p.n_param))
 
     def test_degenerate_parameters_raise_after_retries(self):
         p = RmatParams(n_param=2, e_param=10, a=1.0, b=0.0, c=0.0, d=0.0)
